@@ -493,6 +493,7 @@ def _run_payment_once(sc: Scenario, topo: Topology, variant: str, rep: int,
     problems = [f"rep {rep}: {p}" for p in report.problems]
     _merge_counters(counters, eng.counters)
     _merge_counters(counters, eng.node_counters())
+    counters["pops"] = eng.pops
     _merge_counters(counters, sender.counters, "snd_")
     _merge_counters(counters, receiver.counters, "rcv_")
     return RunResult(rows, counters, report.ok, completed, problems)
@@ -526,6 +527,7 @@ def _run_fairness_once(sc: Scenario, topo: Topology, variant: str, rep: int,
     counters: Dict[str, int] = {}
     _merge_counters(counters, eng.counters)
     _merge_counters(counters, eng.node_counters())
+    counters["pops"] = eng.pops
     report = settle_check([], eng.now)
     return RunResult(rows, counters, report.ok, True,
                      [f"rep {rep}: {p}" for p in report.problems])

@@ -50,7 +50,9 @@ def _check_id(name: str, value: str) -> bytes:
     return raw
 
 
-@dataclass
+# slotted: frames are the most numerous live objects of a run, and a slot
+# costs less memory than an instance dict entry
+@dataclass(slots=True)
 class Frame:
     kind: int
     service: int = SERVICE_NONE
@@ -65,13 +67,21 @@ class Frame:
     # hop-data carries another frame; kept as an object in-process and only
     # serialized into payload on encode.
     inner: Optional["Frame"] = None
+    # Encoded length, computed on first use.  Frames are not mutated once
+    # sized (decode sets `inner` before returning), and dataclasses.replace
+    # builds a fresh, unsized frame.
+    _size: Optional[int] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def wire_size(self) -> int:
+        if self._size is not None:
+            return self._size
         size = 4 + 1 + len(self.src.encode()) + 1 + len(self.dst.encode()) + 8 + 1 + 8
         size += 1
         for route in self.routes:
             size += 1 + sum(1 + len(h.encode()) for h in route)
         size += 4 + self._payload_size()
+        self._size = size
         return size
 
     def _payload_size(self) -> int:

@@ -15,6 +15,7 @@ import csv
 import hashlib
 import heapq
 import random
+import weakref
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -213,7 +214,9 @@ class EngineApi:
     """The surface clients are allowed to touch."""
 
     def __init__(self, engine: "Engine"):
-        self._engine = engine
+        # a proxy, so that the engine holding its api is no reference cycle
+        # and a finished run is freed as soon as the last reference goes
+        self._engine = weakref.proxy(engine)
 
     @property
     def now(self) -> float:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 NodeId = str
 LinkKey = Tuple[str, str]
@@ -23,6 +23,7 @@ class NoPath(Exception):
     def __init__(self, src: NodeId, dst: NodeId, detail: str = ""):
         self.src = src
         self.dst = dst
+        self.detail = detail
         msg = f"no usable path {src} -> {dst}"
         if detail:
             msg += f" ({detail})"
@@ -232,6 +233,13 @@ class TopologyView:
     link_up: Mapping[LinkKey, bool]
     loss_overrides: Mapping[LinkKey, float]
 
+    # Routes computed on this view, keyed ("sp", src, dst) or ("kd", src, dst,
+    # k).  A view never changes, so an entry never goes stale; it is dropped
+    # with the view.  A value is a Path, a tuple of Paths, or the detail
+    # string of a NoPath.
+    _routes: Dict[tuple, object] = field(
+        init=False, repr=False, compare=False, default_factory=dict)
+
     @classmethod
     def all_up(cls, topo: Topology) -> "TopologyView":
         return cls(
@@ -320,8 +328,51 @@ def path_from_hops(view: TopologyView, hops: Tuple[NodeId, ...]) -> Path:
     return Path(tuple(hops), total)
 
 
+def _memo(view: TopologyView, key: tuple, compute: Callable[[], object]) -> object:
+    """The route stored under key in the view's memo; compute() on a miss.
+
+    key[1:3] is (src, dst).  A NoPath is stored as its detail string and
+    raised afresh on every call, so the memo pins no traceback.  Any other
+    error (unknown node, bad k, src == dst) stores nothing, so it is raised
+    again on every call.
+    """
+    routes = view._routes
+    found = routes.get(key)
+    if found is None:
+        try:
+            found = compute()
+        except NoPath as exc:
+            found = exc.detail
+        routes[key] = found
+    if isinstance(found, str):
+        raise NoPath(key[1], key[2], found)
+    return found
+
+
 def shortest_path(view: TopologyView, src: NodeId, dst: NodeId) -> Path:
-    """Minimum-latency path; ties broken by lexicographically smallest hops."""
+    """Minimum-latency path; ties broken by lexicographically smallest hops.
+
+    Computed once per view and pair, then served from the view's memo.
+    """
+    return _memo(view, ("sp", src, dst),
+                 lambda: _shortest_path(view, src, dst))
+
+
+def k_disjoint_paths(view: TopologyView, src: NodeId, dst: NodeId, k: int) -> List[Path]:
+    """Up to k pairwise node-disjoint paths of minimum total latency.
+
+    Node splitting plus successive shortest augmenting paths; after i
+    augmentations the flow is a minimum-cost flow of value i, so every
+    returned prefix cardinality is optimal as well.  Paths are ordered by
+    ascending individual latency, then hop sequence.  Computed once per
+    view, pair and k; each call gets its own list.
+    """
+    return list(_memo(view, ("kd", src, dst, k),
+                      lambda: tuple(_k_disjoint_paths(view, src, dst, k))))
+
+
+def _shortest_path(view: TopologyView, src: NodeId, dst: NodeId) -> Path:
+    """Uncached body of shortest_path; tests use it as the reference."""
     for endpoint in (src, dst):
         if not view.base.has_node(endpoint):
             raise TopologyError(f"unknown node '{endpoint}'")
@@ -357,14 +408,8 @@ def _us(latency_ms: float) -> int:
     return int(round(latency_ms * 1000.0))
 
 
-def k_disjoint_paths(view: TopologyView, src: NodeId, dst: NodeId, k: int) -> List[Path]:
-    """Up to k pairwise node-disjoint paths of minimum total latency.
-
-    Node splitting plus successive shortest augmenting paths; after i
-    augmentations the flow is a minimum-cost flow of value i, so every
-    returned prefix cardinality is optimal as well.  Paths are ordered by
-    ascending individual latency, then hop sequence.
-    """
+def _k_disjoint_paths(view: TopologyView, src: NodeId, dst: NodeId, k: int) -> List[Path]:
+    """Uncached body of k_disjoint_paths; tests use it as the reference."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if src == dst:

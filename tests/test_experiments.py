@@ -1,11 +1,13 @@
 import filecmp
+import gc
 import os
 import statistics
+import weakref
 
 import pytest
 
 from helpers import data_file
-from spon import cli
+from spon import cli, experiments
 from spon.config import DEFAULT_CONFIG
 from spon.experiments import (MetricReport, ScenarioError, Scenario,
                               derive_seed, extract_samples, load_raw_reports,
@@ -141,6 +143,53 @@ def test_hijacked_pairing_fails_while_overlay_completes():
     assert not base.completed
     assert overlay.completed and overlay.counters["fulfilled"] == 10
     assert base.settle_ok and overlay.settle_ok
+
+
+# one payment config and one fairness config: the two ways a run is driven
+SMALL_RUNS = [
+    ("chain-ping-loss", dict(pings=10, reps=2, variants=("baseline", "rel-1p"))),
+    ("fairness", dict(clients_per_flow=2, ramp_interval_ms=250.0,
+                      measure_ms=1_000.0)),
+]
+
+
+@pytest.fixture
+def engine_log(monkeypatch):
+    """(weak reference, events popped) of every Engine run, in run order."""
+    log = []
+
+    class Recorded(experiments.Engine):
+        def run(self, *args, **kwargs):
+            try:
+                return super().run(*args, **kwargs)
+            finally:
+                log.append((weakref.ref(self), self.pops))
+
+    monkeypatch.setattr(experiments, "Engine", Recorded)
+    return log
+
+
+@pytest.mark.parametrize("name, overrides", SMALL_RUNS)
+def test_finished_run_is_freed_without_the_cycle_collector(name, overrides,
+                                                           engine_log):
+    gc.collect()
+    gc.disable()
+    try:
+        run_scenario(make_scenario(name, **overrides))
+        alive = sum(ref() is not None for ref, _ in engine_log)
+    finally:
+        gc.enable()
+    assert engine_log and alive == 0
+
+
+@pytest.mark.parametrize("name, overrides", SMALL_RUNS)
+def test_run_counters_report_events_popped(name, overrides, engine_log):
+    reports = run_scenario(make_scenario(name, **overrides))
+    pops = [p for _, p in engine_log]
+    per_variant = len(pops) // len(reports)
+    assert [r.counters["pops"] for r in reports] == [
+        sum(pops[i:i + per_variant]) for i in range(0, len(pops), per_variant)]
+    assert all(p > 0 for p in pops)
 
 
 # --- aggregation -------------------------------------------------------------------

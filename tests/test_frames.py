@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +80,31 @@ def test_hop_data_nests_a_frame():
     assert back.inner is not None
     assert back.inner.payload == b"xyz"
     assert back.inner.src == "1"
+
+
+def test_decoded_hop_data_wire_size_counts_its_inner_frame():
+    inner = Frame(kind=frames.KIND_DATA, service=frames.SERVICE_REL, k=1,
+                  src="1", dst="5", seq=9, priority=1,
+                  routes=(("1", "12", "13", "14", "5"),), payload=b"xyz")
+    raw = Frame(kind=frames.KIND_HOP_DATA, src="12", dst="13", seq=3,
+                inner=inner).encode()
+    back = decode(raw)
+    assert back.wire_size() == len(raw)
+    assert back.wire_size() == len(back.encode())
+    assert back.inner.wire_size() == len(inner.encode())
+
+
+def test_replaced_frame_is_sized_afresh():
+    frame = Frame(kind=frames.KIND_DATA, service=frames.SERVICE_PRI, k=1,
+                  src="1", dst="5", seq=7, routes=(("1", "9", "10", "11", "5"),),
+                  payload=b"pay")
+    assert frame.wire_size() == len(frame.encode())
+    for routes in [(("1", "12", "13", "14", "5"), ("1", "9", "10", "11", "5")),
+                   (), (("1", "2", "3", "4", "5", "6", "7"),)]:
+        copy = replace(frame, k=len(routes), routes=routes)
+        assert copy.wire_size() == len(copy.encode())
+        assert copy.wire_size() != frame.wire_size()
+    assert frame.wire_size() == len(frame.encode())
 
 
 def test_decode_rejects_malformed():

@@ -9,6 +9,8 @@ from spon.topology import (
     NoPath,
     TopologyError,
     TopologyView,
+    _k_disjoint_paths,
+    _shortest_path,
     apply_fault,
     k_disjoint_paths,
     load_topology,
@@ -282,3 +284,97 @@ def test_deterministic_results():
     assert [p.hops for p in a] == [p.hops for p in b]
     assert shortest_path(view, "HKG", "FRA").hops == tuple(
         reversed(shortest_path(view, "FRA", "HKG").hops))
+
+
+# --- route memo -------------------------------------------------------------
+
+def fault_views(view, changes):
+    """The view, then the view after each change in turn."""
+    views = [view]
+    for change in changes:
+        views.append(apply_fault(views[-1], change))
+    return views
+
+
+def outcome(fn, *args):
+    """What a route call returns, or the message of the NoPath it raises."""
+    try:
+        result = fn(*args)
+    except NoPath as exc:
+        return ("NoPath", str(exc))
+    return result
+
+
+def test_memo_matches_uncached_on_fault_views():
+    chain = fault_views(chain_view(), [
+        Change.node_down("14"), Change.node_down("2"),
+        Change.link_down("9", "10"), Change.node_down("5"),
+        Change.node_up("5"), Change.node_up("14")])
+    glob = fault_views(global_view(), [
+        Change.node_down(n) for n in ("SJC", "NYC", "LON", "WAS")] + [
+        Change.loss_override("FRA", "CHI", 0.5), Change.node_up("NYC")])
+    for view in chain + glob:
+        nodes = view.base.nodes
+        for src in nodes:
+            for dst in nodes:
+                want = outcome(_shortest_path, view, src, dst)
+                # the first call fills the memo, the second is served from it
+                assert outcome(shortest_path, view, src, dst) == want
+                assert outcome(shortest_path, view, src, dst) == want
+                if src == dst:
+                    continue
+                for k in range(1, 5):
+                    want = outcome(_k_disjoint_paths, view, src, dst, k)
+                    assert outcome(k_disjoint_paths, view, src, dst, k) == want
+                    assert outcome(k_disjoint_paths, view, src, dst, k) == want
+
+
+def test_memo_repeats_nopath_with_the_same_message():
+    view = chain_view()
+    down = apply_fault(view, Change.node_down("5"))
+    cut = view
+    for a, b in [("14", "5"), ("11", "5"), ("7", "5"), ("3", "5")]:
+        cut = apply_fault(cut, Change.link_down(a, b))
+    calls = [(shortest_path, down, "1", "5"), (k_disjoint_paths, down, "1", "5", 2),
+             (shortest_path, cut, "1", "5"), (k_disjoint_paths, cut, "1", "5", 2)]
+    for fn, *args in calls:
+        raised = []
+        for _ in range(3):
+            with pytest.raises(NoPath) as info:
+                fn(*args)
+            raised.append(info.value)
+        assert len({str(exc) for exc in raised}) == 1
+        assert len({id(exc) for exc in raised}) == 3
+        assert (raised[-1].src, raised[-1].dst) == ("1", "5")
+    with pytest.raises(NoPath, match=r"no usable path 1 -> 5 \(endpoint down\)$"):
+        shortest_path(down, "1", "5")
+    with pytest.raises(NoPath, match=r"no usable path 1 -> 5$"):
+        k_disjoint_paths(cut, "1", "5", 1)
+
+
+def test_memo_hands_each_caller_its_own_list():
+    view = chain_view()
+    first = k_disjoint_paths(view, "1", "5", 2)
+    want = [p.hops for p in first]
+    first.pop()
+    first.append(first[0])
+    again = k_disjoint_paths(view, "1", "5", 2)
+    assert again is not first
+    assert [p.hops for p in again] == want
+
+
+def test_memo_keeps_validation_on_every_call():
+    view = chain_view()
+    shortest_path(view, "1", "5")
+    k_disjoint_paths(view, "1", "5", 2)
+    for _ in range(2):
+        with pytest.raises(TopologyError):
+            shortest_path(view, "1", "nope")
+        with pytest.raises(TopologyError):
+            shortest_path(view, "nope", "5")
+        with pytest.raises(TopologyError):
+            k_disjoint_paths(view, "1", "nope", 2)
+        with pytest.raises(ValueError, match="k must be"):
+            k_disjoint_paths(view, "1", "5", 0)
+        with pytest.raises(ValueError, match="must differ"):
+            k_disjoint_paths(view, "1", "1", 2)
