@@ -36,6 +36,13 @@ SERVICE_NONE = 0
 SERVICE_PRI = 1
 SERVICE_REL = 2
 
+# `k` of an empty-payload hop-nack, which carries a high-water seq: a plain
+# announce (0), the receiver's confirm that it holds every frame up to seq (1),
+# or an announce that asks for that confirm (2)
+HOP_ANNOUNCE = 0
+HOP_CONFIRM = 1
+HOP_ANNOUNCE_ASK = 2
+
 MAX_PAYLOAD = 1 << 20
 
 

@@ -306,6 +306,7 @@ class Engine:
 
         self._heap: List[tuple] = []
         self._seq = 0
+        # (owner, timer id) -> insertion seq of its live heap entry
         self._timer_gen: Dict[Tuple[tuple, tuple], int] = {}
         self._view_serial = 0
         self._node_view_serial: Dict[NodeId, int] = {n: 0 for n in topology.nodes}
@@ -363,14 +364,13 @@ class Engine:
 
     def set_timer(self, owner: tuple, timer_id: tuple, delay_ms: float,
                   data: object = None) -> None:
-        key = (owner, timer_id)
-        gen = self._timer_gen.get(key, 0) + 1
-        self._timer_gen[key] = gen
-        self._push(self.now + delay_ms, _EV_TIMER, (owner, timer_id, gen, data))
+        # re-arming supersedes the earlier arming: only the heap entry whose
+        # insertion seq is recorded here fires
+        self._push(self.now + delay_ms, _EV_TIMER, (owner, timer_id, data))
+        self._timer_gen[(owner, timer_id)] = self._seq
 
     def cancel_timer(self, owner: tuple, timer_id: tuple) -> None:
-        key = (owner, timer_id)
-        self._timer_gen[key] = self._timer_gen.get(key, 0) + 1
+        self._timer_gen.pop((owner, timer_id), None)
 
     def _retire_node(self, node_id: NodeId) -> None:
         state = self.nodes.pop(node_id, None)
@@ -379,9 +379,8 @@ class Engine:
                 self.retired_counters[k] = self.retired_counters.get(k, 0) + v
         # orphan every timer the dead process owned
         owner = ("n", node_id)
-        for key in list(self._timer_gen):
-            if key[0] == owner:
-                self._timer_gen[key] += 1
+        for key in [key for key in self._timer_gen if key[0] == owner]:
+            del self._timer_gen[key]
 
     def node_counters(self) -> Dict[str, int]:
         merged = dict(self.retired_counters)
@@ -622,7 +621,7 @@ class Engine:
         while self._heap and self.running:
             if self._heap[0][0] > horizon_ms:
                 break
-            time_ms, _, kind, data = heapq.heappop(self._heap)
+            time_ms, seq, kind, data = heapq.heappop(self._heap)
             self.pops += 1
             if self.pops > self.config.event_cap:
                 raise EngineOverrun(f"exceeded {self.config.event_cap} events")
@@ -637,7 +636,7 @@ class Engine:
                 dirn.inflight = False
                 self._kick(a, b)
             elif kind == _EV_TIMER:
-                self._on_timer(*data)
+                self._on_timer(seq, *data)
             elif kind == _EV_FAULT:
                 self._apply_fault(data)
             elif kind == _EV_VIEW:
@@ -659,9 +658,12 @@ class Engine:
         fx = state.handle_frame(a, wire, self.now)
         self._process_effects(b, fx)
 
-    def _on_timer(self, owner: tuple, timer_id: tuple, gen: int, data: object) -> None:
-        if self._timer_gen.get((owner, timer_id), 0) != gen:
+    def _on_timer(self, seq: int, owner: tuple, timer_id: tuple,
+                  data: object) -> None:
+        key = (owner, timer_id)
+        if self._timer_gen.get(key) != seq:
             return
+        del self._timer_gen[key]
         scope, name = owner
         if scope == "n":
             state = self.nodes.get(name)

@@ -13,7 +13,11 @@ that many node-disjoint source routes.
 Each link direction additionally runs a small negative-ack recovery protocol:
 frames carry per-link sequence numbers, receivers nack gaps, senders keep a
 bounded replay cache and announce their high-water sequence number when the
-link goes idle so trailing losses are detected without new traffic.
+link goes idle so trailing losses are detected without new traffic.  The
+first announce asks for nothing; later ones, spaced by the re-nack interval
+and doubling, ask the receiver to confirm that it holds every frame up to the
+high-water mark, and the sender stops announcing once it does (a tail-loss
+probe, as in TCP's RACK-TLP).
 """
 
 from __future__ import annotations
@@ -26,6 +30,9 @@ from typing import Deque, Dict, List, Optional, Tuple
 from .config import Config, DEFAULT_CONFIG
 from .frames import (
     Frame,
+    HOP_ANNOUNCE,
+    HOP_ANNOUNCE_ASK,
+    HOP_CONFIRM,
     KIND_ACK,
     KIND_DATA,
     KIND_HOP_DATA,
@@ -231,6 +238,7 @@ class _HopTx:
         self.next_seq = 0
         self.cache: "OrderedDict[int, Tuple[Frame, float]]" = OrderedDict()
         self.announce_round = 0
+        self.confirmed = -1      # highest seq the receiver confirmed holding
 
     def store(self, seq: int, frame: Frame, now: float, cfg: Config) -> None:
         self.cache[seq] = (frame, now)
@@ -475,6 +483,12 @@ class NodeState:
                     self._enqueue_control(from_nbr, tomb, out)
                 else:
                     self._enqueue_control(from_nbr, cached, out)
+        elif wire.k == HOP_CONFIRM:
+            # the neighbor holds every frame up to wire.seq; a seq we have
+            # not sent yet predates a reset of this link and says nothing
+            tx = self.hop_tx.get(from_nbr)
+            if tx is not None and tx.confirmed < wire.seq < tx.next_seq:
+                tx.confirmed = wire.seq
         else:
             # high-water announce: anything below wire.seq we never saw is lost
             rx = self.hop_rx.setdefault(from_nbr, _HopRx())
@@ -486,6 +500,10 @@ class NodeState:
                 rx.expected = high + 1
             if rx.missing:
                 self._arm_nack(from_nbr, rx, out, self.config.nack_delay_ms)
+            elif wire.k == HOP_ANNOUNCE_ASK:
+                confirm = Frame(kind=KIND_HOP_NACK, k=HOP_CONFIRM, src=self.id,
+                                dst=from_nbr, seq=high)
+                self._enqueue_control(from_nbr, confirm, out)
 
     def _arm_nack(self, nbr: NodeId, rx: _HopRx, out: Effects, delay: float) -> None:
         if not rx.nack_armed:
@@ -745,24 +763,30 @@ class NodeState:
         nack = Frame(kind=KIND_HOP_NACK, src=self.id, dst=nbr,
                      payload=_pack_seqs(want))
         self._enqueue_control(nbr, nack, out)
+        rx.nack_armed = True
+        out.append(SetTimer(("nack", nbr), self._renack_ms(nbr)))
+
+    def _renack_ms(self, nbr: NodeId) -> float:
+        """How long a request on the link to `nbr` waits for its answer."""
         try:
             link_lat = self.view.base.link(self.id, nbr).latency_ms
         except TopologyError:
             link_lat = 1.0
-        rx.nack_armed = True
-        out.append(SetTimer(("nack", nbr),
-                            max(self.config.renack_min_ms, 2.5 * link_lat)))
+        return max(self.config.renack_min_ms, 2.5 * link_lat)
 
     def _announce_timer(self, nbr: NodeId, now: float, out: Effects) -> None:
         tx = self.hop_tx.get(nbr)
-        if tx is None or tx.next_seq == 0:
+        if tx is None or tx.confirmed >= tx.next_seq - 1:
             return
-        announce = Frame(kind=KIND_HOP_NACK, src=self.id, dst=nbr,
-                         seq=tx.next_seq - 1, payload=b"")
+        # the first announce only exposes a trailing loss; the later ones
+        # ask for a confirm, which ends the probing
+        ask = HOP_ANNOUNCE_ASK if tx.announce_round else HOP_ANNOUNCE
+        announce = Frame(kind=KIND_HOP_NACK, k=ask, src=self.id, dst=nbr,
+                         seq=tx.next_seq - 1)
         self._enqueue_control(nbr, announce, out)
         tx.announce_round += 1
         if tx.announce_round < self.config.announce_retries:
-            delay = self.config.announce_delay_ms * (2 ** tx.announce_round)
+            delay = self._renack_ms(nbr) * 2 ** (tx.announce_round - 1)
             out.append(SetTimer(("ann", nbr), delay))
 
     # -- topology updates --

@@ -633,9 +633,12 @@ class IlpNode(Client):
         sess.state = state
         sess.finished_ms = api.now
         api.cancel_timer(self.client_id, ("sess", sess.session_id))
-        if state != STREAM_FAILED:
-            return
-        # take back whatever still backs the abandoned packet
+        if state == STREAM_FAILED:
+            # take back whatever still backs the abandoned packet
+            self._void_packet_holds(api, sess)
+
+    def _void_packet_holds(self, api: EngineApi, sess: StreamSession) -> None:
+        """Refund the still-active holds placed for the current packet."""
         peer = self._route(sess.dst_addr)
         link = self.links.get(peer) if peer else None
         if link is not None:
@@ -651,6 +654,9 @@ class IlpNode(Client):
         if pkt.fulfillment != expect:
             self._count("fulfill_mismatch")
             return
+        # a retry's hold, placed after the connector had claimed the first
+        # one, is never claimed: give it back now instead of at its expiry
+        self._void_packet_holds(api, sess)
         amount = sess.current_amount()
         rtt = api.now - sess.sent_at_ms
         sess.packet_rtts.append((pkt.seq, api.now, rtt))
@@ -1074,6 +1080,12 @@ def settle_check(ledgers: List[Ledger], now: float,
                 problems.append(
                     f"ledger {ledger.name}: group {group} executed "
                     f"{len(executed)} times")
+            if executed and any(ledger.holds[h].state == HOLD_ACTIVE
+                                for h in hold_ids):
+                # the packet is paid, yet a second hold still sits in escrow
+                problems.append(
+                    f"ledger {ledger.name}: group {group} executed with a "
+                    f"hold still active")
             pid, seq, edge = group.rsplit(":", 2)
             payer, payee = edge.split(">")
             for h in executed:

@@ -23,15 +23,15 @@ GOLDEN = {
     "chain-ping-loss": (
         dict(loss=5.0, pings=30, reps=1,
              variants=("baseline", "pri-fld", "rel-1p")),
-        "c0c0668de2111d70c91dbf6e75353e1c58a91cf6a337ca5eff819eff157b83a1"),
+        "3f88edd6f75e8e690aa8a82c6ba77f7547a74d9e01ed22b65fc95e3fc0abf5c3"),
     "chain-stream-loss": (
         dict(loss=5.0, payments=2, total=2_000, packet=100, reps=1,
              variants=("baseline", "pri-2p", "rel-2p")),
-        "25aaf4a16ee35549b8ab18e2a9d56f19f54c0c5ccd058968279f00826398eb1e"),
+        "c27c75e26aadcf855d6eaec691d19bf6b2c59b4e12ada3087b3e191146003aaf"),
     "global-stream-loss": (
         dict(loss=2.0, payments=2, total=5_000, packet=500, reps=1,
              variants=("baseline", "pri-fld", "rel-1p")),
-        "0647b89f7dbd3bfe4c718f066a3114f56482288a05f17c2f52e7b0bc885f5bc3"),
+        "21f7f5ae2dcf129b5b76cee799ef20dd99b68aad86cbf74e1eb7bfec515f8a63"),
     "chain-meltdown": (
         dict(total=15_000, packet=10,
              variants=("baseline-cut", "pri-1p", "pri-2p")),

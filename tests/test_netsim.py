@@ -9,6 +9,7 @@ from spon.netsim import (
     EngineOverrun,
     FaultEvent,
     RawLink,
+    _EV_TIMER,
     meltdown_schedule,
     pack_client,
     unpack_client,
@@ -283,6 +284,60 @@ def test_horizon_stops_periodic_timers():
     eng = Engine(topo, [t, Collector("cb")], seed=1)
     eng.run(horizon_ms=100.0)
     assert t.ticks == 10
+
+
+def armed_entries_are_live(eng):
+    """Every armed timer names a heap entry that is still to fire."""
+    live = {(seq, data[0], data[1]) for _t, seq, kind, data in eng._heap
+            if kind == _EV_TIMER}
+    return all((seq,) + key in live for key, seq in eng._timer_gen.items())
+
+
+def test_timer_table_holds_only_armed_timers():
+    topo = load_topology(CHAIN)
+    sender = Burst("c1", "c5", 200, ServiceClass(REL, 1))
+    sink = Collector("c5")
+    faults = [FaultEvent(0.0, change=Change.loss_override("12", "13", 0.2)),
+              FaultEvent(2000.0, change=Change.node_down("9"))]
+    eng = Engine(topo, [sender, sink], seed=5, faults=faults)
+    eng.run(horizon_ms=30_000.0)
+    assert len(set(sink.bodies)) == 200
+    # 200 acked messages, each with its own retransmit timer, leave no entry
+    assert len(eng._timer_gen) == 0
+    assert armed_entries_are_live(eng)
+
+
+def test_timer_table_matches_heap_when_the_horizon_cuts_the_run():
+    topo = load_topology(CHAIN)
+    sender = Burst("c1", "c5", 50, ServiceClass(REL, 1))
+    eng = Engine(topo, [sender, Collector("c5")], seed=5,
+                 faults=[FaultEvent(5.0, change=Change.node_down("12"))])
+    eng.run(horizon_ms=120.0)
+    assert eng._timer_gen and armed_entries_are_live(eng)
+    # the dead relay's timers were dropped with it
+    assert not [key for key in eng._timer_gen if key[0] == ("n", "12")]
+
+
+def test_rearmed_or_cancelled_timer_fires_only_its_last_arming():
+    topo = two_node()
+
+    class Rearm(Client):
+        def __init__(self):
+            super().__init__("ca")
+            self.fired = []
+        def on_start(self, api):
+            api.set_timer("ca", ("t",), 10.0, data="stale")
+            api.set_timer("ca", ("t",), 30.0, data="live")
+            api.set_timer("ca", ("gone",), 20.0)
+            api.cancel_timer("ca", ("gone",))
+        def on_timer(self, timer_id, data, api):
+            self.fired.append((api.now, timer_id, data))
+
+    client = Rearm()
+    eng = Engine(topo, [client, Collector("cb")], seed=1)
+    eng.run(horizon_ms=100.0)
+    assert client.fired == [(30.0, ("t",), "live")]
+    assert not eng._timer_gen
 
 
 # --- raw links ---------------------------------------------------------------------

@@ -6,6 +6,9 @@ from helpers import build_view, data_file
 from spon.config import Config
 from spon.frames import (
     Frame,
+    HOP_ANNOUNCE,
+    HOP_ANNOUNCE_ASK,
+    HOP_CONFIRM,
     KIND_ACK,
     KIND_DATA,
     KIND_HOP_DATA,
@@ -344,15 +347,90 @@ def test_announce_detects_trailing_loss():
     assert [e for e in fx if isinstance(e, Deliver)]
 
 
-def test_announce_backoff_stops():
+def announce(sender, neighbor, now):
+    """Fire the sender's announce timer; return the announce and any re-arm."""
+    fx = sender.handle_timer(("ann", neighbor), None, now)
+    sent = [t.frame for t in transmits(fx)]
+    rearm = [e for e in fx if isinstance(e, SetTimer)]
+    return (sent[0] if sent else None), (rearm[0] if rearm else None)
+
+
+def test_first_announce_asks_no_confirm():
+    a, b = pair()
+    b.handle_frame("A", wire_frames(a, "B", 1)[0], 2.0)
+    first, rearm = announce(a, "B", 4.0)
+    assert first.k == HOP_ANNOUNCE and first.seq == 0
+    assert rearm.delay_ms == 5.0      # re-nack interval: 2.5 x 2 ms link
+    assert not b.handle_frame("A", first, 6.0)     # receiver stays quiet
+
+
+def test_later_announce_with_nothing_missing_is_confirmed():
+    a, b = pair()
+    for w in wire_frames(a, "B", 2):
+        b.handle_frame("A", w, 2.0)
+    announce(a, "B", 4.0)
+    second, rearm = announce(a, "B", 9.0)
+    assert second.k == HOP_ANNOUNCE_ASK and second.seq == 1
+    assert rearm.delay_ms == 10.0     # doubled
+    fx = b.handle_frame("A", second, 11.0)
+    confirm = transmits(fx)[0].frame
+    assert confirm.kind == KIND_HOP_NACK and confirm.k == HOP_CONFIRM
+    assert confirm.seq == 1 and confirm.payload == b""
+    assert not [e for e in fx if isinstance(e, SetTimer)]
+
+
+def test_later_announce_with_a_gap_is_nacked_not_confirmed():
+    a, b = pair()
+    wires = wire_frames(a, "B", 3)
+    b.handle_frame("A", wires[0], 2.0)          # wires 1 and 2 are lost
+    announce(a, "B", 4.0)
+    second, _ = announce(a, "B", 9.0)
+    fx = b.handle_frame("A", second, 11.0)
+    assert not transmits(fx)
+    assert [e for e in fx if isinstance(e, SetTimer)
+            and e.timer_id == ("nack", "A")]
+    assert sorted(b.hop_rx["A"].missing) == [1, 2]
+    nack = transmits(b.handle_timer(("nack", "A"), None, 12.0))[0].frame
+    assert nack.payload and nack.k != HOP_CONFIRM
+
+
+def test_confirm_stops_the_announces():
+    a, b = pair()
+    b.handle_frame("A", wire_frames(a, "B", 1)[0], 2.0)
+    announce(a, "B", 4.0)
+    second, _ = announce(a, "B", 9.0)
+    confirm = transmits(b.handle_frame("A", second, 11.0))[0].frame
+    assert not a.handle_frame("B", confirm, 13.0)
+    assert announce(a, "B", 19.0) == (None, None)
+    # a new frame on the link is not covered by the old confirm
+    wire_frames(a, "B", 1)
+    assert announce(a, "B", 30.0)[0].seq == 1
+
+
+def test_confirm_above_next_seq_is_ignored():
+    a, _b = pair()
+    wire_frames(a, "B", 2)
+    # a confirm from before a reset of the link names a seq never sent since
+    stale = Frame(kind=KIND_HOP_NACK, k=HOP_CONFIRM, src="B", dst="A", seq=2)
+    a.handle_frame("B", stale, 3.0)
+    assert a.hop_tx["B"].confirmed == -1
+    assert announce(a, "B", 4.0)[0].seq == 1
+
+
+def test_unconfirmed_announces_stop_after_the_retry_budget():
     a, _b = pair()
     wire_frames(a, "B", 1)
-    fx = a.handle_timer(("ann", "B"), None, 2.0)
-    rearms = [e for e in fx if isinstance(e, SetTimer)]
-    assert rearms and rearms[0].delay_ms == 4.0      # doubled
-    for i in range(2, 7):
-        fx = a.handle_timer(("ann", "B"), None, 2.0 + i)
-    assert not [e for e in fx if isinstance(e, SetTimer)]
+    delays = []
+    now = 2.0
+    for _ in range(Config().announce_retries):
+        sent, rearm = announce(a, "B", now)
+        assert sent is not None
+        if rearm is not None:
+            delays.append(rearm.delay_ms)
+            now += rearm.delay_ms
+    # the last announce arms no further timer
+    assert delays == [5.0, 10.0, 20.0, 40.0, 80.0]
+    assert rearm is None
 
 
 def test_evicted_cache_entry_yields_empty_fill():

@@ -359,6 +359,22 @@ def test_settle_check_flags_tampered_log():
     assert any("logged" in p for p in report.problems)
 
 
+def test_settle_check_flags_a_paid_group_with_a_hold_still_active():
+    s, c, r, l1, l2, txlog = three_party()
+    api = FakeApi()
+    nodes = {"cs": s, "cc": c, "cr": r}
+    sid = s.start_stream(api, "g.r.x", b"shh", 200, 200)
+    pump(api, nodes)
+    assert settle_check([l1, l2], api.now, txlog).ok
+    sess = s.sessions[sid]
+    group = s._hold_group(sess.payment_id, 0, "cs", "cc")
+    l1.place_hold(group + ":9", group, "cs", "cc", 200, b"\x00" * 32,
+                  api.now + 30_000.0, api.now)
+    report = settle_check([l1, l2], api.now, txlog)
+    assert not report.ok
+    assert any("still active" in p for p in report.problems)
+
+
 def test_ping_never_touches_the_books():
     s, c, r, l1, l2, txlog = three_party()
     api = FakeApi()
@@ -422,6 +438,21 @@ def test_stream_survives_heavy_loss_exactly_once():
     assert sess.packets_fulfilled == 10
     assert l1.balance("cs") == 1_000_000 - 1000
     assert l2.balance("cr") == 10 * 99
+    report = settle_check([l1, l2], eng.now, txlog)
+    assert report.ok, report.problems
+
+
+@pytest.mark.parametrize("seed", [2, 5, 11])
+def test_stream_retry_hold_is_given_back(seed):
+    # at these seeds a retry places a second hold after the connector has
+    # claimed the first (seed 2 with confirmed idle-link announces, 5 and 11
+    # with the older announce ladder); the fulfil must refund that hold, not
+    # leave it in escrow
+    s, c, r, l1, l2, txlog, eng = overlay_world(
+        ServiceClass(REL, 1), loss=0.25, total=1000, packet=100, seed=seed)
+    assert s.sessions[s.sid].state == STREAM_COMPLETE
+    assert l1.balance("cs") == 1_000_000 - 1000
+    assert l1.escrow_total() == 0
     report = settle_check([l1, l2], eng.now, txlog)
     assert report.ok, report.problems
 
