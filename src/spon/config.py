@@ -35,7 +35,6 @@ class Config:
     default_rtt_ms: float = 1000.0     # RTO seed when no path is known
     # engine
     event_cap: int = 10_000_000
-    trace_frames: bool = False         # per-frame trace rows are heavy
 
 
 DEFAULT_CONFIG = Config()

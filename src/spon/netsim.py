@@ -9,6 +9,12 @@ Determinism contract: a run is a pure function of (inputs, seed).  The event
 heap orders by (time_ms, insertion seq); every per-link-direction loss stream
 has its own RNG derived from the seed and the direction label, so reordering
 elsewhere cannot perturb it.
+
+A link direction serializes one frame at a time.  Each transmission reserves
+the insertion seq of its end-of-serialization event (TX_DONE), but the event
+is put on the heap only while a frame waits in the port behind the one on the
+wire; a link that falls idle costs no event.  A TX_DONE pushed late carries
+its reserved seq, so it pops exactly where an eagerly pushed one would have.
 """
 
 import csv
@@ -16,7 +22,7 @@ import hashlib
 import heapq
 import random
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .config import Config, DEFAULT_CONFIG
@@ -108,9 +114,17 @@ class Client:
 
 @dataclass
 class _LinkDir:
-    """One direction of an overlay link: at most one frame serializing at a time."""
+    """One direction of an overlay link: at most one frame serializing at a time.
+
+    The frame on the wire finishes at heap key (busy_until, done_seq); before
+    that key the link is busy.  Its TX_DONE is on the heap (done_live) only
+    if a frame was waiting when it started or has been queued since, so at
+    most one is live and none pops on a link that went idle.
+    """
     rng: random.Random
-    inflight: bool = False
+    busy_until: float = 0.0
+    done_seq: int = 0
+    done_live: bool = False
 
 
 @dataclass
@@ -142,16 +156,21 @@ class AsUnderlay:
     its endpoints is mutually reachable and not banned.
     """
     as_edges: Tuple[Tuple[int, int], ...]
+    _adj: Dict[int, List[int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        adj: Dict[int, List[int]] = {}
+        for a, b in self.as_edges:
+            adj.setdefault(a, []).append(b)
+            adj.setdefault(b, []).append(a)
+        object.__setattr__(self, "_adj", adj)
 
     def reachable(self, x: int, y: int, bans: frozenset) -> bool:
         if (x, y) in bans or (y, x) in bans:
             return False
         if x == y:
             return True
-        adj: Dict[int, List[int]] = {}
-        for a, b in self.as_edges:
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
+        adj = self._adj
         seen = {x}
         queue = [x]
         while queue:
@@ -238,9 +257,6 @@ class EngineApi:
     def cancel_timer(self, client_id: str, timer_id: tuple) -> None:
         self._engine.cancel_timer(("c", client_id), timer_id)
 
-    def record(self, client_id: str, key: str, value: float) -> None:
-        self._engine.metrics.append((self._engine.now, client_id, key, value))
-
     def rtt_hint(self, src_client: str, dst_client: str) -> float:
         return self._engine.rtt_hint(src_client, dst_client)
 
@@ -268,6 +284,7 @@ class Engine:
         self.bans: frozenset = frozenset()
         self.trace_enabled = trace
         self.now = 0.0
+        self.now_seq = 0          # insertion seq of the event being handled
         self.running = True
 
         self.ground = TopologyView.all_up(topology)
@@ -313,7 +330,6 @@ class Engine:
         self.pops = 0
         self.counters: Dict[str, int] = {}
         self.retired_counters: Dict[str, int] = {}
-        self.metrics: List[Tuple[float, str, str, float]] = []
         self.trace_rows: List[Tuple[float, str, str, str]] = []
 
         # same-instant ties break by insertion: the world changes state before
@@ -518,33 +534,55 @@ class Engine:
     # -- overlay link service --
 
     def _kick(self, a: NodeId, b: NodeId) -> None:
-        """Start serializing the next frame on direction a->b if idle."""
+        """Start serializing the next frame on direction a->b if idle; if
+        busy, make sure the port is served when the wire frees up."""
         dirn = self.link_dirs.get((a, b))
+        if dirn is None:
+            return
+        now = self.now
+        if now < dirn.busy_until or (now == dirn.busy_until
+                                     and self.now_seq < dirn.done_seq):
+            if not dirn.done_live:
+                dirn.done_live = True
+                heapq.heappush(self._heap, (dirn.busy_until, dirn.done_seq,
+                                            _EV_TX_DONE, (a, b, dirn)))
+            return
+        self._send_next(a, b, dirn)
+
+    def _send_next(self, a: NodeId, b: NodeId, dirn: _LinkDir) -> None:
+        """Serialize the next frame queued at a for b; the wire is free."""
         state = self.nodes.get(a)
-        if dirn is None or state is None or dirn.inflight:
+        if state is None:
             return
         if not self.ground.link_is_up(a, b):
             return            # queue is purged once the view change propagates
-        frame, fx = state.scheduler_dequeue(b, self.now)
+        now = self.now
+        frame, fx = state.scheduler_dequeue(b, now)
         if fx:
             self._process_effects(a, fx)
         if frame is None:
             return
         wrap_fx: List[object] = []
-        wire = state.wrap_for_link(frame, b, self.now, wrap_fx)
+        wire = state.wrap_for_link(frame, b, now, wrap_fx)
         if wrap_fx:
             self._process_effects(a, wrap_fx)
         spec = self.topology.link(a, b)
         ser = wire.wire_size() * 8.0 / (spec.bw_mbps * 1000.0)
-        dirn.inflight = True
         self._count("wire_tx")
-        self._push(self.now + ser, _EV_TX_DONE, (a, b))
+        # the TX_DONE's seq is taken now even if the event is pushed later
+        dirn.busy_until = done = now + ser
+        self._seq += 1
+        dirn.done_seq = self._seq
+        if state.ports[b].queued:
+            dirn.done_live = True
+            heapq.heappush(self._heap,
+                           (done, self._seq, _EV_TX_DONE, (a, b, dirn)))
         loss = self.ground.loss(a, b)
         if loss > 0.0 and dirn.rng.random() < loss:
             self._count("wire_lost")
             self.trace("wire_loss", a, f"->{b}")
             return
-        arrive = self.now + ser + spec.latency_ms + self.config.hop_processing_ms
+        arrive = now + ser + spec.latency_ms + self.config.hop_processing_ms
         epoch = self.link_epoch[link_key(a, b)]
         self._push(arrive, _EV_ARRIVAL, (a, b, wire, epoch))
 
@@ -626,15 +664,15 @@ class Engine:
             if self.pops > self.config.event_cap:
                 raise EngineOverrun(f"exceeded {self.config.event_cap} events")
             self.now = time_ms
+            self.now_seq = seq
             if kind == _EV_CLIENT_START:
                 self.clients[data].on_start(self.api)
             elif kind == _EV_ARRIVAL:
                 self._on_arrival(*data)
             elif kind == _EV_TX_DONE:
-                a, b = data
-                dirn = self.link_dirs[(a, b)]
-                dirn.inflight = False
-                self._kick(a, b)
+                a, b, dirn = data
+                dirn.done_live = False
+                self._send_next(a, b, dirn)
             elif kind == _EV_TIMER:
                 self._on_timer(seq, *data)
             elif kind == _EV_FAULT:

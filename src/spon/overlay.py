@@ -160,6 +160,7 @@ class OutPort:
         self.ring: List[tuple] = []
         self.ring_idx = 0
         self.control: Deque[Frame] = deque()
+        self.queued = 0          # frames held, control included
 
     @staticmethod
     def partition(frame: Frame) -> tuple:
@@ -177,12 +178,14 @@ class OutPort:
             return False
         self.queues[key].setdefault(frame.priority, deque()).append(frame)
         self.sizes[key] += 1
+        self.queued += 1
         return True
 
     def enqueue_control(self, frame: Frame) -> bool:
         if len(self.control) >= self.control_capacity:
             return False
         self.control.append(frame)
+        self.queued += 1
         return True
 
     def _pop_partition(self, key: tuple, now_us: int,
@@ -193,6 +196,7 @@ class OutPort:
             while q:
                 frame = q.popleft()
                 self.sizes[key] -= 1
+                self.queued -= 1
                 if (frame.service == SERVICE_PRI and frame.deadline_us
                         and now_us > frame.deadline_us):
                     dropped.append(frame)
@@ -205,6 +209,7 @@ class OutPort:
         Control first, then round-robin over the data partitions."""
         dropped: List[Frame] = []
         if self.control:
+            self.queued -= 1
             return self.control.popleft(), dropped
         n = len(self.ring)
         now_us = int(now_ms * 1000.0)
@@ -225,10 +230,11 @@ class OutPort:
                 out.extend(levels[level])
             levels.clear()
             self.sizes[key] = 0
+        self.queued = 0
         return out
 
     def __len__(self) -> int:
-        return len(self.control) + sum(self.sizes.values())
+        return self.queued
 
 
 # --- hop-by-hop recovery --------------------------------------------------------
@@ -693,7 +699,7 @@ class NodeState:
 
     def port_pending(self, neighbor: NodeId) -> bool:
         port = self.ports.get(neighbor)
-        return port is not None and len(port) > 0
+        return port is not None and port.queued > 0
 
     # -- timers --
 

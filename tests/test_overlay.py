@@ -251,6 +251,47 @@ def test_priority_levels_within_partition():
     assert got == [2, 1, 3]
 
 
+def held(port):
+    return len(port.control) + sum(len(q) for levels in port.queues.values()
+                                   for q in levels.values())
+
+
+def test_port_length_counts_the_frames_it_holds():
+    port = OutPort(capacity=3, control_capacity=2)
+    checks = []
+
+    def check():
+        checks.append((len(port), held(port)))
+
+    for i in range(4):                     # the fourth is refused
+        port.enqueue(pri_frame("A", i, deadline_us=1000 if i < 2 else 0))
+        check()
+    port.enqueue(pri_frame("B", 0, priority=1))
+    check()
+    for i in range(3):                     # the third is refused
+        port.enqueue_control(pri_frame("C", i))
+        check()
+    port.dequeue(0.0)                      # control first
+    check()
+    port.dequeue(0.0)
+    check()
+    frame, dropped = port.dequeue(5.0)     # A0 and A1 are past deadline
+    assert len(dropped) >= 1
+    check()
+    port.dequeue(5.0)
+    check()
+    port.enqueue(pri_frame("A", 9))
+    port.enqueue_control(pri_frame("C", 9))
+    check()
+    port.drain()
+    check()
+    assert port.dequeue(5.0) == (None, [])
+    check()
+    assert all(length == actual for length, actual in checks), checks
+    assert checks[-1] == (0, 0)
+    assert [length for length, _ in checks][:8] == [1, 2, 3, 3, 4, 5, 6, 6]
+
+
 def test_buffer_full_drops_only_own_partition():
     n13 = node("13", config=Config(buffer_capacity=2))
     f1 = routed_frame("1", "5", ("1", "12", "13", "14", "5"), seq=1)

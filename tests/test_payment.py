@@ -174,9 +174,6 @@ class FakeApi:
     def raw_rtt_hint(self, a, b):
         return 32.0
 
-    def record(self, cid, key, value):
-        pass
-
     def stop(self):
         pass
 
