@@ -20,8 +20,8 @@ class Config:
     nack_delay_ms: float = 1.0         # gap detection -> first nack
     renack_min_ms: float = 4.0         # floor for the re-nack interval
     announce_delay_ms: float = 2.0     # idle link -> high-water announce
-    announce_retries: int = 6          # announces per idle period at most; all
-                                       # but the first ask for a confirm, and a
+    announce_retries: int = 6          # announces per idle period at most;
+                                       # each asks for a confirm, and a
                                        # confirm ends them early
     nack_batch: int = 512              # seqs per nack frame
     # forwarding

@@ -21,13 +21,11 @@ VERSION = 1
 
 KIND_DATA = 1
 KIND_ACK = 2
-KIND_NACK = 3
 KIND_HOP_DATA = 4
 KIND_HOP_NACK = 5
 KIND_NAMES = {
     KIND_DATA: "data",
     KIND_ACK: "ack",
-    KIND_NACK: "nack",
     KIND_HOP_DATA: "hop-data",
     KIND_HOP_NACK: "hop-nack",
 }
@@ -36,12 +34,11 @@ SERVICE_NONE = 0
 SERVICE_PRI = 1
 SERVICE_REL = 2
 
-# `k` of an empty-payload hop-nack, which carries a high-water seq: a plain
-# announce (0), the receiver's confirm that it holds every frame up to seq (1),
-# or an announce that asks for that confirm (2)
+# `k` of an empty-payload hop-nack, which carries a high-water seq: an
+# announce (0), which asks the receiver to confirm, or that confirm (1), which
+# says the receiver holds every frame up to seq
 HOP_ANNOUNCE = 0
 HOP_CONFIRM = 1
-HOP_ANNOUNCE_ASK = 2
 
 MAX_PAYLOAD = 1 << 20
 

@@ -735,12 +735,3 @@ class Engine:
             writer.writerow(["time_ms", "event", "node", "detail"])
             for row in self.trace_rows:
                 writer.writerow([f"{row[0]:.6f}", row[1], row[2], row[3]])
-
-    def summary_block(self) -> str:
-        lines = []
-        merged = dict(self.counters)
-        for k, v in self.node_counters().items():
-            merged[f"node_{k}"] = merged.get(f"node_{k}", 0) + v
-        for key in sorted(merged):
-            lines.append(f"{key}={merged[key]}")
-        return "\n".join(lines)

@@ -13,10 +13,10 @@ that many node-disjoint source routes.
 Each link direction additionally runs a small negative-ack recovery protocol:
 frames carry per-link sequence numbers, receivers nack gaps, senders keep a
 bounded replay cache and announce their high-water sequence number when the
-link goes idle so trailing losses are detected without new traffic.  The
-first announce asks for nothing; later ones, spaced by the re-nack interval
-and doubling, ask the receiver to confirm that it holds every frame up to the
-high-water mark, and the sender stops announcing once it does (a tail-loss
+link goes idle so trailing losses are detected without new traffic.  Every
+announce asks the receiver to confirm that it holds every frame up to the
+high-water mark, and the sender stops announcing once it does; unanswered
+announces repeat, spaced by the re-nack interval and doubling (a tail-loss
 probe, as in TCP's RACK-TLP).
 """
 
@@ -31,7 +31,6 @@ from .config import Config, DEFAULT_CONFIG
 from .frames import (
     Frame,
     HOP_ANNOUNCE,
-    HOP_ANNOUNCE_ASK,
     HOP_CONFIRM,
     KIND_ACK,
     KIND_DATA,
@@ -458,9 +457,7 @@ class NodeState:
         if seq == rx.expected:
             rx.expected += 1
         elif seq > rx.expected:
-            start = max(rx.expected, seq - self.config.hop_cache_frames)
-            for s in range(start, seq):
-                rx.missing[s] = now
+            self._mark_missing(rx, seq, now)
             rx.expected = seq + 1
             self._arm_nack(from_nbr, rx, out, self.config.nack_delay_ms)
         else:
@@ -496,20 +493,25 @@ class NodeState:
             if tx is not None and tx.confirmed < wire.seq < tx.next_seq:
                 tx.confirmed = wire.seq
         else:
-            # high-water announce: anything below wire.seq we never saw is lost
+            # high-water announce: anything up to wire.seq we never saw is
+            # lost; with nothing missing, confirm so the announces stop
             rx = self.hop_rx.setdefault(from_nbr, _HopRx())
             high = wire.seq
             if high >= rx.expected:
-                start = max(rx.expected, high + 1 - self.config.hop_cache_frames)
-                for s in range(start, high + 1):
-                    rx.missing[s] = now
-                rx.expected = high + 1
+                self._mark_missing(rx, high + 1, now)
             if rx.missing:
                 self._arm_nack(from_nbr, rx, out, self.config.nack_delay_ms)
-            elif wire.k == HOP_ANNOUNCE_ASK:
+            else:
                 confirm = Frame(kind=KIND_HOP_NACK, k=HOP_CONFIRM, src=self.id,
                                 dst=from_nbr, seq=high)
                 self._enqueue_control(from_nbr, confirm, out)
+
+    def _mark_missing(self, rx: _HopRx, end: int, now: float) -> None:
+        """Every seq from rx.expected below `end` never arrived; remember at
+        most hop_cache_frames of them, the sender caches no more."""
+        for s in range(max(rx.expected, end - self.config.hop_cache_frames), end):
+            rx.missing[s] = now
+        rx.expected = end
 
     def _arm_nack(self, nbr: NodeId, rx: _HopRx, out: Effects, delay: float) -> None:
         if not rx.nack_armed:
@@ -697,10 +699,6 @@ class NodeState:
         out.append(SetTimer(("ann", neighbor), self.config.announce_delay_ms))
         return wire
 
-    def port_pending(self, neighbor: NodeId) -> bool:
-        port = self.ports.get(neighbor)
-        return port is not None and port.queued > 0
-
     # -- timers --
 
     def handle_timer(self, timer_id: tuple, data: object, now: float) -> Effects:
@@ -784,11 +782,8 @@ class NodeState:
         tx = self.hop_tx.get(nbr)
         if tx is None or tx.confirmed >= tx.next_seq - 1:
             return
-        # the first announce only exposes a trailing loss; the later ones
-        # ask for a confirm, which ends the probing
-        ask = HOP_ANNOUNCE_ASK if tx.announce_round else HOP_ANNOUNCE
-        announce = Frame(kind=KIND_HOP_NACK, k=ask, src=self.id, dst=nbr,
-                         seq=tx.next_seq - 1)
+        announce = Frame(kind=KIND_HOP_NACK, k=HOP_ANNOUNCE, src=self.id,
+                         dst=nbr, seq=tx.next_seq - 1)
         self._enqueue_control(nbr, announce, out)
         tx.announce_round += 1
         if tx.announce_round < self.config.announce_retries:

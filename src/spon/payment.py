@@ -169,13 +169,9 @@ class Ledger:
         self.initial_total = sum(accounts.values())
         self.holds: Dict[str, Hold] = {}
         self.groups: Dict[str, List[str]] = {}
-        self.events: List[Tuple[float, str, str, int]] = []
 
     def balance(self, account: str) -> int:
         return self.accounts[account]
-
-    def _log(self, now: float, op: str, hold_id: str, amount: int) -> None:
-        self.events.append((now, op, hold_id, amount))
 
     def place_hold(self, hold_id: str, group: str, payer: str, payee: str,
                    amount: int, condition: bytes, expiry_ms: float,
@@ -191,7 +187,6 @@ class Ledger:
         self.accounts[payer] -= amount
         self.holds[hold_id] = Hold(payer, payee, amount, condition, expiry_ms)
         self.groups.setdefault(group, []).append(hold_id)
-        self._log(now, "place", hold_id, amount)
 
     def execute_hold(self, hold_id: str, preimage: bytes, now: float) -> bool:
         hold = self.holds.get(hold_id)
@@ -202,22 +197,20 @@ class Ledger:
         if hold.state == HOLD_VOID:
             return False
         if now > hold.expiry_ms:
-            self._void(hold_id, hold, now, "expired")
+            self._void(hold)
             return False
         if condition_of(preimage) != hold.condition:
-            self._log(now, "bad_preimage", hold_id, 0)
             return False
         hold.state = HOLD_EXECUTED
         hold.preimage = preimage
         self.accounts[hold.payee] += hold.amount
-        self._log(now, "execute", hold_id, hold.amount)
         return True
 
     def void_hold(self, hold_id: str, now: float) -> None:
         hold = self.holds.get(hold_id)
         if hold is None or hold.state != HOLD_ACTIVE:
             return
-        self._void(hold_id, hold, now, "void")
+        self._void(hold)
 
     def void_group(self, group: str, now: float) -> int:
         """Refund every active hold in the group.  Returns the count voided."""
@@ -225,20 +218,19 @@ class Ledger:
         for hid in self.groups.get(group, ()):
             hold = self.holds[hid]
             if hold.state == HOLD_ACTIVE:
-                self._void(hid, hold, now, "void")
+                self._void(hold)
                 voided += 1
         return voided
 
-    def _void(self, hold_id: str, hold: Hold, now: float, op: str) -> None:
+    def _void(self, hold: Hold) -> None:
         hold.state = HOLD_VOID
         self.accounts[hold.payer] += hold.amount
-        self._log(now, op, hold_id, hold.amount)
 
     def sweep(self, now: float) -> int:
         expired = [hid for hid, h in self.holds.items()
                    if h.state == HOLD_ACTIVE and now > h.expiry_ms]
         for hid in expired:
-            self._void(hid, self.holds[hid], now, "expired")
+            self._void(self.holds[hid])
         return len(expired)
 
     def find_active(self, group: str, condition: bytes, min_amount: int,
@@ -277,8 +269,6 @@ class Ledger:
 
 class TxLog:
     """Append-only record of packet-level outcomes, shared by all parties."""
-
-    COLUMNS = ("time_ms", "actor", "kind", "payment_id", "seq", "amount", "result")
 
     def __init__(self):
         self.rows: List[Tuple[float, str, str, str, int, int, str]] = []

@@ -313,13 +313,6 @@ class Path:
     def __len__(self) -> int:
         return len(self.hops)
 
-    @property
-    def links(self) -> Tuple[LinkKey, ...]:
-        return tuple(link_key(u, v) for u, v in zip(self.hops, self.hops[1:]))
-
-    def interior(self) -> Tuple[NodeId, ...]:
-        return self.hops[1:-1]
-
 
 def path_from_hops(view: TopologyView, hops: Tuple[NodeId, ...]) -> Path:
     total = 0.0

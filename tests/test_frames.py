@@ -58,8 +58,7 @@ def test_golden_flood_frame_bytes():
 
 
 def test_roundtrip_all_kinds():
-    for kind in (frames.KIND_DATA, frames.KIND_ACK, frames.KIND_NACK,
-                 frames.KIND_HOP_NACK):
+    for kind in (frames.KIND_DATA, frames.KIND_ACK, frames.KIND_HOP_NACK):
         frame = Frame(kind=kind, service=frames.SERVICE_REL, k=1, src="a",
                       dst="b", seq=42, priority=3, deadline_us=12,
                       routes=(("a", "x", "b"),), payload=b"\x00\xff")
@@ -124,7 +123,7 @@ def test_decode_rejects_malformed():
 
 @settings(max_examples=200, deadline=None)
 @given(
-    kind=st.sampled_from([frames.KIND_DATA, frames.KIND_ACK, frames.KIND_NACK,
+    kind=st.sampled_from([frames.KIND_DATA, frames.KIND_ACK,
                           frames.KIND_HOP_NACK]),
     service=st.integers(0, 2),
     k=st.integers(0, 255),

@@ -23,11 +23,11 @@ GOLDEN = {
     "chain-ping-loss": (
         dict(loss=5.0, pings=30, reps=1,
              variants=("baseline", "pri-fld", "rel-1p")),
-        "3f88edd6f75e8e690aa8a82c6ba77f7547a74d9e01ed22b65fc95e3fc0abf5c3"),
+        "b689f2f41e2b7f58f6a7882c8ef5693c33bb996a6867ed44dd0bd43771205943"),
     "chain-stream-loss": (
         dict(loss=5.0, payments=2, total=2_000, packet=100, reps=1,
              variants=("baseline", "pri-2p", "rel-2p")),
-        "c27c75e26aadcf855d6eaec691d19bf6b2c59b4e12ada3087b3e191146003aaf"),
+        "908b3796ceee289c177dbe6ea87730c07c4c9dbbb4a372b7e4f04f48c9c92eb3"),
     "global-stream-loss": (
         dict(loss=2.0, payments=2, total=5_000, packet=500, reps=1,
              variants=("baseline", "pri-fld", "rel-1p")),

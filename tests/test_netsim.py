@@ -15,7 +15,8 @@ from spon.netsim import (
     pack_client,
     unpack_client,
 )
-from spon.overlay import PRI, REL, ServiceClass
+from spon.frames import HOP_ANNOUNCE, HOP_CONFIRM, KIND_HOP_DATA, KIND_HOP_NACK
+from spon.overlay import PRI, REL, NodeState, ServiceClass
 from spon.topology import Change, Topology, parse_topology, load_topology
 
 CHAIN = data_file("chain.topo")
@@ -363,7 +364,7 @@ def stepped(eng, horizon_ms, step_ms, check):
 
 def test_lone_frame_leaves_no_tx_done_behind():
     # about 0.8 ms of serialization per frame, less than the 2 ms before an
-    # announce: each frame (the data, its announces, their confirm) goes out
+    # announce: each frame (the data, its announce, the confirm) goes out
     # alone, and the run stops often while one is on the wire
     topo = two_node(bw=0.5)
     sink = Collector("cb")
@@ -379,6 +380,27 @@ def test_lone_frame_leaves_no_tx_done_behind():
     assert len(sink.bodies) == 1
     assert eng.counters["wire_tx"] >= 3
     assert any(busy_seen)
+
+
+def test_quiet_period_costs_one_announce_and_one_confirm(monkeypatch):
+    sent = []
+    wrap = NodeState.wrap_for_link
+
+    def record(self, frame, neighbor, now, out):
+        wire = wrap(self, frame, neighbor, now, out)
+        sent.append((self.id, wire.kind, wire.k))
+        return wire
+
+    monkeypatch.setattr(NodeState, "wrap_for_link", record)
+    sink = Collector("cb")
+    eng = Engine(two_node(), [Burst("ca", "cb", 1, ServiceClass(PRI, 1)), sink],
+                 seed=1)
+    eng.run(horizon_ms=1000.0)
+    assert len(sink.bodies) == 1
+    assert sent == [("A", KIND_HOP_DATA, 0),
+                    ("A", KIND_HOP_NACK, HOP_ANNOUNCE),
+                    ("B", KIND_HOP_NACK, HOP_CONFIRM)]
+    assert eng.counters["wire_tx"] == 3
 
 
 def test_queued_frames_leave_back_to_back():

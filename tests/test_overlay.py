@@ -7,7 +7,6 @@ from spon.config import Config
 from spon.frames import (
     Frame,
     HOP_ANNOUNCE,
-    HOP_ANNOUNCE_ASK,
     HOP_CONFIRM,
     KIND_ACK,
     KIND_DATA,
@@ -396,13 +395,16 @@ def announce(sender, neighbor, now):
     return (sent[0] if sent else None), (rearm[0] if rearm else None)
 
 
-def test_first_announce_asks_no_confirm():
+def test_first_announce_with_nothing_missing_is_confirmed():
     a, b = pair()
     b.handle_frame("A", wire_frames(a, "B", 1)[0], 2.0)
     first, rearm = announce(a, "B", 4.0)
     assert first.k == HOP_ANNOUNCE and first.seq == 0
     assert rearm.delay_ms == 5.0      # re-nack interval: 2.5 x 2 ms link
-    assert not b.handle_frame("A", first, 6.0)     # receiver stays quiet
+    confirm = transmits(b.handle_frame("A", first, 6.0))[0].frame
+    assert confirm.k == HOP_CONFIRM and confirm.seq == 0
+    assert not a.handle_frame("B", confirm, 8.0)
+    assert announce(a, "B", 9.0) == (None, None)
 
 
 def test_later_announce_with_nothing_missing_is_confirmed():
@@ -411,7 +413,7 @@ def test_later_announce_with_nothing_missing_is_confirmed():
         b.handle_frame("A", w, 2.0)
     announce(a, "B", 4.0)
     second, rearm = announce(a, "B", 9.0)
-    assert second.k == HOP_ANNOUNCE_ASK and second.seq == 1
+    assert second.k == HOP_ANNOUNCE and second.seq == 1
     assert rearm.delay_ms == 10.0     # doubled
     fx = b.handle_frame("A", second, 11.0)
     confirm = transmits(fx)[0].frame
@@ -597,17 +599,17 @@ def test_delay_behavior_defers_processing():
 def test_recompute_purges_flood_copies_on_dead_link():
     n1 = node("1")
     n1.client_send("5", b"x", ServiceClass(PRI, 0), now=0.0)
-    assert n1.port_pending("12")
+    assert len(n1.ports["12"]) > 0
     down = apply_fault(chain_view(), Change.link_down("1", "12"))
     fx = n1.recompute_routes(down, now=1.0)
     assert drops(fx, "link_down")
-    assert not n1.port_pending("12")
+    assert len(n1.ports["12"]) == 0
 
 
 def test_recompute_restamps_routed_frames():
     n1 = node("1")
     n1.client_send("5", b"x", ServiceClass(PRI, 1), now=0.0)
-    assert n1.port_pending("12")
+    assert len(n1.ports["12"]) > 0
     down = apply_fault(chain_view(), Change.link_down("1", "12"))
     fx = n1.recompute_routes(down, now=1.0)
     tx = transmits(fx)
