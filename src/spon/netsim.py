@@ -10,6 +10,11 @@ heap orders by (time_ms, insertion seq); every per-link-direction loss stream
 has its own RNG derived from the seed and the direction label, so reordering
 elsewhere cannot perturb it.
 
+Each link direction caches its fixed facts (undirected key, latency, bit
+rate) at construction, and its up state and loss from the ground view; the
+cache is refreshed each time the ground view changes, so a transmission and
+an arrival read only their link direction.
+
 A link direction serializes one frame at a time.  Each transmission reserves
 the insertion seq of its end-of-serialization event (TX_DONE), but the event
 is put on the heap only while a frame waits in the port behind the one on the
@@ -39,6 +44,7 @@ from .overlay import (
 )
 from .topology import (
     Change,
+    LinkKey,
     NoPath,
     NodeId,
     Topology,
@@ -114,14 +120,24 @@ class Client:
 
 @dataclass
 class _LinkDir:
-    """One direction of an overlay link: at most one frame serializing at a time.
+    """One direction a->b of an overlay link: at most one frame serializing at
+    a time.
 
-    The frame on the wire finishes at heap key (busy_until, done_seq); before
-    that key the link is busy.  Its TX_DONE is on the heap (done_live) only
-    if a frame was waiting when it started or has been queued since, so at
-    most one is live and none pops on a link that went idle.
+    `up` and `loss` mirror the engine's ground view; `Engine._refresh_links`
+    sets them whenever that view changes.  The frame on the wire finishes at
+    heap key (busy_until, done_seq); before that key the link is busy.  Its
+    TX_DONE is on the heap (done_live) only if a frame was waiting when it
+    started or has been queued since, so at most one is live and none pops on
+    a link that went idle.
     """
+    a: NodeId
+    b: NodeId
+    key: LinkKey
+    latency_ms: float
+    bits_per_ms: float
     rng: random.Random
+    up: bool = True
+    loss: float = 0.0
     busy_until: float = 0.0
     done_seq: int = 0
     done_live: bool = False
@@ -309,9 +325,12 @@ class Engine:
         self.link_dirs: Dict[Tuple[NodeId, NodeId], _LinkDir] = {}
         for spec in topology.links:
             for a, b in ((spec.a, spec.b), (spec.b, spec.a)):
-                self.link_dirs[(a, b)] = _LinkDir(self._derive_rng(f"{a}>{b}"))
-        self.link_epoch: Dict[Tuple[NodeId, NodeId], int] = {
-            link_key(s.a, s.b): 0 for s in topology.links}
+                self.link_dirs[(a, b)] = _LinkDir(
+                    a, b, spec.key, spec.latency_ms, spec.bw_mbps * 1000.0,
+                    self._derive_rng(f"{a}>{b}"))
+        self._refresh_links()
+        self.link_epoch: Dict[LinkKey, int] = {
+            s.key: 0 for s in topology.links}
 
         self.raw_links: Dict[Tuple[str, str], RawLink] = {}
         self.raw_dirs: Dict[Tuple[str, str], _RawDir] = {}
@@ -364,6 +383,13 @@ class Engine:
                 else:
                     out.append(Change.link_down(spec.a, spec.b))
         return out
+
+    def _refresh_links(self) -> None:
+        """Copy each link direction's up state and loss from the ground view."""
+        ground = self.ground
+        for dirn in self.link_dirs.values():
+            dirn.up = ground.link_is_up(dirn.a, dirn.b)
+            dirn.loss = ground.loss(dirn.a, dirn.b)
 
     # -- bookkeeping --
 
@@ -547,15 +573,17 @@ class Engine:
                 heapq.heappush(self._heap, (dirn.busy_until, dirn.done_seq,
                                             _EV_TX_DONE, (a, b, dirn)))
             return
-        self._send_next(a, b, dirn)
+        self._send_next(dirn)
 
-    def _send_next(self, a: NodeId, b: NodeId, dirn: _LinkDir) -> None:
+    def _send_next(self, dirn: _LinkDir) -> None:
         """Serialize the next frame queued at a for b; the wire is free."""
+        a = dirn.a
         state = self.nodes.get(a)
         if state is None:
             return
-        if not self.ground.link_is_up(a, b):
+        if not dirn.up:
             return            # queue is purged once the view change propagates
+        b = dirn.b
         now = self.now
         frame, fx = state.scheduler_dequeue(b, now)
         if fx:
@@ -566,8 +594,7 @@ class Engine:
         wire = state.wrap_for_link(frame, b, now, wrap_fx)
         if wrap_fx:
             self._process_effects(a, wrap_fx)
-        spec = self.topology.link(a, b)
-        ser = wire.wire_size() * 8.0 / (spec.bw_mbps * 1000.0)
+        ser = wire.wire_size() * 8.0 / dirn.bits_per_ms
         self._count("wire_tx")
         # the TX_DONE's seq is taken now even if the event is pushed later
         dirn.busy_until = done = now + ser
@@ -577,14 +604,13 @@ class Engine:
             dirn.done_live = True
             heapq.heappush(self._heap,
                            (done, self._seq, _EV_TX_DONE, (a, b, dirn)))
-        loss = self.ground.loss(a, b)
+        loss = dirn.loss
         if loss > 0.0 and dirn.rng.random() < loss:
             self._count("wire_lost")
             self.trace("wire_loss", a, f"->{b}")
             return
-        arrive = now + ser + spec.latency_ms + self.config.hop_processing_ms
-        epoch = self.link_epoch[link_key(a, b)]
-        self._push(arrive, _EV_ARRIVAL, (a, b, wire, epoch))
+        arrive = done + dirn.latency_ms + self.config.hop_processing_ms
+        self._push(arrive, _EV_ARRIVAL, (dirn, wire, self.link_epoch[dirn.key]))
 
     # -- faults --
 
@@ -605,6 +631,7 @@ class Engine:
                 changes.extend(self._underlay_changes())
         for change in changes:
             self._apply_change(change)
+        self._refresh_links()
         self._view_serial += 1
         self._push(self.now + self.config.view_propagation_ms, _EV_VIEW,
                    (self._view_serial, self.ground))
@@ -670,9 +697,9 @@ class Engine:
             elif kind == _EV_ARRIVAL:
                 self._on_arrival(*data)
             elif kind == _EV_TX_DONE:
-                a, b, dirn = data
+                dirn = data[2]
                 dirn.done_live = False
-                self._send_next(a, b, dirn)
+                self._send_next(dirn)
             elif kind == _EV_TIMER:
                 self._on_timer(seq, *data)
             elif kind == _EV_FAULT:
@@ -682,19 +709,16 @@ class Engine:
             elif kind == _EV_RAW_ARRIVAL:
                 self._on_raw_arrival(*data)
 
-    def _on_arrival(self, a: NodeId, b: NodeId, wire: Frame, epoch: int) -> None:
-        if epoch != self.link_epoch.get(link_key(a, b)):
+    def _on_arrival(self, dirn: _LinkDir, wire: Frame, epoch: int) -> None:
+        if epoch != self.link_epoch[dirn.key] or not dirn.up:
             self._count("inflight_lost")
             return
-        if not self.ground.link_is_up(a, b):
-            self._count("inflight_lost")
-            return
-        state = self.nodes.get(b)
+        state = self.nodes.get(dirn.b)
         if state is None:
             self._count("inflight_lost")
             return
-        fx = state.handle_frame(a, wire, self.now)
-        self._process_effects(b, fx)
+        fx = state.handle_frame(dirn.a, wire, self.now)
+        self._process_effects(dirn.b, fx)
 
     def _on_timer(self, seq: int, owner: tuple, timer_id: tuple,
                   data: object) -> None:

@@ -17,13 +17,16 @@ link goes idle so trailing losses are detected without new traffic.  Every
 announce asks the receiver to confirm that it holds every frame up to the
 high-water mark, and the sender stops announcing once it does; unanswered
 announces repeat, spaced by the re-nack interval and doubling (a tail-loss
-probe, as in TCP's RACK-TLP).
+probe, as in TCP's RACK-TLP).  A busy link arms one announce timer per idle
+period, not one per frame: the timer, when it fires before the last frame's
+announce is due, re-arms itself for that time.  The replay cache is indexed
+by link sequence number.
 """
 
 from __future__ import annotations
 
 import struct
-from collections import OrderedDict, deque
+from collections import OrderedDict, defaultdict, deque
 from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional, Tuple
 
@@ -170,12 +173,12 @@ class OutPort:
     def enqueue(self, frame: Frame) -> bool:
         key = self.partition(frame)
         if key not in self.queues:
-            self.queues[key] = {}
+            self.queues[key] = defaultdict(deque)
             self.sizes[key] = 0
             self.ring.append(key)
         if self.sizes[key] >= self.capacity:
             return False
-        self.queues[key].setdefault(frame.priority, deque()).append(frame)
+        self.queues[key][frame.priority].append(frame)
         self.sizes[key] += 1
         self.queued += 1
         return True
@@ -239,30 +242,44 @@ class OutPort:
 # --- hop-by-hop recovery --------------------------------------------------------
 
 class _HopTx:
+    """Sender side of one link direction's recovery.
+
+    The replay cache holds (wire frame, time stored) for the contiguous seqs
+    first_seq .. next_seq - 1, oldest on the left, so a seq indexes it
+    directly.  The announce timer is armed once per idle period: ann_due is
+    when the next announce is due, ann_timer_at when the armed timer fires
+    (None when none is armed).
+    """
+
     def __init__(self):
         self.next_seq = 0
-        self.cache: "OrderedDict[int, Tuple[Frame, float]]" = OrderedDict()
+        self.cache: Deque[Tuple[Frame, float]] = deque()
+        self.first_seq = 0
         self.announce_round = 0
         self.confirmed = -1      # highest seq the receiver confirmed holding
+        self.ann_due = 0.0
+        self.ann_timer_at: Optional[float] = None
 
-    def store(self, seq: int, frame: Frame, now: float, cfg: Config) -> None:
-        self.cache[seq] = (frame, now)
-        while len(self.cache) > cfg.hop_cache_frames:
-            self.cache.popitem(last=False)
+    def store(self, frame: Frame, now: float, cfg: Config) -> None:
+        """Cache the frame carrying seq next_seq - 1."""
+        self.cache.append((frame, now))
+        if len(self.cache) > cfg.hop_cache_frames:
+            self.cache.popleft()
+            self.first_seq += 1
         self._expire(now, cfg)
 
     def lookup(self, seq: int, now: float, cfg: Config) -> Optional[Frame]:
         self._expire(now, cfg)
-        entry = self.cache.get(seq)
-        return entry[0] if entry else None
+        if self.first_seq <= seq < self.next_seq:
+            return self.cache[seq - self.first_seq][0]
+        return None
 
     def _expire(self, now: float, cfg: Config) -> None:
         horizon = now - cfg.hop_cache_expiry_ms
-        while self.cache:
-            seq, (_frame, stamp) = next(iter(self.cache.items()))
-            if stamp >= horizon:
-                break
-            del self.cache[seq]
+        cache = self.cache
+        while cache and cache[0][1] < horizon:
+            cache.popleft()
+            self.first_seq += 1
 
 
 class _HopRx:
@@ -321,8 +338,8 @@ class NodeState:
         self.config = config
         self.behavior = Behavior.honest()
         self.ports: Dict[NodeId, OutPort] = {}
-        self.hop_tx: Dict[NodeId, _HopTx] = {}
-        self.hop_rx: Dict[NodeId, _HopRx] = {}
+        self.hop_tx: Dict[NodeId, _HopTx] = defaultdict(_HopTx)
+        self.hop_rx: Dict[NodeId, _HopRx] = defaultdict(_HopRx)
         self.seq_counters: Dict[Tuple[NodeId, str], int] = {}
         self.dedup_window: Dict[Tuple[NodeId, str], _SeqWindow] = {}
         self.rel_pending: Dict[Tuple[NodeId, int], _RelPending] = {}
@@ -452,7 +469,7 @@ class NodeState:
 
     def _hop_receive(self, from_nbr: NodeId, wire: Frame, now: float,
                      out: Effects) -> Optional[Frame]:
-        rx = self.hop_rx.setdefault(from_nbr, _HopRx())
+        rx = self.hop_rx[from_nbr]
         seq = wire.seq
         if seq == rx.expected:
             rx.expected += 1
@@ -473,7 +490,7 @@ class NodeState:
                          out: Effects) -> None:
         if wire.payload:
             # neighbor requests retransmission of the listed link seqs
-            tx = self.hop_tx.setdefault(from_nbr, _HopTx())
+            tx = self.hop_tx[from_nbr]
             for seq in _unpack_seqs(wire.payload):
                 cached = tx.lookup(seq, now, self.config)
                 if cached is None:
@@ -495,7 +512,7 @@ class NodeState:
         else:
             # high-water announce: anything up to wire.seq we never saw is
             # lost; with nothing missing, confirm so the announces stop
-            rx = self.hop_rx.setdefault(from_nbr, _HopRx())
+            rx = self.hop_rx[from_nbr]
             high = wire.seq
             if high >= rx.expected:
                 self._mark_missing(rx, high + 1, now)
@@ -689,14 +706,21 @@ class NodeState:
         nack-driven retransmission.  Recovery frames pass through as-is."""
         if frame.kind in (KIND_HOP_DATA, KIND_HOP_NACK):
             return frame
-        tx = self.hop_tx.setdefault(neighbor, _HopTx())
+        tx = self.hop_tx[neighbor]
         seq = tx.next_seq
         tx.next_seq += 1
         wire = Frame(kind=KIND_HOP_DATA, src=self.id, dst=neighbor, seq=seq,
                      inner=frame)
-        tx.store(seq, wire, now, self.config)
+        tx.store(wire, now, self.config)
         tx.announce_round = 0
-        out.append(SetTimer(("ann", neighbor), self.config.announce_delay_ms))
+        # one timer per idle period: an armed timer that fires before the
+        # new due time re-arms itself for it; one that fires later (a
+        # back-off wait) is superseded
+        delay = self.config.announce_delay_ms
+        tx.ann_due = due = now + delay
+        if tx.ann_timer_at is None or tx.ann_timer_at > due:
+            tx.ann_timer_at = due
+            out.append(SetTimer(("ann", neighbor), delay))
         return wire
 
     # -- timers --
@@ -780,7 +804,19 @@ class NodeState:
 
     def _announce_timer(self, nbr: NodeId, now: float, out: Effects) -> None:
         tx = self.hop_tx.get(nbr)
-        if tx is None or tx.confirmed >= tx.next_seq - 1:
+        if tx is None:
+            return
+        if now < tx.ann_due:
+            # frames were wrapped since this timer was armed.  It fired no
+            # earlier than the wrap that set ann_due, nor than
+            # announce_delay_ms into the run, so now >= ann_due / 2:
+            # ann_due - now is exact (Sterbenz) and the engine's
+            # now + delay lands on ann_due exactly
+            tx.ann_timer_at = tx.ann_due
+            out.append(SetTimer(("ann", nbr), tx.ann_due - now))
+            return
+        tx.ann_timer_at = None
+        if tx.confirmed >= tx.next_seq - 1:
             return
         announce = Frame(kind=KIND_HOP_NACK, k=HOP_ANNOUNCE, src=self.id,
                          dst=nbr, seq=tx.next_seq - 1)
@@ -788,6 +824,7 @@ class NodeState:
         tx.announce_round += 1
         if tx.announce_round < self.config.announce_retries:
             delay = self._renack_ms(nbr) * 2 ** (tx.announce_round - 1)
+            tx.ann_due = tx.ann_timer_at = now + delay
             out.append(SetTimer(("ann", nbr), delay))
 
     # -- topology updates --

@@ -174,8 +174,7 @@ class Ledger:
         return self.accounts[account]
 
     def place_hold(self, hold_id: str, group: str, payer: str, payee: str,
-                   amount: int, condition: bytes, expiry_ms: float,
-                   now: float) -> None:
+                   amount: int, condition: bytes, expiry_ms: float) -> None:
         if hold_id in self.holds:
             raise LedgerError(f"hold {hold_id} already exists")
         if amount <= 0:
@@ -206,13 +205,13 @@ class Ledger:
         self.accounts[hold.payee] += hold.amount
         return True
 
-    def void_hold(self, hold_id: str, now: float) -> None:
+    def void_hold(self, hold_id: str) -> None:
         hold = self.holds.get(hold_id)
         if hold is None or hold.state != HOLD_ACTIVE:
             return
         self._void(hold)
 
-    def void_group(self, group: str, now: float) -> int:
+    def void_group(self, group: str) -> int:
         """Refund every active hold in the group.  Returns the count voided."""
         voided = 0
         for hid in self.groups.get(group, ()):
@@ -592,8 +591,7 @@ class IlpNode(Client):
                     link.ledger.place_hold(hold_id, group, link.my_account,
                                            link.peer_account, amount,
                                            pkt.condition,
-                                           api.now + self.initial_expiry_ms,
-                                           api.now)
+                                           api.now + self.initial_expiry_ms)
                     held = True
                 except LedgerError:
                     self._count("out_of_funds")
@@ -634,7 +632,7 @@ class IlpNode(Client):
         if link is not None:
             group = self._hold_group(sess.payment_id, sess.next_seq,
                                      self.client_id, peer)
-            link.ledger.void_group(group, api.now)
+            link.ledger.void_group(group)
 
     def _stream_on_fulfill(self, api: EngineApi, sess: StreamSession,
                            pkt: IlpPacket) -> None:
@@ -882,7 +880,7 @@ class IlpNode(Client):
                                            out_link.my_account,
                                            out_link.peer_account, amount_out,
                                            pkt.condition,
-                                           expiry_out_us / 1000.0, api.now)
+                                           expiry_out_us / 1000.0)
             except LedgerError:
                 self._count("out_of_funds")
                 self._reject(api, src_client, pkt, R_INSUFFICIENT_FUNDS)
@@ -979,7 +977,7 @@ class IlpNode(Client):
                 return
             out_link = self.links.get(relay.downstream_peer)
             if out_link is not None:
-                out_link.ledger.void_hold(relay.downstream_hold, api.now)
+                out_link.ledger.void_hold(relay.downstream_hold)
             del self.relays[key]
             self.txlog.add(api.now, self.client_id, "reject", pkt.payment_id,
                            pkt.seq, 0,

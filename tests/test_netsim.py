@@ -16,7 +16,7 @@ from spon.netsim import (
     unpack_client,
 )
 from spon.frames import HOP_ANNOUNCE, HOP_CONFIRM, KIND_HOP_DATA, KIND_HOP_NACK
-from spon.overlay import PRI, REL, NodeState, ServiceClass
+from spon.overlay import PRI, REL, NodeState, ServiceClass, SetTimer
 from spon.topology import Change, Topology, parse_topology, load_topology
 
 CHAIN = data_file("chain.topo")
@@ -601,3 +601,138 @@ def test_restore_lifts_ban():
                  raw_links=[raw], underlay=underlay)
     eng.run(horizon_ms=2000.0)
     assert sink.raw_bodies == [b"try2"]
+
+
+# --- announce timer: armed once per idle period ------------------------------------
+
+def record_wraps(monkeypatch):
+    """Log (time, node, wire kind, announce delays armed) for each frame that
+    leaves on a link."""
+    log = []
+    wrap = NodeState.wrap_for_link
+
+    def record(self, frame, neighbor, now, out):
+        before = len(out)
+        wire = wrap(self, frame, neighbor, now, out)
+        armed = [e.delay_ms for e in out[before:] if isinstance(e, SetTimer)]
+        log.append((now, self.id, wire.kind, armed))
+        return wire
+
+    monkeypatch.setattr(NodeState, "wrap_for_link", record)
+    return log
+
+
+def left(log, node, kind):
+    return [entry for entry in log if entry[1] == node and entry[2] == kind]
+
+
+def announce_armings(monkeypatch):
+    """Log (time, owner, delay) for every arming of an announce timer."""
+    log = []
+    set_timer = Engine.set_timer
+
+    def spy(self, owner, timer_id, delay_ms, data=None):
+        if timer_id[0] == "ann":
+            log.append((self.now, owner, delay_ms))
+        set_timer(self, owner, timer_id, delay_ms, data)
+
+    monkeypatch.setattr(Engine, "set_timer", spy)
+    return log
+
+
+def test_burst_arms_few_announce_timers_and_announces_after_its_last_frame(
+        monkeypatch):
+    # about 0.06 ms of serialization per frame: the 100 frames leave back to
+    # back over some 6 ms, so a timer armed by one frame fires once about
+    # 30 frames later and re-arms itself for the latest frame's announce
+    wraps = record_wraps(monkeypatch)
+    armed = announce_armings(monkeypatch)
+    sink = Collector("cb")
+    eng = Engine(two_node(bw=10.0),
+                 [Burst("ca", "cb", 100, ServiceClass(PRI, 1),
+                        deadline_ms=60_000), sink], seed=1)
+    eng.run(horizon_ms=1000.0)
+    assert len(sink.bodies) == 100
+    data = [t for t, *_ in left(wraps, "A", KIND_HOP_DATA)]
+    assert len(data) == 100
+    assert len([a for a in armed if a[1] == ("n", "A")]) <= len(data) // 20
+    # the one announce of the idle period leaves when the last frame's is due
+    announces = [t for t, *_ in left(wraps, "A", KIND_HOP_NACK)]
+    assert announces == [data[-1] + Config().announce_delay_ms]
+
+
+@pytest.mark.parametrize("second_ms", [20.0, 38.0])
+def test_frame_wrapped_in_a_back_off_wait_is_announced_on_time(monkeypatch,
+                                                               second_ms):
+    # every frame is lost, so nothing is confirmed and the announces back
+    # off: 2 ms after the first frame, then 12.5 and 25 ms apart (2.5 x the
+    # 5 ms link), so the wait from 14.5 ms ends at 39.5 ms.  A frame sent at
+    # 20 ms is due before that wait ends, one sent at 38 ms after it.
+    wraps = record_wraps(monkeypatch)
+    sender = PacedSender("ca", "cb", 2, per_tick=1, tick_ms=second_ms,
+                         service=ServiceClass(PRI, 1))
+    eng = Engine(two_node(loss=1.0), [sender, Collector("cb")], seed=1)
+    eng.run(horizon_ms=second_ms + 10.0)
+    data = [t for t, *_ in left(wraps, "A", KIND_HOP_DATA)]
+    assert data == [0.0, second_ms]
+    announces = [t for t, *_ in left(wraps, "A", KIND_HOP_NACK)]
+    assert announces[:2] == [2.0, 14.5]
+    assert [t for t in announces if t > second_ms] == [
+        second_ms + Config().announce_delay_ms]
+
+
+def test_link_reset_lets_the_next_frame_arm_a_fresh_announce_timer(monkeypatch):
+    # the unanswered announces still back off when the link goes down; when
+    # A adopts the view with the link back up (150 ms) it forgets the link's
+    # hop state and its timer, so the frame sent at 200 ms arms its own
+    wraps = record_wraps(monkeypatch)
+    faults = [FaultEvent(10.0, change=Change.link_down("A", "B")),
+              FaultEvent(50.0, change=Change.link_up("A", "B"))]
+    sender = PacedSender("ca", "cb", 2, per_tick=1, tick_ms=200.0,
+                         service=ServiceClass(PRI, 1))
+    eng = Engine(two_node(loss=1.0), [sender, Collector("cb")], seed=1,
+                 faults=faults)
+    eng.run(horizon_ms=210.0)
+    data = left(wraps, "A", KIND_HOP_DATA)
+    assert [(t, armed) for t, _, _, armed in data] == [
+        (0.0, [Config().announce_delay_ms]),
+        (200.0, [Config().announce_delay_ms])]
+    announces = [t for t, *_ in left(wraps, "A", KIND_HOP_NACK)]
+    assert announces[-1] == 200.0 + Config().announce_delay_ms
+
+
+# --- cached link-direction state ---------------------------------------------------
+
+def test_loss_override_applies_from_the_next_transmission_on():
+    faults = [FaultEvent(300.0, change=Change.loss_override("A", "B", 1.0)),
+              FaultEvent(600.0, change=Change.loss_override("A", "B", 0.0))]
+    sender = PacedSender("ca", "cb", 90, per_tick=1, tick_ms=10.0,
+                         service=ServiceClass(PRI, 1), deadline_ms=60_000)
+    sink = Collector("cb")
+    eng = Engine(two_node(), [sender, sink], seed=1, faults=faults, trace=True)
+    eng.run(horizon_ms=2000.0)
+    lost = [row[0] for row in eng.trace_rows if row[1] == "wire_loss"]
+    assert lost and 300.0 <= min(lost) and max(lost) < 600.0
+    # nothing gets through while every frame is lost; hop recovery then
+    # repairs every gap once the loss is lifted
+    assert not [t for t in sink.times if 300.0 < t < 600.0]
+    assert len(sink.bodies) == 90
+    assert eng.link_dirs[("A", "B")].loss == 0.0
+
+
+def test_link_down_blocks_sending_and_link_up_resumes_it():
+    faults = [FaultEvent(300.0, change=Change.link_down("A", "B")),
+              FaultEvent(600.0, change=Change.link_up("A", "B"))]
+    sender = PacedSender("ca", "cb", 90, per_tick=1, tick_ms=10.0,
+                         service=ServiceClass(PRI, 1))
+    sink = Collector("cb")
+    eng = Engine(two_node(), [sender, sink], seed=1, faults=faults)
+    eng.run(horizon_ms=300.0)
+    sent = eng.counters["wire_tx"]
+    eng.run(horizon_ms=599.0)
+    assert eng.counters["wire_tx"] == sent
+    assert not eng.link_dirs[("A", "B")].up
+    eng.run(horizon_ms=2000.0)
+    assert eng.link_dirs[("A", "B")].up
+    # the nodes adopt the restored link at 700 ms; the later sends arrive
+    assert {b"m%d" % i for i in range(71, 90)} <= set(sink.bodies)

@@ -615,3 +615,47 @@ def test_recompute_restamps_routed_frames():
     tx = transmits(fx)
     assert len(tx) == 1 and tx[0].neighbor == "9"
     assert tx[0].frame.routes[0] == ("1", "9", "10", "11", "5")
+
+
+def test_replay_cache_lookup_by_seq():
+    cfg = Config(hop_cache_frames=3)
+    view = build_view("AB", [("A", "B", 2.0)])
+    a = NodeState("A", view, cfg)
+    wires = wire_frames(a, "B", 5)      # stored at 0..4 ms; 0 and 1 evicted
+    tx = a.hop_tx["B"]
+    assert (tx.first_seq, tx.next_seq) == (2, 5)
+    assert [tx.lookup(s, 5.0, cfg) for s in range(7)] == [
+        None, None, wires[2], wires[3], wires[4], None, None]
+    # past the expiry horizon of the frames stored at 2 and 3 ms
+    now = 3.5 + cfg.hop_cache_expiry_ms
+    assert tx.lookup(3, now, cfg) is None
+    assert tx.first_seq == 4
+    assert tx.lookup(4, now, cfg) is wires[4]
+    assert tx.lookup(4, now + 1.0, cfg) is None
+    assert not tx.cache and tx.first_seq == tx.next_seq
+    # a frame wrapped after the cache emptied is found under its own seq
+    fx = []
+    late = a.wrap_for_link(wires[0].inner, "B", now + 2.0, fx)
+    assert late.seq == 5 and tx.lookup(5, now + 2.0, cfg) is late
+
+
+def test_wrap_arms_the_announce_timer_once_per_idle_period():
+    a, _b = pair()
+    delay = Config().announce_delay_ms
+
+    def wrap(now):
+        fx = []
+        a.wrap_for_link(Frame(kind=KIND_DATA, service=SERVICE_PRI, k=1,
+                              src="A", dst="B", routes=(("A", "B"),)),
+                        "B", now, fx)
+        return [e.delay_ms for e in fx if isinstance(e, SetTimer)]
+
+    assert wrap(0.0) == [delay]
+    assert wrap(0.5) == wrap(1.5) == []
+    # fired before the last frame's announce is due: re-arm, send nothing
+    assert announce(a, "B", 2.0) == (None, SetTimer(("ann", "B"), 1.5))
+    sent, backoff = announce(a, "B", 3.5)
+    assert sent.seq == 2 and backoff.delay_ms == 5.0
+    # a frame due before the back-off wait ends supersedes it
+    assert wrap(4.0) == [delay]
+    assert announce(a, "B", 6.0)[0].seq == 3

@@ -88,7 +88,7 @@ def make_ledger():
 def test_hold_lifecycle_moves_value_once():
     led = make_ledger()
     pre = derive_preimage(b"s", PID, 0)
-    led.place_hold("h0", "g", "a", "b", 300, condition_of(pre), 100.0, 0.0)
+    led.place_hold("h0", "g", "a", "b", 300, condition_of(pre), 100.0)
     assert led.balance("a") == 700 and led.balance("b") == 0
     assert led.escrow_total() == 300 and led.conserved()
     assert led.execute_hold("h0", pre, 50.0)
@@ -102,7 +102,7 @@ def test_hold_lifecycle_moves_value_once():
 def test_hold_rejects_wrong_preimage_and_expiry():
     led = make_ledger()
     pre = derive_preimage(b"s", PID, 0)
-    led.place_hold("h0", "g", "a", "b", 300, condition_of(pre), 100.0, 0.0)
+    led.place_hold("h0", "g", "a", "b", 300, condition_of(pre), 100.0)
     assert not led.execute_hold("h0", b"\x00" * 32, 10.0)
     assert led.hold_state("h0") == "active"
     assert not led.execute_hold("h0", pre, 101.0)   # too late: voided
@@ -114,16 +114,16 @@ def test_hold_rejects_wrong_preimage_and_expiry():
 def test_hold_insufficient_funds_and_duplicate_id():
     led = make_ledger()
     with pytest.raises(LedgerError):
-        led.place_hold("h0", "g", "a", "b", 2000, b"\x00" * 32, 10.0, 0.0)
-    led.place_hold("h1", "g", "a", "b", 100, b"\x00" * 32, 10.0, 0.0)
+        led.place_hold("h0", "g", "a", "b", 2000, b"\x00" * 32, 10.0)
+    led.place_hold("h1", "g", "a", "b", 100, b"\x00" * 32, 10.0)
     with pytest.raises(LedgerError):
-        led.place_hold("h1", "g", "a", "b", 100, b"\x00" * 32, 10.0, 0.0)
+        led.place_hold("h1", "g", "a", "b", 100, b"\x00" * 32, 10.0)
 
 
 def test_sweep_voids_expired_only():
     led = make_ledger()
-    led.place_hold("h0", "g0", "a", "b", 100, b"\x00" * 32, 10.0, 0.0)
-    led.place_hold("h1", "g1", "a", "b", 100, b"\x00" * 32, 99.0, 0.0)
+    led.place_hold("h0", "g0", "a", "b", 100, b"\x00" * 32, 10.0)
+    led.place_hold("h1", "g1", "a", "b", 100, b"\x00" * 32, 99.0)
     assert led.sweep(50.0) == 1
     assert led.hold_state("h0") == HOLD_VOID
     assert led.hold_state("h1") == "active"
@@ -132,7 +132,7 @@ def test_sweep_voids_expired_only():
 def test_find_active_matches_condition_and_amount():
     led = make_ledger()
     cond = condition_of(b"\x01" * 32)
-    led.place_hold("g:0", "g", "a", "b", 100, cond, 100.0, 0.0)
+    led.place_hold("g:0", "g", "a", "b", 100, cond, 100.0)
     assert led.find_active("g", cond, 100, 1.0) == "g:0"
     assert led.find_active("g", cond, 101, 1.0) is None
     assert led.find_active("g", b"\x00" * 32, 50, 1.0) is None
@@ -366,7 +366,7 @@ def test_settle_check_flags_a_paid_group_with_a_hold_still_active():
     sess = s.sessions[sid]
     group = s._hold_group(sess.payment_id, 0, "cs", "cc")
     l1.place_hold(group + ":9", group, "cs", "cc", 200, b"\x00" * 32,
-                  api.now + 30_000.0, api.now)
+                  api.now + 30_000.0)
     report = settle_check([l1, l2], api.now, txlog)
     assert not report.ok
     assert any("still active" in p for p in report.problems)
