@@ -92,7 +92,6 @@ class Scenario:
     ping_timeout_ms: float = 1000.0
     # fairness
     clients_per_flow: int = 100
-    streams_per_client: int = 8
     ramp_interval_ms: float = 1000.0
     capacity_mbps: float = 15.0
     payload_bytes: int = 1200
@@ -228,9 +227,8 @@ def global_meltdown(seed: int = 1, reps: int = 5, total: int = 80_000,
         payments=1, total_amount=total, packet_amount=packet)
 
 
-def fairness(clients_per_flow: int = 100, streams_per_client: int = 8,
-             ramp_interval_ms: float = 1000.0, seed: int = 1, reps: int = 1,
-             measure_ms: float = 30_000.0,
+def fairness(clients_per_flow: int = 100, ramp_interval_ms: float = 1000.0,
+             seed: int = 1, reps: int = 1, measure_ms: float = 30_000.0,
              variants: Optional[Sequence[str]] = None) -> Scenario:
     """An honest flow at full rate vs a second flow ramping up to full rate.
 
@@ -251,7 +249,6 @@ def fairness(clients_per_flow: int = 100, streams_per_client: int = 8,
         seed=seed, reps=reps,
         horizon_ms=horizon,
         clients_per_flow=clients_per_flow,
-        streams_per_client=streams_per_client,
         ramp_interval_ms=ramp_interval_ms,
         measure_ms=measure_ms,
         config=cfg)

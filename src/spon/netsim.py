@@ -279,9 +279,6 @@ class EngineApi:
     def raw_rtt_hint(self, src_client: str, dst_client: str) -> float:
         return self._engine.raw_rtt_hint(src_client, dst_client)
 
-    def stop(self) -> None:
-        self._engine.running = False
-
 
 class Engine:
     """Builds the world and runs it to a horizon."""
@@ -301,7 +298,6 @@ class Engine:
         self.trace_enabled = trace
         self.now = 0.0
         self.now_seq = 0          # insertion seq of the event being handled
-        self.running = True
 
         self.ground = TopologyView.all_up(topology)
         if underlay is not None:
@@ -683,7 +679,7 @@ class Engine:
     # -- main loop --
 
     def run(self, horizon_ms: float) -> None:
-        while self._heap and self.running:
+        while self._heap:
             if self._heap[0][0] > horizon_ms:
                 break
             time_ms, seq, kind, data = heapq.heappop(self._heap)

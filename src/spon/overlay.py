@@ -762,12 +762,8 @@ class NodeState:
             self._count("rel_retransmit")
             return
         if originally_flooded:
-            # the first flood marked every window; only routed copies can help
-            if pool:
-                path = pool[(pending.attempts - 1) % len(pool)]
-                frame = replace(pending.frame, k=1, routes=(path.hops,))
-                self._enqueue_data(path.hops[1], frame, out)
-                self._count("rel_retransmit")
+            # the first flood marked every window, so a second flood cannot
+            # help, and with no route pool nothing else can
             return
         try:
             frame = replace(pending.frame, k=FLOODING, routes=())

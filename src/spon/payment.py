@@ -11,15 +11,34 @@ caused by retransmission can never move value twice.
 The module also carries the plumbing the experiments need: a streaming sender
 that keeps one packet in flight, an RTT probe that skips the ledger entirely,
 and a settlement audit that recomputes conservation and fees from the books.
+A node finds the stream session or probe that a FULFILL or REJECT answers by
+its payment id, in one table.  Expiries, timeouts, priorities and retry caps
+that no caller varies are the module constants below.
 """
 
 import hashlib
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from .netsim import Client, EngineApi
 from .overlay import ServiceClass
+
+# prepare expiry granted by a sender, and what each connector keeps back
+INITIAL_EXPIRY_MS = 30_000.0
+EXPIRY_MARGIN_MS = 1000.0
+# a stream packet is retried after TIMEOUT_FACTOR x its RTT estimate, an EWMA
+# with gain RTT_ALPHA
+TIMEOUT_FACTOR = 4.0
+RTT_ALPHA = 0.125
+PING_TIMEOUT_MS = 1000.0
+# overlay priority levels: fulfils and rejects beat prepares
+PREPARE_PRIORITY = 1
+FULFILL_PRIORITY = 2
+# DirectTransport gives up after ARQ_MAX_TRIES sends; its RTO doubles up to
+# ARQ_RTO_CAP_MS
+ARQ_MAX_TRIES = 200
+ARQ_RTO_CAP_MS = 1000.0
 
 # --- wire encoding -----------------------------------------------------------------
 
@@ -284,18 +303,14 @@ class OverlayTransport:
     """Sends packets as overlay messages.  Fulfill responses ride at a higher
     priority level than prepares so they beat hold expiries under load."""
 
-    def __init__(self, service: ServiceClass, prepare_priority: int = 1,
-                 fulfill_priority: int = 2, deadline_ms: Optional[float] = None):
+    def __init__(self, service: ServiceClass):
         self.service = service
-        self.prepare_priority = prepare_priority
-        self.fulfill_priority = fulfill_priority
-        self.deadline_ms = deadline_ms
 
     def send_packet(self, node: "IlpNode", api: EngineApi, peer_client: str,
                     raw: bytes, kind: int) -> bool:
-        prio = self.fulfill_priority if kind != PREPARE else self.prepare_priority
+        prio = FULFILL_PRIORITY if kind != PREPARE else PREPARE_PRIORITY
         return api.send(node.client_id, peer_client, raw, self.service,
-                        priority=prio, deadline_ms=self.deadline_ms)
+                        priority=prio)
 
     def rtt_hint(self, node: "IlpNode", api: EngineApi, peer_client: str) -> float:
         return api.rtt_hint(node.client_id, peer_client)
@@ -333,9 +348,7 @@ class DirectTransport:
     path loss grows, and sends simply stall while the path is down.
     """
 
-    def __init__(self, max_tries: int = 200, rto_cap_ms: float = 1000.0):
-        self.max_tries = max_tries
-        self.rto_cap_ms = rto_cap_ms
+    def __init__(self):
         self.next_seq = 0
         self.pending: Dict[int, _ArqPending] = {}
         self.seen: Dict[str, set] = {}
@@ -357,7 +370,7 @@ class DirectTransport:
         frame = struct.pack(">BQ", _ARQ_DATA, seq) + entry.raw
         api.raw_send(node.client_id, entry.peer, frame)
         api.set_timer(node.client_id, ("arq", seq), entry.rto_ms)
-        entry.rto_ms = min(entry.rto_ms * 2.0, self.rto_cap_ms)
+        entry.rto_ms = min(entry.rto_ms * 2.0, ARQ_RTO_CAP_MS)
 
     def rtt_hint(self, node: "IlpNode", api: EngineApi, peer_client: str) -> float:
         return api.raw_rtt_hint(node.client_id, peer_client)
@@ -392,7 +405,7 @@ class DirectTransport:
         entry = self.pending.get(seq)
         if entry is None:
             return True
-        if entry.attempts >= self.max_tries:
+        if entry.attempts >= ARQ_MAX_TRIES:
             del self.pending[seq]
             self.failures += 1
             return True
@@ -412,7 +425,6 @@ class PeerLink:
     rate_num: int = 1           # amount' = floor(amount * num / den) less fee
     rate_den: int = 1
     fee_ppm: int = 0
-    expiry_margin_ms: float = 1000.0
 
     def quote(self, amount: int) -> int:
         converted = amount * self.rate_num // self.rate_den
@@ -452,6 +464,7 @@ class StreamSession:
 @dataclass
 class PingProbe:
     probe_id: int
+    payment_id: bytes
     dst_addr: str
     secret: bytes
     count: int
@@ -482,31 +495,22 @@ class IlpNode(Client):
 
     def __init__(self, client_id: str, address: str, transport,
                  secret: bytes = b"", txlog: Optional[TxLog] = None,
-                 initial_expiry_ms: float = 30_000.0,
-                 timeout_factor: float = 4.0,
-                 stream_max_retries: int = 10,
-                 ping_timeout_ms: float = 1000.0,
-                 rtt_alpha: float = 0.125,
-                 pad_to: int = 0):
+                 stream_max_retries: int = 10):
         super().__init__(client_id)
         self.address = address
         self.transport = transport
         self.secret = secret
         self.txlog = txlog or TxLog()
-        self.initial_expiry_ms = initial_expiry_ms
-        self.timeout_factor = timeout_factor
         self.stream_max_retries = stream_max_retries
-        self.ping_timeout_ms = ping_timeout_ms
-        self.rtt_alpha = rtt_alpha
-        self.pad_to = pad_to
 
         self.links: Dict[str, PeerLink] = {}
         self.routes: List[Tuple[str, str]] = []   # (prefix, peer_client)
         self.sessions: Dict[int, StreamSession] = {}
         self.pings: Dict[int, PingProbe] = {}
+        # payment id -> the session or probe whose packets carry it
+        self.owners: Dict[bytes, Union[StreamSession, PingProbe]] = {}
         self.relays: Dict[Tuple[bytes, int], _RelayState] = {}
         self.fulfilled_cache: Dict[Tuple[bytes, int], bytes] = {}
-        self.hold_counters: Dict[str, int] = {}
         self.counters: Dict[str, int] = {}
         self._next_session = 0
         self._next_probe = 0
@@ -535,16 +539,14 @@ class IlpNode(Client):
                     payee_client: str) -> str:
         return f"{pid.hex()}:{seq}:{payer_client}>{payee_client}"
 
-    def _new_hold_id(self, group: str) -> str:
-        n = self.hold_counters.get(group, 0)
-        self.hold_counters[group] = n + 1
-        return f"{group}:{n}"
+    def _new_hold_id(self, ledger: Ledger, group: str) -> str:
+        # only the group's payer places holds in it, and a failed place_hold
+        # adds none, so the group's length is a fresh index
+        return f"{group}:{len(ledger.groups.get(group, ()))}"
 
     # -- sending --
 
     def _send(self, api: EngineApi, peer_client: str, pkt: IlpPacket) -> bool:
-        if self.pad_to and pkt.kind == PREPARE and len(pkt.data) < self.pad_to:
-            pkt.data = pkt.data + b"\x00" * (self.pad_to - len(pkt.data))
         ok = self.transport.send_packet(self, api, peer_client, pkt.encode(),
                                         pkt.kind)
         if not ok:
@@ -560,13 +562,13 @@ class IlpNode(Client):
         peer = self._route(dst_addr)
         sess = StreamSession(sid, dst_addr, secret, total, packet_amount, pid,
                              started_ms=api.now)
+        self.sessions[sid] = sess
+        self.owners[pid] = sess
         if peer is None or total <= 0 or packet_amount <= 0:
             sess.state = STREAM_FAILED
             sess.finished_ms = api.now
-            self.sessions[sid] = sess
             return sid
         sess.rtt_ewma_ms = self.transport.rtt_hint(self, api, peer)
-        self.sessions[sid] = sess
         self._stream_send_current(api, sess)
         return sid
 
@@ -575,7 +577,7 @@ class IlpNode(Client):
         amount = sess.current_amount()
         preimage = derive_preimage(sess.secret, sess.payment_id, sess.next_seq)
         pkt = IlpPacket(PREPARE, sess.payment_id, sess.next_seq, amount,
-                        int((api.now + self.initial_expiry_ms) * 1000),
+                        int((api.now + INITIAL_EXPIRY_MS) * 1000),
                         condition=condition_of(preimage),
                         address=sess.dst_addr)
         link = self.links.get(peer)
@@ -586,12 +588,12 @@ class IlpNode(Client):
             existing = link.ledger.find_active(group, pkt.condition, amount,
                                                api.now)
             if existing is None:
-                hold_id = self._new_hold_id(group)
+                hold_id = self._new_hold_id(link.ledger, group)
                 try:
                     link.ledger.place_hold(hold_id, group, link.my_account,
                                            link.peer_account, amount,
                                            pkt.condition,
-                                           api.now + self.initial_expiry_ms)
+                                           api.now + INITIAL_EXPIRY_MS)
                     held = True
                 except LedgerError:
                     self._count("out_of_funds")
@@ -612,7 +614,7 @@ class IlpNode(Client):
         self._send(api, peer, pkt)
         # doubling per retry so a long path outage does not burn the whole
         # retry budget in the first second
-        timeout = self.timeout_factor * max(sess.rtt_ewma_ms, 1.0)
+        timeout = TIMEOUT_FACTOR * max(sess.rtt_ewma_ms, 1.0)
         timeout = min(timeout * (2 ** sess.attempts_current), 30_000.0)
         api.set_timer(self.client_id, ("sess", sess.session_id), timeout)
 
@@ -648,7 +650,7 @@ class IlpNode(Client):
         amount = sess.current_amount()
         rtt = api.now - sess.sent_at_ms
         sess.packet_rtts.append((pkt.seq, api.now, rtt))
-        a = self.rtt_alpha
+        a = RTT_ALPHA
         sess.rtt_ewma_ms = (1 - a) * sess.rtt_ewma_ms + a * rtt
         sess.delivered += amount
         sess.packets_fulfilled += 1
@@ -690,33 +692,29 @@ class IlpNode(Client):
                    timeout_ms: Optional[float] = None) -> int:
         probe_id = self._next_probe
         self._next_probe += 1
-        probe = PingProbe(probe_id, dst_addr, secret, count, interval_ms,
-                          timeout_ms or self.ping_timeout_ms)
+        pid = hashlib.sha256(
+            f"ping:{self.address}:{probe_id}".encode()).digest()[:16]
+        probe = PingProbe(probe_id, pid, dst_addr, secret, count, interval_ms,
+                          timeout_ms or PING_TIMEOUT_MS)
         self.pings[probe_id] = probe
+        self.owners[pid] = probe
         self._ping_fire(api, probe)
         return probe_id
-
-    def _ping_pid(self, probe: PingProbe) -> bytes:
-        return hashlib.sha256(
-            f"ping:{self.address}:{probe.probe_id}".encode()).digest()[:16]
 
     def _ping_fire(self, api: EngineApi, probe: PingProbe) -> None:
         if probe.sent >= probe.count:
             return
         seq = probe.sent
         probe.sent += 1
-        pid = self._ping_pid(probe)
-        preimage = derive_preimage(probe.secret, pid, seq)
-        pkt = IlpPacket(PREPARE, pid, seq, 0,
+        preimage = derive_preimage(probe.secret, probe.payment_id, seq)
+        pkt = IlpPacket(PREPARE, probe.payment_id, seq, 0,
                         int((api.now + probe.timeout_ms) * 1000),
                         condition=condition_of(preimage),
                         address=probe.dst_addr)
         peer = self._route(probe.dst_addr)
         probe.outstanding[seq] = api.now
         if peer is None:
-            probe.outstanding.pop(seq)
-            probe.timeouts += 1
-            probe.outcomes.append((seq, api.now, -1.0, "timeout"))
+            self._ping_done(api, probe, seq)
         else:
             self._send(api, peer, pkt)
             api.set_timer(self.client_id, ("ping", probe.probe_id, seq),
@@ -724,6 +722,22 @@ class IlpNode(Client):
         if probe.sent < probe.count:
             api.set_timer(self.client_id, ("ping_next", probe.probe_id),
                           probe.interval_ms)
+
+    def _ping_done(self, api: EngineApi, probe: PingProbe, seq: int,
+                   fulfillment: Optional[bytes] = None) -> None:
+        """Record the outcome of an outstanding probe packet, once: ok if it
+        came back with the right preimage, a timeout otherwise."""
+        sent = probe.outstanding.pop(seq, None)
+        if sent is None:
+            return
+        if fulfillment is not None and fulfillment == derive_preimage(
+                probe.secret, probe.payment_id, seq):
+            probe.rtts.append(api.now - sent)
+            probe.outcomes.append((seq, sent, api.now - sent, "ok"))
+        else:
+            probe.timeouts += 1
+            probe.outcomes.append((seq, sent, -1.0, "timeout"))
+        api.cancel_timer(self.client_id, ("ping", probe.probe_id, seq))
 
     # -- packet handling --
 
@@ -863,7 +877,7 @@ class IlpNode(Client):
         if amount_out <= 0:
             self._reject(api, src_client, pkt, R_INSUFFICIENT_FUNDS)
             return
-        expiry_out_us = pkt.expiry_us - int(out_link.expiry_margin_ms * 1000)
+        expiry_out_us = pkt.expiry_us - int(EXPIRY_MARGIN_MS * 1000)
         if expiry_out_us <= api.now * 1000:
             self._count("insufficient_time")
             self._reject(api, src_client, pkt, R_INSUFFICIENT_TIME)
@@ -874,7 +888,7 @@ class IlpNode(Client):
         down_hold = out_link.ledger.find_active(out_group, pkt.condition,
                                                 amount_out, api.now)
         if down_hold is None:
-            down_hold = self._new_hold_id(out_group)
+            down_hold = self._new_hold_id(out_link.ledger, out_group)
             try:
                 out_link.ledger.place_hold(down_hold, out_group,
                                            out_link.my_account,
@@ -945,28 +959,13 @@ class IlpNode(Client):
             self._claim_upstream(api, relay.upstream_peer, pkt,
                                  pkt.fulfillment)
             return
-        # maybe one of my stream sessions
-        for sess in self.sessions.values():
-            if sess.payment_id == pkt.payment_id:
-                self._stream_on_fulfill(api, sess, pkt)
-                return
-        for probe in self.pings.values():
-            if self._ping_pid(probe) == pkt.payment_id:
-                sent = probe.outstanding.pop(pkt.seq, None)
-                if sent is not None:
-                    expect = derive_preimage(probe.secret, pkt.payment_id,
-                                             pkt.seq)
-                    if pkt.fulfillment == expect:
-                        probe.rtts.append(api.now - sent)
-                        probe.outcomes.append((pkt.seq, sent, api.now - sent,
-                                               "ok"))
-                    else:
-                        probe.timeouts += 1
-                        probe.outcomes.append((pkt.seq, sent, -1.0, "timeout"))
-                    api.cancel_timer(self.client_id,
-                                     ("ping", probe.probe_id, pkt.seq))
-                return
-        self._count("orphan_fulfill")
+        owner = self.owners.get(pkt.payment_id)
+        if owner is None:
+            self._count("orphan_fulfill")
+        elif isinstance(owner, StreamSession):
+            self._stream_on_fulfill(api, owner, pkt)
+        else:
+            self._ping_done(api, owner, pkt.seq, pkt.fulfillment)
 
     def _on_reject(self, src_client: str, pkt: IlpPacket,
                    api: EngineApi) -> None:
@@ -984,19 +983,11 @@ class IlpNode(Client):
                            REJECT_NAMES.get(pkt.code, str(pkt.code)))
             self._send(api, relay.upstream_peer, pkt)
             return
-        for sess in self.sessions.values():
-            if sess.payment_id == pkt.payment_id:
-                self._stream_on_reject(api, sess, pkt)
-                return
-        for probe in self.pings.values():
-            if self._ping_pid(probe) == pkt.payment_id:
-                sent = probe.outstanding.pop(pkt.seq, None)
-                if sent is not None:
-                    probe.timeouts += 1
-                    probe.outcomes.append((pkt.seq, sent, -1.0, "timeout"))
-                    api.cancel_timer(self.client_id,
-                                     ("ping", probe.probe_id, pkt.seq))
-                return
+        owner = self.owners.get(pkt.payment_id)
+        if isinstance(owner, StreamSession):
+            self._stream_on_reject(api, owner, pkt)
+        elif owner is not None:
+            self._ping_done(api, owner, pkt.seq)
 
     # -- engine callbacks --
 
@@ -1023,10 +1014,7 @@ class IlpNode(Client):
         elif kind == "ping":
             probe = self.pings.get(timer_id[1])
             if probe is not None:
-                sent = probe.outstanding.pop(timer_id[2], None)
-                if sent is not None:
-                    probe.timeouts += 1
-                    probe.outcomes.append((timer_id[2], sent, -1.0, "timeout"))
+                self._ping_done(api, probe, timer_id[2])
         elif kind == "ping_next":
             probe = self.pings.get(timer_id[1])
             if probe is not None:
@@ -1039,9 +1027,7 @@ class IlpNode(Client):
 class SettleReport:
     ok: bool
     problems: List[str]
-    per_ledger: Dict[str, Dict[str, int]]
     fees_by_connector: Dict[str, int]
-    connector_losses: Dict[str, int]
 
 
 def settle_check(ledgers: List[Ledger], now: float,
@@ -1049,18 +1035,12 @@ def settle_check(ledgers: List[Ledger], now: float,
     """Recompute conservation and value-movement invariants from the books,
     then cross-check connector margins against the packet log."""
     problems: List[str] = []
-    per_ledger: Dict[str, Dict[str, int]] = {}
     edge_flow: Dict[Tuple[str, str], int] = {}
 
     for ledger in ledgers:
         ledger.sweep(now)
         if not ledger.conserved():
             problems.append(f"ledger {ledger.name}: money not conserved")
-        per_ledger[ledger.name] = {
-            "balance_total": sum(ledger.accounts.values()),
-            "escrow": ledger.escrow_total(),
-            "initial": ledger.initial_total,
-        }
         for group, hold_ids in ledger.groups.items():
             executed = [h for h in hold_ids
                         if ledger.holds[h].state == HOLD_EXECUTED]
@@ -1117,5 +1097,4 @@ def settle_check(ledgers: List[Ledger], now: float,
                 problems.append(
                     f"connector {party}: ledger fee {fee} != logged {expected}")
     return SettleReport(ok=not problems, problems=problems,
-                        per_ledger=per_ledger, fees_by_connector=fees,
-                        connector_losses=losses)
+                        fees_by_connector=fees)

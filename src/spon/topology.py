@@ -57,9 +57,6 @@ class LinkSpec:
     def key(self) -> LinkKey:
         return link_key(self.a, self.b)
 
-    def other(self, node: NodeId) -> NodeId:
-        return self.b if node == self.a else self.a
-
 
 @dataclass(frozen=True)
 class Topology:

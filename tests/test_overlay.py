@@ -23,6 +23,7 @@ from spon.overlay import (
     ClientError,
     Deliver,
     Drop,
+    FLOODING,
     NodeState,
     OutPort,
     PayloadTooLarge,
@@ -547,6 +548,30 @@ def test_rel_retransmit_rotates_routes_then_floods():
     # rto doubles every attempt
     timers = [e for e in fx if isinstance(e, SetTimer) and e.timer_id[0] == "rel"]
     assert timers[0].delay_ms == 2 * 32.0 * 2 ** 3
+
+
+def test_rel_timeout_of_a_flooded_message_only_sends_routed_copies():
+    # the first flood reached every window, so a retry is one routed copy on
+    # the route pool, never a second flood
+    n1 = node("1")
+    n1.client_send("5", b"m", ServiceClass(REL, FLOODING), now=0.0)
+    fx = n1.handle_timer(("rel", "5", 1), None, 100.0)
+    tx = transmits(fx)
+    assert len(tx) == 1 and tx[0].neighbor == "12"
+    assert tx[0].frame.k == 1
+    assert n1.counters.get("rel_retransmit") == 1
+    # with no route to the destination there is nothing left to try
+    n1.recompute_routes(apply_fault(chain_view(), Change.node_down("5")),
+                        now=150.0)
+    before = sum(held(port) for port in n1.ports.values())
+    fx = n1.handle_timer(("rel", "5", 1), None, 300.0)
+    assert not transmits(fx)
+    assert sum(held(port) for port in n1.ports.values()) == before
+    assert [e.timer_id for e in fx if isinstance(e, SetTimer)] == [
+        ("rel", "5", 1)]
+    assert n1.counters.get("rel_retransmit") == 1
+    assert "rel_reflood" not in n1.counters
+    assert "rel_stranded" not in n1.counters
 
 
 def test_rel_gives_up_after_max_retries():

@@ -19,6 +19,7 @@ from spon.payment import (
     PacketError,
     PeerLink,
     R_EXPIRED,
+    R_INSUFFICIENT_FUNDS,
     R_NO_HOLD,
     R_WRONG_CONDITION,
     REJECT,
@@ -173,9 +174,6 @@ class FakeApi:
 
     def raw_rtt_hint(self, a, b):
         return 32.0
-
-    def stop(self):
-        pass
 
 
 def three_party():
@@ -383,10 +381,120 @@ def test_ping_never_touches_the_books():
     assert not l1.holds and not l2.holds
 
 
+def ping_timer(node, probe_id, seq):
+    return (node.client_id, ("ping", probe_id, seq))
+
+
+def test_reject_for_an_outstanding_ping_records_one_timeout():
+    s, c, r, l1, l2, txlog = three_party()
+    api = FakeApi()
+    probe_id = s.start_ping(api, "g.r.x", b"shh", count=1, interval_ms=100.0)
+    probe = s.pings[probe_id]
+    assert ping_timer(s, probe_id, 0) in api.timers
+    api.now = 40.0
+    rej = IlpPacket(REJECT, probe.payment_id, 0, code=R_EXPIRED).encode()
+    s.handle_packet("cc", rej, api)
+    s.handle_packet("cc", rej, api)
+    assert probe.timeouts == 1 and not probe.rtts
+    assert probe.outcomes == [(0, 0.0, -1.0, "timeout")]
+    assert ping_timer(s, probe_id, 0) not in api.timers
+
+
+def test_fulfill_with_the_wrong_preimage_records_a_timeout():
+    s, c, r, l1, l2, txlog = three_party()
+    api = FakeApi()
+    probe_id = s.start_ping(api, "g.r.x", b"shh", count=1, interval_ms=100.0)
+    probe = s.pings[probe_id]
+    api.now = 40.0
+    s.handle_packet("cc", IlpPacket(FULFILL, probe.payment_id, 0,
+                                    fulfillment=b"\x00" * 32).encode(), api)
+    assert probe.timeouts == 1 and not probe.rtts
+    assert probe.outcomes == [(0, 0.0, -1.0, "timeout")]
+    assert ping_timer(s, probe_id, 0) not in api.timers
+
+
+def test_fulfill_after_the_ping_timer_fired_changes_nothing():
+    s, c, r, l1, l2, txlog = three_party()
+    api = FakeApi()
+    probe_id = s.start_ping(api, "g.r.x", b"shh", count=1, interval_ms=100.0)
+    probe = s.pings[probe_id]
+    api.now = api.timers.pop(ping_timer(s, probe_id, 0))
+    s.on_timer(("ping", probe_id, 0), None, api)
+    assert probe.outcomes == [(0, 0.0, -1.0, "timeout")]
+    api.now += 5.0
+    preimage = derive_preimage(b"shh", probe.payment_id, 0)
+    s.handle_packet("cc", IlpPacket(FULFILL, probe.payment_id, 0,
+                                    fulfillment=preimage).encode(), api)
+    assert probe.timeouts == 1 and not probe.rtts
+    assert probe.outcomes == [(0, 0.0, -1.0, "timeout")]
+    assert not s.counters
+
+
+def test_packets_for_an_unknown_payment_id():
+    s, c, r, l1, l2, txlog = three_party()
+    api = FakeApi()
+    s.handle_packet("cc", IlpPacket(FULFILL, PID, 0,
+                                    fulfillment=b"\x01" * 32).encode(), api)
+    assert s.counters == {"orphan_fulfill": 1}
+    s.handle_packet("cc", IlpPacket(REJECT, PID, 0, code=R_EXPIRED).encode(),
+                    api)
+    assert s.counters == {"orphan_fulfill": 1}
+    assert not api.sent and not api.timers
+
+
+def test_a_session_that_failed_at_start_absorbs_its_fulfill():
+    s, c, r, l1, l2, txlog = three_party()
+    api = FakeApi()
+    sid = s.start_stream(api, "g.nowhere.x", b"shh", 200, 200)
+    sess = s.sessions[sid]
+    assert sess.state == STREAM_FAILED
+    preimage = derive_preimage(b"shh", sess.payment_id, 0)
+    s.handle_packet("cc", IlpPacket(FULFILL, sess.payment_id, 0,
+                                    fulfillment=preimage).encode(), api)
+    assert "orphan_fulfill" not in s.counters
+    assert sess.state == STREAM_FAILED and sess.packets_fulfilled == 0
+    assert not api.sent
+
+
+def test_hold_after_a_failed_place_hold_gets_a_fresh_id():
+    s, c, r, l1, l2, txlog = three_party()
+    api = FakeApi()
+    nodes = {"cs": s, "cc": c, "cr": r}
+    rejects = []
+
+    def script(src, dst, body):
+        pkt = decode_packet(body)
+        if pkt.kind == PREPARE and dst == "cr" and not rejects:
+            # the receiver turns the first forward away: its hold is voided
+            api.sent.append(("cr", "cc", IlpPacket(
+                REJECT, pkt.payment_id, pkt.seq, code=R_EXPIRED).encode()))
+            return True
+        if pkt.kind == REJECT and dst == "cs":
+            rejects.append(pkt.code)
+            if len(rejects) == 1:
+                # the connector's next place_hold raises for want of funds
+                l2.place_hold("lock", "lock:0:cc>cr", "cc", "cr",
+                              l2.balance("cc"), b"\x00" * 32, 1e9)
+            else:
+                l2.void_hold("lock")
+        return False
+
+    sid = s.start_stream(api, "g.r.x", b"shh", 200, 200)
+    pump(api, nodes, drop=script)
+    assert rejects == [R_EXPIRED, R_INSUFFICIENT_FUNDS]
+    assert c.counters.get("out_of_funds") == 1
+    assert s.sessions[sid].state == STREAM_COMPLETE
+    group = c._hold_group(s.sessions[sid].payment_id, 0, "cc", "cr")
+    assert l2.groups[group] == [group + ":0", group + ":1"]
+    assert l2.hold_state(group + ":0") == HOLD_VOID
+    assert l2.hold_state(group + ":1") == HOLD_EXECUTED
+    assert settle_check([l1, l2], api.now, txlog).ok
+
+
 # --- engine integration -----------------------------------------------------------------
 
 def overlay_world(service, loss=None, count=1, total=200, packet=200,
-                  seed=21, horizon=120_000.0, faults=(), pad_to=0):
+                  seed=21, horizon=120_000.0, faults=()):
     """Chain topology with the connector homed at relay 13."""
     text = open(CHAIN).read() + "attach cs 1\nattach cc 13\nattach cr 5\n"
     topo = parse_topology(text)
@@ -401,7 +509,7 @@ def overlay_world(service, loss=None, count=1, total=200, packet=200,
     s = Sender("cs", "g.s", OverlayTransport(service), txlog=txlog)
     c = IlpNode("cc", "g.c", OverlayTransport(service), txlog=txlog)
     r = IlpNode("cr", "g.r", OverlayTransport(service), secret=b"shh",
-                txlog=txlog, pad_to=pad_to)
+                txlog=txlog)
     s.add_link(PeerLink("cc", l1, "cs", "cc"))
     s.add_route("g.r", "cc")
     c.add_link(PeerLink("cs", l1, "cc", "cs"))
