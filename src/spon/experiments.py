@@ -17,13 +17,12 @@ import csv
 import hashlib
 import os
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .config import DEFAULT_CONFIG, Config
 from .netsim import (AsUnderlay, Client, Engine, EngineApi, FaultEvent,
                      RawLink, meltdown_schedule)
-from .overlay import PRI, REL, ServiceClass
+from .overlay import DEFAULT_CONFIG, PRI, REL, Config, ServiceClass
 from .payment import (DirectTransport, IlpNode, Ledger, OverlayTransport,
                       PeerLink, STREAM_COMPLETE, STREAM_FAILED,
                       STREAM_RUNNING, TxLog, settle_check)
@@ -237,10 +236,6 @@ def fairness(clients_per_flow: int = 100, ramp_interval_ms: float = 1000.0,
     `clients_per_flow` are sending.
     """
     horizon = clients_per_flow * ramp_interval_ms + measure_ms
-    # shallow per-flow buffers so saturation shows up as tail drops rather
-    # than sojourn times beyond the delivery deadline; the metric here is
-    # bandwidth share, not timeliness
-    cfg = replace(DEFAULT_CONFIG, buffer_capacity=64, deadline_factor=40.0)
     return Scenario(
         name="fairness", kind="fairness",
         topo_file=_topo_path("fairness.topo"),
@@ -251,7 +246,10 @@ def fairness(clients_per_flow: int = 100, ramp_interval_ms: float = 1000.0,
         clients_per_flow=clients_per_flow,
         ramp_interval_ms=ramp_interval_ms,
         measure_ms=measure_ms,
-        config=cfg)
+        # shallow per-flow buffers so saturation shows up as tail drops
+        # rather than sojourn times beyond the delivery deadline; the metric
+        # here is bandwidth share, not timeliness
+        config=Config(buffer_capacity=64, deadline_factor=40.0))
 
 
 def bgp(seed: int = 1, reps: int = 1, total: int = 1000, packet: int = 100,
@@ -338,19 +336,22 @@ class StreamDriver(IlpNode):
                               self.packet)
 
 
+# a flow source adds credit and sends what it affords once per tick
+FLOW_TICK_MS = 5.0
+
+
 class FlowSource(Client):
     """Paced packet generator; offered rate may ramp as clients attach."""
 
     def __init__(self, client_id: str, dst_client: str, payload_bytes: int,
                  peak_mbps: float, clients_max: int = 1,
-                 ramp_interval_ms: float = 0.0, tick_ms: float = 5.0):
+                 ramp_interval_ms: float = 0.0):
         super().__init__(client_id)
         self.dst = dst_client
         self.payload = payload_bytes
         self.peak = peak_mbps
         self.clients_max = clients_max
         self.ramp_interval = ramp_interval_ms
-        self.tick_ms = tick_ms
         self.service = ServiceClass(PRI, 1)
         self.credit = 0.0
         self.seq = 0
@@ -362,17 +363,17 @@ class FlowSource(Client):
         return self.peak * attached / self.clients_max
 
     def on_start(self, api: EngineApi) -> None:
-        api.set_timer(self.client_id, ("tick",), self.tick_ms)
+        api.set_timer(self.client_id, ("tick",), FLOW_TICK_MS)
 
     def on_timer(self, timer_id: tuple, data, api: EngineApi) -> None:
-        self.credit += self.offered_mbps(api.now) * 1e6 / 8e3 * self.tick_ms
+        self.credit += self.offered_mbps(api.now) * 1e6 / 8e3 * FLOW_TICK_MS
         n = int(self.credit // self.payload)
         self.credit -= n * self.payload
         for _ in range(n):
             body = self.seq.to_bytes(8, "big").ljust(self.payload, b"\x00")
             api.send(self.client_id, self.dst, body, self.service)
             self.seq += 1
-        api.set_timer(self.client_id, ("tick",), self.tick_ms)
+        api.set_timer(self.client_id, ("tick",), FLOW_TICK_MS)
 
 
 class FlowSink(Client):
@@ -435,7 +436,7 @@ def _run_payment_once(sc: Scenario, topo: Topology, variant: str, rep: int,
                             timeout_ms=sc.ping_timeout_ms)
     else:
         sender = StreamDriver(sc.sender, "g.src", transport(), txlog=txlog,
-                              stream_max_retries=30, dst_addr="g.dst.pay",
+                              dst_addr="g.dst.pay",
                               payments=sc.payments, total=sc.total_amount,
                               packet=sc.packet_amount)
     receiver = IlpNode(sc.receiver, "g.dst", transport(),

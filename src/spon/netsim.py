@@ -20,6 +20,12 @@ the insertion seq of its end-of-serialization event (TX_DONE), but the event
 is put on the heap only while a frame waits in the port behind the one on the
 wire; a link that falls idle costs no event.  A TX_DONE pushed late carries
 its reserved seq, so it pops exactly where an eagerly pushed one would have.
+
+The engine's own parameters (per-hop processing time, view propagation delay,
+event budget, raw-pipe header size) are the module constants below; the
+relays' protocol parameters live in `spon.overlay`.  A node handles its own
+hop state when a link comes back up (`NodeState.recompute_routes`); the
+engine only hands it the new view.
 """
 
 import csv
@@ -30,11 +36,13 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .config import Config, DEFAULT_CONFIG
 from .frames import Frame
 from .overlay import (
+    DEFAULT_CONFIG,
+    DEFAULT_RTT_MS,
     CancelTimer,
     ClientError,
+    Config,
     Deliver,
     Drop,
     NodeState,
@@ -56,8 +64,18 @@ from .topology import (
 )
 
 
+# forwarding cost a relay adds to every frame it receives
+HOP_PROCESSING_MS = 0.15
+# a fault reaches the nodes' views this long after the ground view changes
+VIEW_PROPAGATION_MS = 100.0
+# a run that pops more events than this is aborted as a runaway
+EVENT_CAP = 10_000_000
+# per-packet header bytes of a raw client-to-client pipe (IPv4 + UDP)
+RAW_OVERHEAD_BYTES = 28
+
+
 class EngineOverrun(RuntimeError):
-    """The run exceeded the configured event budget."""
+    """The run exceeded the event budget, EVENT_CAP."""
 
 
 # --- client-layer envelope ------------------------------------------------------
@@ -155,7 +173,6 @@ class RawLink:
     b_client: str
     path: Tuple[NodeId, ...]
     as_pair: Optional[Tuple[int, int]] = None
-    overhead_bytes: int = 28
 
 
 @dataclass
@@ -467,7 +484,7 @@ class Engine:
                 up = False
         if link.as_pair is not None and not self._as_pair_usable(link.as_pair):
             up = False
-        size = len(body) + link.overhead_bytes
+        size = len(body) + RAW_OVERHEAD_BYTES
         ser = size * 8.0 / (bw * 1000.0)
         depart = max(self.now, dirn.busy_until)
         dirn.busy_until = depart + ser
@@ -494,13 +511,13 @@ class Engine:
         try:
             return 2.0 * shortest_path(self.ground, a, b).total_latency_ms
         except (NoPath, TopologyError):
-            return self.config.default_rtt_ms
+            return DEFAULT_RTT_MS
 
     def raw_rtt_hint(self, src_client: str, dst_client: str) -> float:
         key = tuple(sorted((src_client, dst_client)))
         link = self.raw_links.get(key)
         if link is None:
-            return self.config.default_rtt_ms
+            return DEFAULT_RTT_MS
         latency = sum(self.topology.link(a, b).latency_ms
                       for a, b in zip(link.path, link.path[1:]))
         return 2.0 * latency
@@ -518,7 +535,6 @@ class Engine:
             elif isinstance(eff, CancelTimer):
                 self.cancel_timer(("n", node_id), eff.timer_id)
             elif isinstance(eff, Drop):
-                self._count(f"drop_{eff.reason}")
                 self.trace("drop", node_id, eff.reason)
             elif isinstance(eff, ClientError):
                 self._client_error(node_id, eff)
@@ -605,7 +621,7 @@ class Engine:
             self._count("wire_lost")
             self.trace("wire_loss", a, f"->{b}")
             return
-        arrive = done + dirn.latency_ms + self.config.hop_processing_ms
+        arrive = done + dirn.latency_ms + HOP_PROCESSING_MS
         self._push(arrive, _EV_ARRIVAL, (dirn, wire, self.link_epoch[dirn.key]))
 
     # -- faults --
@@ -629,7 +645,7 @@ class Engine:
             self._apply_change(change)
         self._refresh_links()
         self._view_serial += 1
-        self._push(self.now + self.config.view_propagation_ms, _EV_VIEW,
+        self._push(self.now + VIEW_PROPAGATION_MS, _EV_VIEW,
                    (self._view_serial, self.ground))
 
     def _apply_change(self, change: Change) -> None:
@@ -659,33 +675,21 @@ class Engine:
             if self._node_view_serial.get(node_id, 0) >= serial:
                 continue
             self._node_view_serial[node_id] = serial
-            state = self.nodes[node_id]
-            self._reset_restarted_links(state, view)
-            fx = state.recompute_routes(view, self.now)
+            fx = self.nodes[node_id].recompute_routes(view, self.now)
             if fx:
                 self._process_effects(node_id, fx)
-
-    def _reset_restarted_links(self, state: NodeState, view: TopologyView) -> None:
-        """Forget per-link seq state across a down/up cycle of the link."""
-        for nbr in self.topology.neighbors(state.id):
-            was_up = state.view.link_is_up(state.id, nbr)
-            now_up = view.link_is_up(state.id, nbr)
-            if now_up and not was_up:
-                state.hop_tx.pop(nbr, None)
-                state.hop_rx.pop(nbr, None)
-                self.cancel_timer(("n", state.id), ("ann", nbr))
-                self.cancel_timer(("n", state.id), ("nack", nbr))
 
     # -- main loop --
 
     def run(self, horizon_ms: float) -> None:
+        cap = EVENT_CAP
         while self._heap:
             if self._heap[0][0] > horizon_ms:
                 break
             time_ms, seq, kind, data = heapq.heappop(self._heap)
             self.pops += 1
-            if self.pops > self.config.event_cap:
-                raise EngineOverrun(f"exceeded {self.config.event_cap} events")
+            if self.pops > cap:
+                raise EngineOverrun(f"exceeded {cap} events")
             self.now = time_ms
             self.now_seq = seq
             if kind == _EV_CLIENT_START:

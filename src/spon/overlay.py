@@ -21,6 +21,10 @@ probe, as in TCP's RACK-TLP).  A busy link arms one announce timer per idle
 period, not one per frame: the timer, when it fires before the last frame's
 announce is due, re-arms itself for that time.  The replay cache is indexed
 by link sequence number.
+
+Every relay runs the same protocol parameters, the module constants below.
+`Config` holds the two that a scenario varies: the fair-queue partition size
+and the PRIORITY deadline factor.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from collections import OrderedDict, defaultdict, deque
 from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional, Tuple
 
-from .config import Config, DEFAULT_CONFIG
 from .frames import (
     Frame,
     HOP_ANNOUNCE,
@@ -58,6 +61,38 @@ _SERVICE_CODE = {PRI: SERVICE_PRI, REL: SERVICE_REL}
 _SERVICE_NAME = {v: k for k, v in _SERVICE_CODE.items()}
 
 FLOODING = 0
+
+# scheduler
+CONTROL_CAPACITY = 4096      # frames in the per-port control queue
+# duplicate suppression
+DEDUP_WINDOW = 4096          # remembered seqs per (src, service)
+# hop-by-hop recovery
+HOP_CACHE_FRAMES = 16384     # per-neighbor retransmission cache; must cover
+                             # the bandwidth-delay product of the nack round
+                             # trip at full link rate
+HOP_CACHE_EXPIRY_MS = 2000.0
+NACK_DELAY_MS = 1.0          # gap detection -> first nack
+RENACK_MIN_MS = 4.0          # floor for the re-nack interval
+ANNOUNCE_DELAY_MS = 2.0      # idle link -> high-water announce
+ANNOUNCE_RETRIES = 6         # announces per idle period at most; each asks
+                             # for a confirm, and a confirm ends them early
+NACK_BATCH = 512             # seqs per nack frame
+# forwarding
+MAX_PAYLOAD_BYTES = 65536
+# reliable service
+REL_MAX_RETRIES = 8
+REL_ROUTE_POOL = 4           # disjoint paths cycled on retransmit
+DEFAULT_RTT_MS = 1000.0      # RTO seed when no path is known
+
+
+@dataclass(frozen=True)
+class Config:
+    """The relay parameters a scenario varies."""
+    buffer_capacity: int = 1024        # frames per fair-queue partition
+    deadline_factor: float = 10.0      # PRIORITY deadline = factor x best path
+
+
+DEFAULT_CONFIG = Config()
 
 
 class PayloadTooLarge(ValueError):
@@ -154,9 +189,8 @@ class OutPort:
     """Per-neighbor output buffers: fair-queued data partitions plus a strict
     priority control queue for recovery traffic."""
 
-    def __init__(self, capacity: int, control_capacity: int):
+    def __init__(self, capacity: int):
         self.capacity = capacity
-        self.control_capacity = control_capacity
         self.queues: "OrderedDict[tuple, Dict[int, Deque[Frame]]]" = OrderedDict()
         self.sizes: Dict[tuple, int] = {}
         self.ring: List[tuple] = []
@@ -184,7 +218,7 @@ class OutPort:
         return True
 
     def enqueue_control(self, frame: Frame) -> bool:
-        if len(self.control) >= self.control_capacity:
+        if len(self.control) >= CONTROL_CAPACITY:
             return False
         self.control.append(frame)
         self.queued += 1
@@ -260,22 +294,22 @@ class _HopTx:
         self.ann_due = 0.0
         self.ann_timer_at: Optional[float] = None
 
-    def store(self, frame: Frame, now: float, cfg: Config) -> None:
+    def store(self, frame: Frame, now: float) -> None:
         """Cache the frame carrying seq next_seq - 1."""
         self.cache.append((frame, now))
-        if len(self.cache) > cfg.hop_cache_frames:
+        if len(self.cache) > HOP_CACHE_FRAMES:
             self.cache.popleft()
             self.first_seq += 1
-        self._expire(now, cfg)
+        self._expire(now)
 
-    def lookup(self, seq: int, now: float, cfg: Config) -> Optional[Frame]:
-        self._expire(now, cfg)
+    def lookup(self, seq: int, now: float) -> Optional[Frame]:
+        self._expire(now)
         if self.first_seq <= seq < self.next_seq:
             return self.cache[seq - self.first_seq][0]
         return None
 
-    def _expire(self, now: float, cfg: Config) -> None:
-        horizon = now - cfg.hop_cache_expiry_ms
+    def _expire(self, now: float) -> None:
+        horizon = now - HOP_CACHE_EXPIRY_MS
         cache = self.cache
         while cache and cache[0][1] < horizon:
             cache.popleft()
@@ -290,10 +324,9 @@ class _HopRx:
 
 
 class _SeqWindow:
-    """Sliding membership window, bounded to `limit` entries."""
+    """Sliding membership window, bounded to DEDUP_WINDOW entries."""
 
-    def __init__(self, limit: int):
-        self.limit = limit
+    def __init__(self):
         self.entries: "OrderedDict[tuple, int]" = OrderedDict()
 
     def seen(self, entry: tuple) -> bool:
@@ -301,7 +334,7 @@ class _SeqWindow:
 
     def add(self, entry: tuple) -> None:
         self.entries[entry] = 1
-        while len(self.entries) > self.limit:
+        while len(self.entries) > DEDUP_WINDOW:
             self.entries.popitem(last=False)
 
     def __len__(self) -> int:
@@ -355,14 +388,13 @@ class NodeState:
 
     def _port(self, neighbor: NodeId) -> OutPort:
         if neighbor not in self.ports:
-            self.ports[neighbor] = OutPort(self.config.buffer_capacity,
-                                           self.config.control_capacity)
+            self.ports[neighbor] = OutPort(self.config.buffer_capacity)
         return self.ports[neighbor]
 
     def _window(self, src: NodeId, service: int) -> _SeqWindow:
         key = (src, _SERVICE_NAME.get(service, str(service)))
         if key not in self.dedup_window:
-            self.dedup_window[key] = _SeqWindow(self.config.dedup_window)
+            self.dedup_window[key] = _SeqWindow()
         return self.dedup_window[key]
 
     def _next_seq(self, dst: NodeId, kind: str) -> int:
@@ -386,7 +418,7 @@ class NodeState:
 
     def _route_pool(self, dst: NodeId) -> List[Path]:
         try:
-            return k_disjoint_paths(self.view, self.id, dst, self.config.rel_route_pool)
+            return k_disjoint_paths(self.view, self.id, dst, REL_ROUTE_POOL)
         except NoPath:
             return []
 
@@ -394,14 +426,14 @@ class NodeState:
         try:
             return 2.0 * shortest_path(self.view, self.id, dst).total_latency_ms
         except NoPath:
-            return self.config.default_rtt_ms
+            return DEFAULT_RTT_MS
 
     # -- client entry point --
 
     def client_send(self, dst: NodeId, payload: bytes, service: ServiceClass,
                     now: float, deadline_ms: Optional[float] = None,
                     priority: int = 0) -> Effects:
-        if len(payload) > self.config.max_payload_bytes:
+        if len(payload) > MAX_PAYLOAD_BYTES:
             raise PayloadTooLarge(f"{len(payload)} bytes")
         out: Effects = []
         if dst == self.id:
@@ -476,7 +508,7 @@ class NodeState:
         elif seq > rx.expected:
             self._mark_missing(rx, seq, now)
             rx.expected = seq + 1
-            self._arm_nack(from_nbr, rx, out, self.config.nack_delay_ms)
+            self._arm_nack(from_nbr, rx, out, NACK_DELAY_MS)
         else:
             if seq in rx.missing:
                 del rx.missing[seq]
@@ -492,7 +524,7 @@ class NodeState:
             # neighbor requests retransmission of the listed link seqs
             tx = self.hop_tx[from_nbr]
             for seq in _unpack_seqs(wire.payload):
-                cached = tx.lookup(seq, now, self.config)
+                cached = tx.lookup(seq, now)
                 if cached is None:
                     # evicted or expired: send an empty fill so the neighbor
                     # stops asking; the data is gone at this layer
@@ -517,7 +549,7 @@ class NodeState:
             if high >= rx.expected:
                 self._mark_missing(rx, high + 1, now)
             if rx.missing:
-                self._arm_nack(from_nbr, rx, out, self.config.nack_delay_ms)
+                self._arm_nack(from_nbr, rx, out, NACK_DELAY_MS)
             else:
                 confirm = Frame(kind=KIND_HOP_NACK, k=HOP_CONFIRM, src=self.id,
                                 dst=from_nbr, seq=high)
@@ -525,8 +557,8 @@ class NodeState:
 
     def _mark_missing(self, rx: _HopRx, end: int, now: float) -> None:
         """Every seq from rx.expected below `end` never arrived; remember at
-        most hop_cache_frames of them, the sender caches no more."""
-        for s in range(max(rx.expected, end - self.config.hop_cache_frames), end):
+        most HOP_CACHE_FRAMES of them, the sender caches no more."""
+        for s in range(max(rx.expected, end - HOP_CACHE_FRAMES), end):
             rx.missing[s] = now
         rx.expected = end
 
@@ -652,7 +684,7 @@ class NodeState:
         key = (data.src, data.seq)
         attempt = self.ack_rotation.get(key, 0)
         self.ack_rotation[key] = attempt + 1
-        while len(self.ack_rotation) > self.config.dedup_window:
+        while len(self.ack_rotation) > DEDUP_WINDOW:
             self.ack_rotation.popitem(last=False)
         if not duplicate and data.k == FLOODING:
             # first ack for a flooded message floods back
@@ -711,12 +743,12 @@ class NodeState:
         tx.next_seq += 1
         wire = Frame(kind=KIND_HOP_DATA, src=self.id, dst=neighbor, seq=seq,
                      inner=frame)
-        tx.store(wire, now, self.config)
+        tx.store(wire, now)
         tx.announce_round = 0
         # one timer per idle period: an armed timer that fires before the
         # new due time re-arms itself for it; one that fires later (a
         # back-off wait) is superseded
-        delay = self.config.announce_delay_ms
+        delay = ANNOUNCE_DELAY_MS
         tx.ann_due = due = now + delay
         if tx.ann_timer_at is None or tx.ann_timer_at > due:
             tx.ann_timer_at = due
@@ -745,7 +777,7 @@ class NodeState:
         if pending is None:
             return
         pending.attempts += 1
-        if pending.attempts > self.config.rel_max_retries:
+        if pending.attempts > REL_MAX_RETRIES:
             del self.rel_pending[(dst, seq)]
             self._count("rel_failed")
             out.append(ClientError("retries_exhausted", dst, seq, pending.frame))
@@ -777,13 +809,13 @@ class NodeState:
         if rx is None:
             return
         rx.nack_armed = False
-        horizon = now - self.config.hop_cache_expiry_ms
+        horizon = now - HOP_CACHE_EXPIRY_MS
         for seq in [s for s, t in rx.missing.items() if t < horizon]:
             del rx.missing[seq]
             self._count("hop_gave_up")
         if not rx.missing:
             return
-        want = sorted(rx.missing)[: self.config.nack_batch]
+        want = sorted(rx.missing)[:NACK_BATCH]
         nack = Frame(kind=KIND_HOP_NACK, src=self.id, dst=nbr,
                      payload=_pack_seqs(want))
         self._enqueue_control(nbr, nack, out)
@@ -796,7 +828,7 @@ class NodeState:
             link_lat = self.view.base.link(self.id, nbr).latency_ms
         except TopologyError:
             link_lat = 1.0
-        return max(self.config.renack_min_ms, 2.5 * link_lat)
+        return max(RENACK_MIN_MS, 2.5 * link_lat)
 
     def _announce_timer(self, nbr: NodeId, now: float, out: Effects) -> None:
         tx = self.hop_tx.get(nbr)
@@ -805,7 +837,7 @@ class NodeState:
         if now < tx.ann_due:
             # frames were wrapped since this timer was armed.  It fired no
             # earlier than the wrap that set ann_due, nor than
-            # announce_delay_ms into the run, so now >= ann_due / 2:
+            # ANNOUNCE_DELAY_MS into the run, so now >= ann_due / 2:
             # ann_due - now is exact (Sterbenz) and the engine's
             # now + delay lands on ann_due exactly
             tx.ann_timer_at = tx.ann_due
@@ -818,7 +850,7 @@ class NodeState:
                          dst=nbr, seq=tx.next_seq - 1)
         self._enqueue_control(nbr, announce, out)
         tx.announce_round += 1
-        if tx.announce_round < self.config.announce_retries:
+        if tx.announce_round < ANNOUNCE_RETRIES:
             delay = self._renack_ms(nbr) * 2 ** (tx.announce_round - 1)
             tx.ann_due = tx.ann_timer_at = now + delay
             out.append(SetTimer(("ann", nbr), delay))
@@ -826,9 +858,20 @@ class NodeState:
     # -- topology updates --
 
     def recompute_routes(self, new_view: TopologyView, now: float) -> Effects:
-        """Adopt a new view; purge or restamp traffic aimed at dead elements."""
-        self.view = new_view
+        """Adopt a new view; purge or restamp traffic aimed at dead elements.
+
+        A link that comes back up starts with fresh hop state, and the
+        cancels of its announce and nack timers lead the effects, so that
+        none of them kills a timer armed by a frame sent after it."""
         out: Effects = []
+        for nbr in new_view.base.neighbors(self.id):
+            if new_view.link_is_up(self.id, nbr) \
+                    and not self.view.link_is_up(self.id, nbr):
+                self.hop_tx.pop(nbr, None)
+                self.hop_rx.pop(nbr, None)
+                out.append(CancelTimer(("ann", nbr)))
+                out.append(CancelTimer(("nack", nbr)))
+        self.view = new_view
         # rerouting may open ports toward new neighbors; iterate a snapshot
         for nbr, port in list(self.ports.items()):
             if self._link_known(nbr) and new_view.link_is_up(self.id, nbr):

@@ -13,7 +13,9 @@ that keeps one packet in flight, an RTT probe that skips the ledger entirely,
 and a settlement audit that recomputes conservation and fees from the books.
 A node finds the stream session or probe that a FULFILL or REJECT answers by
 its payment id, in one table.  Expiries, timeouts, priorities and retry caps
-that no caller varies are the module constants below.
+are the module constants below; no caller varies them.  A stream retries at
+once only after an expired reject; after any other transient reject it waits
+for its session timer.
 """
 
 import hashlib
@@ -31,6 +33,8 @@ EXPIRY_MARGIN_MS = 1000.0
 # with gain RTT_ALPHA
 TIMEOUT_FACTOR = 4.0
 RTT_ALPHA = 0.125
+# a stream packet is given up after this many retries
+STREAM_MAX_RETRIES = 30
 PING_TIMEOUT_MS = 1000.0
 # overlay priority levels: fulfils and rejects beat prepares
 PREPARE_PRIORITY = 1
@@ -494,14 +498,12 @@ class IlpNode(Client):
     a connector.  All packet handling is driven by transport callbacks."""
 
     def __init__(self, client_id: str, address: str, transport,
-                 secret: bytes = b"", txlog: Optional[TxLog] = None,
-                 stream_max_retries: int = 10):
+                 secret: bytes = b"", txlog: Optional[TxLog] = None):
         super().__init__(client_id)
         self.address = address
         self.transport = transport
         self.secret = secret
         self.txlog = txlog or TxLog()
-        self.stream_max_retries = stream_max_retries
 
         self.links: Dict[str, PeerLink] = {}
         self.routes: List[Tuple[str, str]] = []   # (prefix, peer_client)
@@ -674,13 +676,17 @@ class IlpNode(Client):
         if pkt.code in (R_WRONG_CONDITION, R_NO_ROUTE):
             self._stream_finish(api, sess, STREAM_FAILED)
             return
-        # transient: leave the retry to the session timer
-        self._retry_stream(api, sess)
+        if pkt.code == R_EXPIRED:
+            # the packet ran out of time on the way: resend it at once
+            self._retry_stream(api, sess)
+        # any other reject is left to the session timer and its doubling
+        # back-off, so one that persists (a connector out of funds) does not
+        # use up the retry budget in one instant
 
     def _retry_stream(self, api: EngineApi, sess: StreamSession) -> None:
         sess.attempts_current += 1
         sess.retries += 1
-        if sess.attempts_current > self.stream_max_retries:
+        if sess.attempts_current > STREAM_MAX_RETRIES:
             self._stream_finish(api, sess, STREAM_FAILED)
             return
         self._stream_send_current(api, sess)

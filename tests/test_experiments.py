@@ -7,8 +7,7 @@ import weakref
 import pytest
 
 from helpers import data_file
-from spon import cli, experiments
-from spon.config import DEFAULT_CONFIG
+from spon import cli, experiments, netsim
 from spon.experiments import (MetricReport, ScenarioError, Scenario,
                               derive_seed, extract_samples, load_raw_reports,
                               make_scenario, run_scenario, summarize,
@@ -244,10 +243,10 @@ def test_artifacts_roundtrip_and_rerun_byte_identical(tmp_path):
         assert mem.samples == disk.samples
 
 
-def test_failed_run_flushes_partial_csv_with_marker(tmp_path):
+def test_failed_run_flushes_partial_csv_with_marker(tmp_path, monkeypatch):
+    monkeypatch.setattr(netsim, "EVENT_CAP", 50)
     sc = make_scenario("chain-ping-loss", pings=50, reps=1,
                        variants=("pri-fld",))
-    sc = replace(sc, config=replace(DEFAULT_CONFIG, event_cap=50))
     with pytest.raises(EngineOverrun):
         run_scenario(sc, out_dir=str(tmp_path))
     text = (tmp_path / "raw_pri-fld.csv").read_text()

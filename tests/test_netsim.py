@@ -1,8 +1,9 @@
 import pytest
 
 from helpers import data_file
-from spon.config import Config
+from spon import netsim
 from spon.netsim import (
+    HOP_PROCESSING_MS,
     AsUnderlay,
     Client,
     Engine,
@@ -16,7 +17,15 @@ from spon.netsim import (
     unpack_client,
 )
 from spon.frames import HOP_ANNOUNCE, HOP_CONFIRM, KIND_HOP_DATA, KIND_HOP_NACK
-from spon.overlay import PRI, REL, NodeState, ServiceClass, SetTimer
+from spon.overlay import (
+    ANNOUNCE_DELAY_MS,
+    PRI,
+    REL,
+    Config,
+    NodeState,
+    ServiceClass,
+    SetTimer,
+)
 from spon.topology import Change, Topology, parse_topology, load_topology
 
 CHAIN = data_file("chain.topo")
@@ -260,11 +269,11 @@ def test_meltdown_schedule_layout():
     assert ev[0].change.kind == "node_down" and ev[2].change.kind == "node_up"
 
 
-def test_event_cap_aborts_runaway():
+def test_event_cap_aborts_runaway(monkeypatch):
+    monkeypatch.setattr(netsim, "EVENT_CAP", 50)
     topo = two_node()
     sender = Burst("ca", "cb", 500, ServiceClass(PRI, 1), deadline_ms=5000)
-    eng = Engine(topo, [sender, Collector("cb")], seed=1,
-                 config=Config(event_cap=50))
+    eng = Engine(topo, [sender, Collector("cb")], seed=1)
     with pytest.raises(EngineOverrun):
         eng.run(horizon_ms=10_000.0)
 
@@ -416,7 +425,7 @@ def test_queued_frames_leave_back_to_back():
     # equal bodies make equal frames: one serialization time apart each
     assert gaps == pytest.approx([ser] * 9)
     assert sink.times[0] == pytest.approx(
-        ser + 5.0 + Config().hop_processing_ms)
+        ser + 5.0 + HOP_PROCESSING_MS)
 
 
 def test_saturated_link_has_one_live_tx_done_per_direction():
@@ -460,7 +469,7 @@ def test_frames_queued_as_the_wire_frees_up_wait_for_the_scheduler():
     probe = Engine(two_node(bw=1.0), [Tie(None), Collector("cb")], seed=1)
     probe.run(horizon_ms=0.0)
     done_ms = probe.link_dirs[("A", "B")].busy_until
-    assert 0.0 < done_ms < Config().announce_delay_ms
+    assert 0.0 < done_ms < ANNOUNCE_DELAY_MS
 
     sink = Collector("cb")
     eng = Engine(two_node(bw=1.0), [Tie(done_ms), sink], seed=1)
@@ -658,7 +667,7 @@ def test_burst_arms_few_announce_timers_and_announces_after_its_last_frame(
     assert len([a for a in armed if a[1] == ("n", "A")]) <= len(data) // 20
     # the one announce of the idle period leaves when the last frame's is due
     announces = [t for t, *_ in left(wraps, "A", KIND_HOP_NACK)]
-    assert announces == [data[-1] + Config().announce_delay_ms]
+    assert announces == [data[-1] + ANNOUNCE_DELAY_MS]
 
 
 @pytest.mark.parametrize("second_ms", [20.0, 38.0])
@@ -678,7 +687,7 @@ def test_frame_wrapped_in_a_back_off_wait_is_announced_on_time(monkeypatch,
     announces = [t for t, *_ in left(wraps, "A", KIND_HOP_NACK)]
     assert announces[:2] == [2.0, 14.5]
     assert [t for t in announces if t > second_ms] == [
-        second_ms + Config().announce_delay_ms]
+        second_ms + ANNOUNCE_DELAY_MS]
 
 
 def test_link_reset_lets_the_next_frame_arm_a_fresh_announce_timer(monkeypatch):
@@ -695,10 +704,10 @@ def test_link_reset_lets_the_next_frame_arm_a_fresh_announce_timer(monkeypatch):
     eng.run(horizon_ms=210.0)
     data = left(wraps, "A", KIND_HOP_DATA)
     assert [(t, armed) for t, _, _, armed in data] == [
-        (0.0, [Config().announce_delay_ms]),
-        (200.0, [Config().announce_delay_ms])]
+        (0.0, [ANNOUNCE_DELAY_MS]),
+        (200.0, [ANNOUNCE_DELAY_MS])]
     announces = [t for t, *_ in left(wraps, "A", KIND_HOP_NACK)]
-    assert announces[-1] == 200.0 + Config().announce_delay_ms
+    assert announces[-1] == 200.0 + ANNOUNCE_DELAY_MS
 
 
 # --- cached link-direction state ---------------------------------------------------

@@ -3,7 +3,6 @@ from dataclasses import replace
 import pytest
 
 from helpers import build_view, data_file
-from spon.config import Config
 from spon.frames import (
     Frame,
     HOP_ANNOUNCE,
@@ -15,12 +14,19 @@ from spon.frames import (
     SERVICE_PRI,
     SERVICE_REL,
 )
+from spon import overlay
 from spon.overlay import (
+    ANNOUNCE_DELAY_MS,
+    ANNOUNCE_RETRIES,
+    HOP_CACHE_EXPIRY_MS,
+    MAX_PAYLOAD_BYTES,
     PRI,
     REL,
+    REL_MAX_RETRIES,
     Behavior,
     CancelTimer,
     ClientError,
+    Config,
     Deliver,
     Drop,
     FLOODING,
@@ -81,9 +87,10 @@ def test_send_loopback_delivers_directly():
 
 
 def test_send_rejects_oversized_payload():
-    n1 = node("1", config=Config(max_payload_bytes=4))
+    n1 = node("1")
     with pytest.raises(PayloadTooLarge):
-        n1.client_send("5", b"12345", ServiceClass(PRI, 1), now=0.0)
+        n1.client_send("5", b"x" * (MAX_PAYLOAD_BYTES + 1),
+                       ServiceClass(PRI, 1), now=0.0)
 
 
 def test_send_no_route_raises():
@@ -214,7 +221,7 @@ def pri_frame(src, seq, priority=0, deadline_us=0):
 
 
 def test_round_robin_alternates_sources():
-    port = OutPort(capacity=2000, control_capacity=10)
+    port = OutPort(capacity=2000)
     for i in range(1000):
         port.enqueue(pri_frame("A", i))
     for i in range(10):
@@ -230,7 +237,7 @@ def test_round_robin_alternates_sources():
 
 
 def test_round_robin_share_within_one():
-    port = OutPort(capacity=5000, control_capacity=10)
+    port = OutPort(capacity=5000)
     sources = ["s1", "s2", "s3"]
     for src in sources:
         for i in range(200):
@@ -243,7 +250,7 @@ def test_round_robin_share_within_one():
 
 
 def test_priority_levels_within_partition():
-    port = OutPort(capacity=100, control_capacity=10)
+    port = OutPort(capacity=100)
     port.enqueue(pri_frame("A", 1, priority=0))
     port.enqueue(pri_frame("A", 2, priority=2))
     port.enqueue(pri_frame("A", 3, priority=0))
@@ -256,8 +263,9 @@ def held(port):
                                    for q in levels.values())
 
 
-def test_port_length_counts_the_frames_it_holds():
-    port = OutPort(capacity=3, control_capacity=2)
+def test_port_length_counts_the_frames_it_holds(monkeypatch):
+    monkeypatch.setattr(overlay, "CONTROL_CAPACITY", 2)
+    port = OutPort(capacity=3)
     checks = []
 
     def check():
@@ -466,7 +474,7 @@ def test_unconfirmed_announces_stop_after_the_retry_budget():
     wire_frames(a, "B", 1)
     delays = []
     now = 2.0
-    for _ in range(Config().announce_retries):
+    for _ in range(ANNOUNCE_RETRIES):
         sent, rearm = announce(a, "B", now)
         assert sent is not None
         if rearm is not None:
@@ -477,11 +485,11 @@ def test_unconfirmed_announces_stop_after_the_retry_budget():
     assert rearm is None
 
 
-def test_evicted_cache_entry_yields_empty_fill():
-    cfg = Config(hop_cache_frames=3)
+def test_evicted_cache_entry_yields_empty_fill(monkeypatch):
+    monkeypatch.setattr(overlay, "HOP_CACHE_FRAMES", 3)
     view = build_view("AB", [("A", "B", 2.0)])
-    a = NodeState("A", view, cfg)
-    b = NodeState("B", view, cfg)
+    a = NodeState("A", view)
+    b = NodeState("B", view)
     wires = wire_frames(a, "B", 4)      # cache keeps seqs 1..3, evicting 0
     # only the last wire frame arrives; 0..2 are marked missing
     fx = b.handle_frame("A", wires[3], 1.0)
@@ -575,12 +583,11 @@ def test_rel_timeout_of_a_flooded_message_only_sends_routed_copies():
 
 
 def test_rel_gives_up_after_max_retries():
-    cfg = Config(rel_max_retries=2)
-    n1 = NodeState("1", chain_view(), cfg)
+    n1 = node("1")
     n1.client_send("5", b"m", ServiceClass(REL, 1), now=0.0)
-    n1.handle_timer(("rel", "5", 1), None, 1.0)
-    n1.handle_timer(("rel", "5", 1), None, 2.0)
-    fx = n1.handle_timer(("rel", "5", 1), None, 3.0)
+    for attempt in range(1, REL_MAX_RETRIES + 1):
+        n1.handle_timer(("rel", "5", 1), None, float(attempt))
+    fx = n1.handle_timer(("rel", "5", 1), None, REL_MAX_RETRIES + 1.0)
     errors = [e for e in fx if isinstance(e, ClientError)]
     assert errors and errors[0].reason == "retries_exhausted"
     assert not n1.rel_pending
@@ -642,31 +649,56 @@ def test_recompute_restamps_routed_frames():
     assert tx[0].frame.routes[0] == ("1", "9", "10", "11", "5")
 
 
-def test_replay_cache_lookup_by_seq():
-    cfg = Config(hop_cache_frames=3)
+def test_a_link_back_up_starts_with_fresh_hop_state():
+    n12 = node("12")
+    wire_frames(n12, "13", 3)
+    gap = Frame(kind=KIND_HOP_DATA, src="1", dst="12", seq=4,
+                inner=routed_frame("1", "5", ("1", "12", "13", "14", "5")))
+    n12.handle_frame("1", gap, 3.0)
+    assert n12.hop_rx["1"].missing and n12.hop_tx["13"].next_seq == 3
+    down = chain_view()
+    for a, b in [("12", "13"), ("1", "12")]:
+        down = apply_fault(down, Change.link_down(a, b))
+    n12.recompute_routes(down, 4.0)
+    n12.handle_frame("1", routed_frame("1", "5", ("1", "12", "13", "14", "5"),
+                                       service=SERVICE_REL, seq=2), 5.0)
+    assert len(n12.parked) == 1
+    # both links come back: their old timers are cancelled before the parked
+    # frame is sent, so the announce timer its wrap arms survives
+    fx = n12.recompute_routes(chain_view(), 6.0)
+    assert fx[:4] == [CancelTimer(("ann", "1")), CancelTimer(("nack", "1")),
+                      CancelTimer(("ann", "13")), CancelTimer(("nack", "13"))]
+    assert not [e for e in fx[4:] if isinstance(e, CancelTimer)]
+    assert [t.neighbor for t in transmits(fx)] == ["13"]
+    assert "1" not in n12.hop_rx and "13" not in n12.hop_tx
+    assert n12.wrap_for_link(transmits(fx)[0].frame, "13", 6.0, []).seq == 0
+
+
+def test_replay_cache_lookup_by_seq(monkeypatch):
+    monkeypatch.setattr(overlay, "HOP_CACHE_FRAMES", 3)
     view = build_view("AB", [("A", "B", 2.0)])
-    a = NodeState("A", view, cfg)
+    a = NodeState("A", view)
     wires = wire_frames(a, "B", 5)      # stored at 0..4 ms; 0 and 1 evicted
     tx = a.hop_tx["B"]
     assert (tx.first_seq, tx.next_seq) == (2, 5)
-    assert [tx.lookup(s, 5.0, cfg) for s in range(7)] == [
+    assert [tx.lookup(s, 5.0) for s in range(7)] == [
         None, None, wires[2], wires[3], wires[4], None, None]
     # past the expiry horizon of the frames stored at 2 and 3 ms
-    now = 3.5 + cfg.hop_cache_expiry_ms
-    assert tx.lookup(3, now, cfg) is None
+    now = 3.5 + HOP_CACHE_EXPIRY_MS
+    assert tx.lookup(3, now) is None
     assert tx.first_seq == 4
-    assert tx.lookup(4, now, cfg) is wires[4]
-    assert tx.lookup(4, now + 1.0, cfg) is None
+    assert tx.lookup(4, now) is wires[4]
+    assert tx.lookup(4, now + 1.0) is None
     assert not tx.cache and tx.first_seq == tx.next_seq
     # a frame wrapped after the cache emptied is found under its own seq
     fx = []
     late = a.wrap_for_link(wires[0].inner, "B", now + 2.0, fx)
-    assert late.seq == 5 and tx.lookup(5, now + 2.0, cfg) is late
+    assert late.seq == 5 and tx.lookup(5, now + 2.0) is late
 
 
 def test_wrap_arms_the_announce_timer_once_per_idle_period():
     a, _b = pair()
-    delay = Config().announce_delay_ms
+    delay = ANNOUNCE_DELAY_MS
 
     def wrap(now):
         fx = []

@@ -25,6 +25,7 @@ from spon.payment import (
     REJECT,
     STREAM_COMPLETE,
     STREAM_FAILED,
+    STREAM_RUNNING,
     TxLog,
     condition_of,
     decode_packet,
@@ -481,6 +482,10 @@ def test_hold_after_a_failed_place_hold_gets_a_fresh_id():
 
     sid = s.start_stream(api, "g.r.x", b"shh", 200, 200)
     pump(api, nodes, drop=script)
+    # the expired reject is retried at once, the funds reject by the timer
+    api.now = api.timers[("cs", ("sess", sid))]
+    s.on_timer(("sess", sid), None, api)
+    pump(api, nodes, drop=script)
     assert rejects == [R_EXPIRED, R_INSUFFICIENT_FUNDS]
     assert c.counters.get("out_of_funds") == 1
     assert s.sessions[sid].state == STREAM_COMPLETE
@@ -489,6 +494,30 @@ def test_hold_after_a_failed_place_hold_gets_a_fresh_id():
     assert l2.hold_state(group + ":0") == HOLD_VOID
     assert l2.hold_state(group + ":1") == HOLD_EXECUTED
     assert settle_check([l1, l2], api.now, txlog).ok
+
+
+def test_a_persistent_reject_waits_for_the_session_timer():
+    s, c, r, l1, l2, txlog = three_party()
+    api = FakeApi()
+    nodes = {"cs": s, "cc": c, "cr": r}
+    # every hold the connector tries to place on L2 fails for want of funds
+    l2.place_hold("lock", "lock:0:cc>cr", "cc", "cr", l2.balance("cc"),
+                  b"\x00" * 32, 1e9)
+    sid = s.start_stream(api, "g.r.x", b"shh", 200, 200)
+    pump(api, nodes)
+    sess = s.sessions[sid]
+    assert c.counters.get("out_of_funds") == 1
+    assert s.counters.get("reject_insufficient_funds") == 1
+    assert sess.state == STREAM_RUNNING and sess.retries == 0
+    due = api.timers[("cs", ("sess", sid))]
+    assert due > api.now
+    api.now = due
+    s.on_timer(("sess", sid), None, api)
+    pump(api, nodes)
+    assert c.counters.get("out_of_funds") == 2
+    assert sess.state == STREAM_RUNNING and sess.retries == 1
+    # the next wait is longer: the timer doubles per retry
+    assert api.timers[("cs", ("sess", sid))] - api.now > due
 
 
 # --- engine integration -----------------------------------------------------------------
