@@ -92,9 +92,6 @@ class Scenario:
     # fairness
     clients_per_flow: int = 100
     ramp_interval_ms: float = 1000.0
-    capacity_mbps: float = 15.0
-    payload_bytes: int = 1200
-    measure_ms: float = 30_000.0     # observation window after the full ramp
     # AS underlay
     as_edges: Tuple[Tuple[int, int], ...] = ()
     direct_as_pair: Optional[Tuple[int, int]] = None
@@ -245,7 +242,6 @@ def fairness(clients_per_flow: int = 100, ramp_interval_ms: float = 1000.0,
         horizon_ms=horizon,
         clients_per_flow=clients_per_flow,
         ramp_interval_ms=ramp_interval_ms,
-        measure_ms=measure_ms,
         # shallow per-flow buffers so saturation shows up as tail drops
         # rather than sojourn times beyond the delivery deadline; the metric
         # here is bandwidth share, not timeliness
@@ -338,6 +334,9 @@ class StreamDriver(IlpNode):
 
 # a flow source adds credit and sends what it affords once per tick
 FLOW_TICK_MS = 5.0
+# each fairness flow offers the bottleneck's full rate in packets of this size
+CAPACITY_MBPS = 15.0
+PAYLOAD_BYTES = 1200
 
 
 class FlowSource(Client):
@@ -499,12 +498,11 @@ def _run_payment_once(sc: Scenario, topo: Topology, variant: str, rep: int,
 
 def _run_fairness_once(sc: Scenario, topo: Topology, variant: str, rep: int,
                        rep_seed: int) -> RunResult:
-    per_flow = sc.capacity_mbps
-    honest = FlowSource("c5", "c2", sc.payload_bytes, per_flow)
+    honest = FlowSource("c5", "c2", PAYLOAD_BYTES, CAPACITY_MBPS)
     clients = [honest, FlowSink("c2")]
     flows = {"c5": "honest"}
     if variant == "ramp":
-        clients.append(FlowSource("c6", "c2", sc.payload_bytes, per_flow,
+        clients.append(FlowSource("c6", "c2", PAYLOAD_BYTES, CAPACITY_MBPS,
                                   clients_max=sc.clients_per_flow,
                                   ramp_interval_ms=sc.ramp_interval_ms))
         flows["c6"] = "malicious"

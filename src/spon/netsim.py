@@ -23,9 +23,9 @@ its reserved seq, so it pops exactly where an eagerly pushed one would have.
 
 The engine's own parameters (per-hop processing time, view propagation delay,
 event budget, raw-pipe header size) are the module constants below; the
-relays' protocol parameters live in `spon.overlay`.  A node handles its own
-hop state when a link comes back up (`NodeState.recompute_routes`); the
-engine only hands it the new view.
+relays' protocol parameters live in `spon.overlay`.  A node drops its own
+hop state when a link goes down (`NodeState.recompute_routes`); the engine
+only hands it the new view.
 """
 
 import csv

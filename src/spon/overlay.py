@@ -17,10 +17,13 @@ link goes idle so trailing losses are detected without new traffic.  Every
 announce asks the receiver to confirm that it holds every frame up to the
 high-water mark, and the sender stops announcing once it does; unanswered
 announces repeat, spaced by the re-nack interval and doubling (a tail-loss
-probe, as in TCP's RACK-TLP).  A busy link arms one announce timer per idle
-period, not one per frame: the timer, when it fires before the last frame's
-announce is due, re-arms itself for that time.  The replay cache is indexed
-by link sequence number.
+probe, as in TCP's RACK-TLP).  The announce timer is armed when the port
+empties, by the wrap that leaves no data frame waiting, so the announce
+leaves ANNOUNCE_DELAY_MS after a busy period's last frame; a timer that
+fires while data frames wait does nothing, and waiting control frames never
+hold it back.  The replay cache is indexed by link sequence number.  A node
+drops a link's hop state when its view says the link went down, so a
+neighbour that restarts with fresh link seqs is heard from seq 0.
 
 Every relay runs the same protocol parameters, the module constants below.
 `Config` holds the two that a scenario varies: the fair-queue partition size
@@ -280,9 +283,7 @@ class _HopTx:
 
     The replay cache holds (wire frame, time stored) for the contiguous seqs
     first_seq .. next_seq - 1, oldest on the left, so a seq indexes it
-    directly.  The announce timer is armed once per idle period: ann_due is
-    when the next announce is due, ann_timer_at when the armed timer fires
-    (None when none is armed).
+    directly.
     """
 
     def __init__(self):
@@ -291,8 +292,6 @@ class _HopTx:
         self.first_seq = 0
         self.announce_round = 0
         self.confirmed = -1      # highest seq the receiver confirmed holding
-        self.ann_due = 0.0
-        self.ann_timer_at: Optional[float] = None
 
     def store(self, frame: Frame, now: float) -> None:
         """Cache the frame carrying seq next_seq - 1."""
@@ -386,6 +385,16 @@ class NodeState:
     def _count(self, reason: str) -> None:
         self.counters[reason] = self.counters.get(reason, 0) + 1
 
+    def _drop(self, reason: str, frame: Frame, out: Effects) -> None:
+        self._count(reason)
+        out.append(Drop(reason, frame))
+
+    def _data_waiting(self, neighbor: NodeId) -> bool:
+        """A data frame waits in the port toward `neighbor`; control frames
+        never count, and a missing port is empty."""
+        port = self.ports.get(neighbor)
+        return port is not None and port.queued > len(port.control)
+
     def _port(self, neighbor: NodeId) -> OutPort:
         if neighbor not in self.ports:
             self.ports[neighbor] = OutPort(self.config.buffer_capacity)
@@ -406,15 +415,13 @@ class NodeState:
         if self._port(neighbor).enqueue(frame):
             out.append(Transmit(neighbor, frame))
         else:
-            self._count("buffer_full")
-            out.append(Drop("buffer_full", frame))
+            self._drop("buffer_full", frame, out)
 
     def _enqueue_control(self, neighbor: NodeId, frame: Frame, out: Effects) -> None:
         if self._port(neighbor).enqueue_control(frame):
             out.append(Transmit(neighbor, frame))
         else:
-            self._count("control_overflow")
-            out.append(Drop("control_overflow", frame))
+            self._drop("control_overflow", frame, out)
 
     def _route_pool(self, dst: NodeId) -> List[Path]:
         try:
@@ -513,8 +520,7 @@ class NodeState:
             if seq in rx.missing:
                 del rx.missing[seq]
             else:
-                self._count("hop_duplicate")
-                out.append(Drop("hop_duplicate", wire))
+                self._drop("hop_duplicate", wire, out)
                 return None
         return wire.inner
 
@@ -528,8 +534,7 @@ class NodeState:
                 if cached is None:
                     # evicted or expired: send an empty fill so the neighbor
                     # stops asking; the data is gone at this layer
-                    self._count("hop_unrecoverable")
-                    out.append(Drop("hop_unrecoverable", wire))
+                    self._drop("hop_unrecoverable", wire, out)
                     tomb = Frame(kind=KIND_HOP_DATA, src=self.id, dst=from_nbr,
                                  seq=seq)
                     self._enqueue_control(from_nbr, tomb, out)
@@ -580,12 +585,10 @@ class NodeState:
     def _process(self, from_nbr: NodeId, frame: Frame, now: float, out: Effects,
                  delayed: bool = False) -> None:
         if frame.kind not in (KIND_DATA, KIND_ACK):
-            self._count("unhandled_kind")
-            out.append(Drop("unhandled_kind", frame))
+            self._drop("unhandled_kind", frame, out)
             return
         if self._adversarial(frame):
-            self._count("adversarial")
-            out.append(Drop("adversarial", frame))
+            self._drop("adversarial", frame, out)
             return
         if self.behavior.kind == "delay" and not delayed:
             self._delay_counter += 1
@@ -603,8 +606,7 @@ class NodeState:
         window = self._window(frame.src, frame.service)
         entry = (frame.dst, frame.seq, frame.kind)
         if window.seen(entry):
-            self._count("duplicate")
-            out.append(Drop("duplicate", frame))
+            self._drop("duplicate", frame, out)
             if frame.dst == self.id and frame.kind == KIND_DATA \
                     and frame.service == SERVICE_REL:
                 self._send_ack(frame, from_nbr, now, out, duplicate=True)
@@ -622,8 +624,7 @@ class NodeState:
             window = self._window(frame.src, frame.service)
             entry = (frame.dst, frame.seq, frame.kind)
             if window.seen(entry):
-                self._count("duplicate")
-                out.append(Drop("duplicate", frame))
+                self._drop("duplicate", frame, out)
                 if frame.kind == KIND_DATA and frame.service == SERVICE_REL:
                     self._send_ack(frame, from_nbr, now, out, duplicate=True)
                 return
@@ -632,8 +633,7 @@ class NodeState:
             return
         nxt = self._next_hop(frame)
         if nxt is None:
-            self._count("not_on_route")
-            out.append(Drop("not_on_route", frame))
+            self._drop("not_on_route", frame, out)
             return
         if self.view.node_is_up(nxt) and self.view.link_is_up(self.id, nxt):
             self._enqueue_data(nxt, frame, out)
@@ -659,8 +659,7 @@ class NodeState:
                 self.parked.append(frame)
                 self._count("parked")
             else:
-                self._count("no_route")
-                out.append(Drop("no_route", frame))
+                self._drop("no_route", frame, out)
             return
         restamped = replace(frame, routes=(path.hops,))
         self._enqueue_data(path.hops[1], restamped, out)
@@ -728,8 +727,10 @@ class NodeState:
             return None, out
         frame, expired = port.dequeue(now)
         for late in expired:
-            self._count("deadline_expired")
-            out.append(Drop("deadline_expired", late))
+            self._drop("deadline_expired", late, out)
+        if frame is None and expired and neighbor in self.hop_tx:
+            # the port emptied without a wrap: the announce counts from here
+            out.append(SetTimer(("ann", neighbor), ANNOUNCE_DELAY_MS))
         return frame, out
 
     def wrap_for_link(self, frame: Frame, neighbor: NodeId, now: float,
@@ -745,14 +746,10 @@ class NodeState:
                      inner=frame)
         tx.store(wire, now)
         tx.announce_round = 0
-        # one timer per idle period: an armed timer that fires before the
-        # new due time re-arms itself for it; one that fires later (a
-        # back-off wait) is superseded
-        delay = ANNOUNCE_DELAY_MS
-        tx.ann_due = due = now + delay
-        if tx.ann_timer_at is None or tx.ann_timer_at > due:
-            tx.ann_timer_at = due
-            out.append(SetTimer(("ann", neighbor), delay))
+        # the wrap that empties the port arms the announce and supersedes
+        # any earlier arming, a back-off wait included
+        if not self._data_waiting(neighbor):
+            out.append(SetTimer(("ann", neighbor), ANNOUNCE_DELAY_MS))
         return wire
 
     # -- timers --
@@ -832,18 +829,8 @@ class NodeState:
 
     def _announce_timer(self, nbr: NodeId, now: float, out: Effects) -> None:
         tx = self.hop_tx.get(nbr)
-        if tx is None:
-            return
-        if now < tx.ann_due:
-            # frames were wrapped since this timer was armed.  It fired no
-            # earlier than the wrap that set ann_due, nor than
-            # ANNOUNCE_DELAY_MS into the run, so now >= ann_due / 2:
-            # ann_due - now is exact (Sterbenz) and the engine's
-            # now + delay lands on ann_due exactly
-            tx.ann_timer_at = tx.ann_due
-            out.append(SetTimer(("ann", nbr), tx.ann_due - now))
-            return
-        tx.ann_timer_at = None
+        if tx is None or self._data_waiting(nbr):
+            return     # the link is busy; its last wrap arms the timer again
         if tx.confirmed >= tx.next_seq - 1:
             return
         announce = Frame(kind=KIND_HOP_NACK, k=HOP_ANNOUNCE, src=self.id,
@@ -852,7 +839,6 @@ class NodeState:
         tx.announce_round += 1
         if tx.announce_round < ANNOUNCE_RETRIES:
             delay = self._renack_ms(nbr) * 2 ** (tx.announce_round - 1)
-            tx.ann_due = tx.ann_timer_at = now + delay
             out.append(SetTimer(("ann", nbr), delay))
 
     # -- topology updates --
@@ -860,13 +846,15 @@ class NodeState:
     def recompute_routes(self, new_view: TopologyView, now: float) -> Effects:
         """Adopt a new view; purge or restamp traffic aimed at dead elements.
 
-        A link that comes back up starts with fresh hop state, and the
-        cancels of its announce and nack timers lead the effects, so that
-        none of them kills a timer armed by a frame sent after it."""
+        A link that goes down drops its hop state, and the cancels of its
+        announce and nack timers lead the effects.  A restarted neighbour
+        starts its link seqs at 0 as soon as it is up, before this node
+        adopts the view that says so; dropping the state here, not when the
+        link comes back, lets those first frames through."""
         out: Effects = []
         for nbr in new_view.base.neighbors(self.id):
-            if new_view.link_is_up(self.id, nbr) \
-                    and not self.view.link_is_up(self.id, nbr):
+            if self.view.link_is_up(self.id, nbr) \
+                    and not new_view.link_is_up(self.id, nbr):
                 self.hop_tx.pop(nbr, None)
                 self.hop_rx.pop(nbr, None)
                 out.append(CancelTimer(("ann", nbr)))

@@ -21,12 +21,12 @@ from typing import Dict, List
 
 import pytest
 
-from helpers import oracle_disjoint, random_view
+from helpers import (_Pump, _Sink, _random_lossy_world, oracle_disjoint,
+                     random_view)
 from spon.experiments import MetricReport, make_scenario, run_scenario
-from spon.netsim import Client, Engine, EngineApi, FaultEvent, ServiceClass
+from spon.netsim import Engine, FaultEvent, ServiceClass
 from spon.overlay import PRI, REL
-from spon.topology import (Change, LinkSpec, NoPath, Topology, TopologyView,
-                           k_disjoint_paths)
+from spon.topology import Change, NoPath, k_disjoint_paths
 
 CAPACITY_MBPS = 15.0
 
@@ -194,80 +194,6 @@ def test_07_disjoint_paths_match_brute_force_on_200_random_graphs():
 
 
 # --- 8: exactly-once delivery ------------------------------------------------------
-
-class _Pump(Client):
-    """Feeds a fixed message list into the mesh, one every few ms."""
-
-    def __init__(self, cid, dst, bodies, service, gap_ms=5.0):
-        super().__init__(cid)
-        self.dst = dst
-        self.bodies = list(bodies)
-        self.service = service
-        self.gap = gap_ms
-        self.sent: List[bytes] = []
-
-    def on_start(self, api: EngineApi) -> None:
-        api.set_timer(self.client_id, ("next",), self.gap)
-
-    def on_timer(self, timer_id, data, api: EngineApi) -> None:
-        if not self.bodies:
-            return
-        body = self.bodies.pop(0)
-        if api.send(self.client_id, self.dst, body, self.service):
-            self.sent.append(body)
-        else:
-            self.bodies.insert(0, body)   # backpressure: retry next tick
-        api.set_timer(self.client_id, ("next",), self.gap)
-
-
-class _Sink(Client):
-    def __init__(self, cid):
-        super().__init__(cid)
-        self.got: List[bytes] = []
-
-    def on_deliver(self, src_client, body, wire_bytes, api) -> None:
-        self.got.append(body)
-
-
-def _reachable_without(adj, src, dst, removed):
-    seen = {src}
-    stack = [src]
-    while stack:
-        u = stack.pop()
-        if u == dst:
-            return True
-        for v in adj[u]:
-            if v not in seen and v != removed:
-                seen.add(v)
-                stack.append(v)
-    return False
-
-
-def _random_lossy_world(rng):
-    """Random mesh with lossy links and a killable non-cut relay."""
-    while True:
-        n = rng.randint(5, 10)
-        nodes = [f"n{i}" for i in range(n)]
-        adj = {x: set() for x in nodes}
-        links = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < 0.35:
-                    links.append(LinkSpec(nodes[i], nodes[j],
-                                          float(rng.randint(1, 10)),
-                                          rng.uniform(0.0, 0.10), 100.0))
-                    adj[nodes[i]].add(nodes[j])
-                    adj[nodes[j]].add(nodes[i])
-        if not _reachable_without(adj, "n0", "n1", None):
-            continue
-        victims = [v for v in nodes if v not in ("n0", "n1")
-                   and _reachable_without(adj, "n0", "n1", v)]
-        if not victims:
-            continue
-        topo = Topology(nodes=tuple(nodes), links=tuple(links),
-                        attachments={"cs": "n0", "cr": "n1"}, as_homing={})
-        return topo, rng.choice(victims)
-
 
 def test_08_flooding_delivers_exactly_once_under_loss_and_outages():
     rng = random.Random(99)

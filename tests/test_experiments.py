@@ -8,10 +8,10 @@ import pytest
 
 from helpers import data_file
 from spon import cli, experiments, netsim
-from spon.experiments import (MetricReport, ScenarioError, Scenario,
-                              derive_seed, extract_samples, load_raw_reports,
-                              make_scenario, run_scenario, summarize,
-                              variant_name, variant_service)
+from spon.experiments import (CAPACITY_MBPS, MetricReport, ScenarioError,
+                              Scenario, derive_seed, extract_samples,
+                              load_raw_reports, make_scenario, run_scenario,
+                              summarize, variant_name, variant_service)
 from spon.netsim import EngineOverrun
 from spon.overlay import PRI, REL
 
@@ -127,7 +127,7 @@ def test_fairness_converges_to_even_split():
                        measure_ms=6_000.0)
     reports = run_scenario(sc)
     solo, ramp = reports
-    cap = sc.capacity_mbps
+    cap = CAPACITY_MBPS
     assert statistics.fmean(solo.samples["honest_mbps"]) > 0.85 * cap
     honest = statistics.fmean(ramp.samples["honest_mbps"])
     malicious = statistics.fmean(ramp.samples["malicious_mbps"])

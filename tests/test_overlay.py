@@ -659,18 +659,26 @@ def test_a_link_back_up_starts_with_fresh_hop_state():
     down = chain_view()
     for a, b in [("12", "13"), ("1", "12")]:
         down = apply_fault(down, Change.link_down(a, b))
-    n12.recompute_routes(down, 4.0)
-    n12.handle_frame("1", routed_frame("1", "5", ("1", "12", "13", "14", "5"),
-                                       service=SERVICE_REL, seq=2), 5.0)
-    assert len(n12.parked) == 1
-    # both links come back: their old timers are cancelled before the parked
-    # frame is sent, so the announce timer its wrap arms survives
-    fx = n12.recompute_routes(chain_view(), 6.0)
+    # both links go down: their hop state goes, and the cancels of their
+    # timers lead the effects
+    fx = n12.recompute_routes(down, 4.0)
     assert fx[:4] == [CancelTimer(("ann", "1")), CancelTimer(("nack", "1")),
                       CancelTimer(("ann", "13")), CancelTimer(("nack", "13"))]
     assert not [e for e in fx[4:] if isinstance(e, CancelTimer)]
-    assert [t.neighbor for t in transmits(fx)] == ["13"]
     assert "1" not in n12.hop_rx and "13" not in n12.hop_tx
+    # a restarted neighbour's first frame, seq 0, arrives before the view
+    # that brings its link back, and is no duplicate
+    first = Frame(kind=KIND_HOP_DATA, src="1", dst="12", seq=0,
+                  inner=routed_frame("1", "5", ("1", "12", "13", "14", "5"),
+                                     service=SERVICE_REL, seq=2))
+    assert not drops(n12.handle_frame("1", first, 5.0))
+    assert len(n12.parked) == 1
+    # both links come back: nothing is reset or cancelled, and the parked
+    # frame is the first on its link
+    fx = n12.recompute_routes(chain_view(), 6.0)
+    assert not [e for e in fx if isinstance(e, CancelTimer)]
+    assert [t.neighbor for t in transmits(fx)] == ["13"]
+    assert n12.hop_rx["1"].expected == 1
     assert n12.wrap_for_link(transmits(fx)[0].frame, "13", 6.0, []).seq == 0
 
 
@@ -698,21 +706,46 @@ def test_replay_cache_lookup_by_seq(monkeypatch):
 
 def test_wrap_arms_the_announce_timer_once_per_idle_period():
     a, _b = pair()
-    delay = ANNOUNCE_DELAY_MS
+    port = a._port("B")
 
-    def wrap(now):
-        fx = []
-        a.wrap_for_link(Frame(kind=KIND_DATA, service=SERVICE_PRI, k=1,
-                              src="A", dst="B", routes=(("A", "B"),)),
-                        "B", now, fx)
-        return [e.delay_ms for e in fx if isinstance(e, SetTimer)]
+    def data(seq, deadline_us=0):
+        return Frame(kind=KIND_DATA, service=SERVICE_PRI, k=1, src="A",
+                     dst="B", seq=seq, deadline_us=deadline_us,
+                     routes=(("A", "B"),))
 
-    assert wrap(0.0) == [delay]
-    assert wrap(0.5) == wrap(1.5) == []
-    # fired before the last frame's announce is due: re-arm, send nothing
-    assert announce(a, "B", 2.0) == (None, SetTimer(("ann", "B"), 1.5))
-    sent, backoff = announce(a, "B", 3.5)
-    assert sent.seq == 2 and backoff.delay_ms == 5.0
-    # a frame due before the back-off wait ends supersedes it
-    assert wrap(4.0) == [delay]
+    def send(now):
+        """Dequeue and wrap like the engine; return the timers armed."""
+        frame, fx = a.scheduler_dequeue("B", now)
+        if frame is not None:
+            a.wrap_for_link(frame, "B", now, fx)
+        return [e for e in fx if isinstance(e, SetTimer)]
+
+    for seq in (1, 2, 3):
+        port.enqueue(data(seq))
+    # data still waits behind the wrapped frame: nothing is armed
+    assert send(0.0) == send(0.5) == []
+    # a timer that fires while data waits does nothing
+    assert announce(a, "B", 0.7) == (None, None)
+    # the wrap that empties the port arms the announce
+    assert send(1.0) == [SetTimer(("ann", "B"), ANNOUNCE_DELAY_MS)]
+    # a waiting control frame does not hold the announce back
+    port.enqueue_control(Frame(kind=KIND_HOP_NACK, k=HOP_CONFIRM, src="A",
+                               dst="B", seq=0))
+    sent, backoff = announce(a, "B", 3.0)
+    assert sent.k == HOP_ANNOUNCE and sent.seq == 2
+    assert backoff.delay_ms == 5.0
+    # control frames leave without arming anything
+    assert send(3.5) == send(3.6) == [] and not port.control
+    # a frame wrapped during the back-off wait arms the short delay, which
+    # supersedes the wait
+    port.enqueue(data(4))
+    assert send(4.0) == [SetTimer(("ann", "B"), ANNOUNCE_DELAY_MS)]
     assert announce(a, "B", 6.0)[0].seq == 3
+    assert send(6.5) == [] and not port.queued
+    # the port empties by a deadline drop, with no wrap: the dequeue arms it
+    port.enqueue(data(5))
+    port.enqueue(data(6, deadline_us=1))
+    assert send(7.0) == []
+    assert send(8.0) == [SetTimer(("ann", "B"), ANNOUNCE_DELAY_MS)]
+    assert a.counters["deadline_expired"] == 1
+    assert announce(a, "B", 10.0)[0].seq == 4
