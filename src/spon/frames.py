@@ -34,11 +34,14 @@ SERVICE_NONE = 0
 SERVICE_PRI = 1
 SERVICE_REL = 2
 
-# `k` of an empty-payload hop-nack, which carries a high-water seq: an
-# announce (0), which asks the receiver to confirm, or that confirm (1), which
-# says the receiver holds every frame up to seq
+# `k` of the hop layer's frames.  An empty-payload hop-nack carries a
+# high-water seq: an announce (0) asks the receiver to confirm, and a confirm
+# (1) says the receiver holds every frame up to seq.  A hop-data wrapper
+# whose frame left the sender's port empty carries HOP_ACK_REQ (1), and the
+# receiver confirms it after a short delay; other wrappers carry 0.
 HOP_ANNOUNCE = 0
 HOP_CONFIRM = 1
+HOP_ACK_REQ = 1
 
 MAX_PAYLOAD = 1 << 20
 
@@ -71,9 +74,9 @@ class Frame:
     # hop-data carries another frame; kept as an object in-process and only
     # serialized into payload on encode.
     inner: Optional["Frame"] = None
-    # Encoded length, computed on first use.  Frames are not mutated once
-    # sized (decode sets `inner` before returning), and dataclasses.replace
-    # builds a fresh, unsized frame.
+    # Encoded length, computed on first use or set by hop_data.  Frames are
+    # not mutated once sized (decode sets `inner` before returning), and
+    # restamp builds a fresh, unsized frame.
     _size: Optional[int] = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -92,6 +95,23 @@ class Frame:
         if self.inner is not None:
             return self.inner.wire_size()
         return len(self.payload)
+
+    def restamp(self, k: int, routes: Tuple[Tuple[str, ...], ...]) -> "Frame":
+        """A copy with new routing fields; dataclasses.replace does the same
+        at several times the cost."""
+        return Frame(self.kind, self.service, k, self.src, self.dst, self.seq,
+                     self.priority, self.deadline_us, routes, self.payload,
+                     self.inner)
+
+    @classmethod
+    def hop_data(cls, src: str, dst: str, seq: int, inner: "Frame",
+                 header_size: int, k: int = 0) -> "Frame":
+        """A hop-data wrapper around `inner`, sized without encoding its ids:
+        `header_size` is the size of an empty wrapper from src to dst."""
+        frame = cls(kind=KIND_HOP_DATA, k=k, src=src, dst=dst, seq=seq,
+                    inner=inner)
+        frame._size = header_size + inner.wire_size()
+        return frame
 
     def encode(self) -> bytes:
         if self.kind not in KIND_NAMES:

@@ -525,18 +525,20 @@ class Engine:
     # -- effect processing --
 
     def _process_effects(self, node_id: NodeId, effects: List[object]) -> None:
+        # by exact type, the most frequent first
         for eff in effects:
-            if isinstance(eff, Transmit):
+            kind = type(eff)
+            if kind is Transmit:
                 self._kick(node_id, eff.neighbor)
-            elif isinstance(eff, Deliver):
-                self._deliver(node_id, eff)
-            elif isinstance(eff, SetTimer):
+            elif kind is SetTimer:
                 self.set_timer(("n", node_id), eff.timer_id, eff.delay_ms, eff.data)
-            elif isinstance(eff, CancelTimer):
+            elif kind is Deliver:
+                self._deliver(node_id, eff)
+            elif kind is CancelTimer:
                 self.cancel_timer(("n", node_id), eff.timer_id)
-            elif isinstance(eff, Drop):
+            elif kind is Drop:
                 self.trace("drop", node_id, eff.reason)
-            elif isinstance(eff, ClientError):
+            elif kind is ClientError:
                 self._client_error(node_id, eff)
 
     def _deliver(self, node_id: NodeId, eff: Deliver) -> None:

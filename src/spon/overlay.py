@@ -11,19 +11,23 @@ end-to-end acks with doubling RTO).  k = 0 selects flooding, k >= 1 selects
 that many node-disjoint source routes.
 
 Each link direction additionally runs a small negative-ack recovery protocol:
-frames carry per-link sequence numbers, receivers nack gaps, senders keep a
-bounded replay cache and announce their high-water sequence number when the
-link goes idle so trailing losses are detected without new traffic.  Every
-announce asks the receiver to confirm that it holds every frame up to the
-high-water mark, and the sender stops announcing once it does; unanswered
-announces repeat, spaced by the re-nack interval and doubling (a tail-loss
-probe, as in TCP's RACK-TLP).  The announce timer is armed when the port
-empties, by the wrap that leaves no data frame waiting, so the announce
-leaves ANNOUNCE_DELAY_MS after a busy period's last frame; a timer that
-fires while data frames wait does nothing, and waiting control frames never
-hold it back.  The replay cache is indexed by link sequence number.  A node
-drops a link's hop state when its view says the link went down, so a
-neighbour that restarts with fresh link seqs is heard from seq 0.
+frames carry per-link sequence numbers, receivers nack gaps, and senders keep
+a bounded replay cache, indexed by link sequence number.  Trailing losses are
+found without new traffic by delayed acknowledgement with a tail-loss probe
+(TCP's delayed ACK and RACK-TLP).  The wrap that leaves no data frame waiting
+in the port flags its frame (k = HOP_ACK_REQ) and arms the sender's probe
+timer for ACK_DELAY_MS plus the re-nack interval.  A receiver arms its ack
+timer for ACK_DELAY_MS on every flagged frame it accepts; when it fires with
+nothing missing, the receiver confirms the high-water seq it holds, and a
+confirm that covers the sender's last frame cancels the probe.  A lossless
+quiet hop thus costs one control frame.  A probe that fires unanswered sends
+an announce of the high-water seq, which the receiver confirms or answers
+with a nack; unanswered announces repeat, spaced by the re-nack interval and
+doubling, ANNOUNCE_RETRIES at most.  A later arming of either timer
+supersedes an earlier one, a back-off wait included; a probe that fires while
+data frames wait does nothing, and waiting control frames never hold it
+back.  A node drops a link's hop state when its view says the link went
+down, so a neighbour that restarts with fresh link seqs is heard from seq 0.
 
 Every relay runs the same protocol parameters, the module constants below.
 `Config` holds the two that a scenario varies: the fair-queue partition size
@@ -34,11 +38,12 @@ from __future__ import annotations
 
 import struct
 from collections import OrderedDict, defaultdict, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
 from .frames import (
     Frame,
+    HOP_ACK_REQ,
     HOP_ANNOUNCE,
     HOP_CONFIRM,
     KIND_ACK,
@@ -52,6 +57,7 @@ from .topology import (
     NoPath,
     NodeId,
     Path,
+    Topology,
     TopologyError,
     TopologyView,
     k_disjoint_paths,
@@ -76,7 +82,8 @@ HOP_CACHE_FRAMES = 16384     # per-neighbor retransmission cache; must cover
 HOP_CACHE_EXPIRY_MS = 2000.0
 NACK_DELAY_MS = 1.0          # gap detection -> first nack
 RENACK_MIN_MS = 4.0          # floor for the re-nack interval
-ANNOUNCE_DELAY_MS = 2.0      # idle link -> high-water announce
+ACK_DELAY_MS = 2.0           # flagged frame -> delayed confirm; the sender
+                             # probes this plus the re-nack interval after it
 ANNOUNCE_RETRIES = 6         # announces per idle period at most; each asks
                              # for a confirm, and a confirm ends them early
 NACK_BATCH = 512             # seqs per nack frame
@@ -283,15 +290,21 @@ class _HopTx:
 
     The replay cache holds (wire frame, time stored) for the contiguous seqs
     first_seq .. next_seq - 1, oldest on the left, so a seq indexes it
-    directly.
+    directly.  The wrapper header size and the tail-probe timer effects are
+    built once per link reset.
     """
 
-    def __init__(self):
+    def __init__(self, src: NodeId, nbr: NodeId, renack_ms: float):
         self.next_seq = 0
         self.cache: Deque[Tuple[Frame, float]] = deque()
         self.first_seq = 0
         self.announce_round = 0
         self.confirmed = -1      # highest seq the receiver confirmed holding
+        self.header_size = Frame(kind=KIND_HOP_DATA, src=src,
+                                 dst=nbr).wire_size()
+        self.renack_ms = renack_ms
+        self.probe = SetTimer(("ann", nbr), ACK_DELAY_MS + renack_ms)
+        self.unprobe = CancelTimer(("ann", nbr))
 
     def store(self, frame: Frame, now: float) -> None:
         """Cache the frame carrying seq next_seq - 1."""
@@ -316,10 +329,38 @@ class _HopTx:
 
 
 class _HopRx:
-    def __init__(self):
+    """Receiver side of one link direction's recovery."""
+
+    def __init__(self, _node_id: NodeId, nbr: NodeId, renack_ms: float):
         self.expected = 0
         self.missing: Dict[int, float] = {}
         self.nack_armed = False
+        self.renack_ms = renack_ms
+        self.ack = SetTimer(("ack", nbr), ACK_DELAY_MS)
+
+
+def _renack_ms(base: Topology, a: NodeId, b: NodeId) -> float:
+    """How long a request on the link a-b waits for its answer."""
+    try:
+        link_lat = base.link(a, b).latency_ms
+    except TopologyError:
+        link_lat = 1.0
+    return max(RENACK_MIN_MS, 2.5 * link_lat)
+
+
+class _HopTable(dict):
+    """One side of a node's hop state by neighbour, made on first use."""
+
+    def __init__(self, side: type, node_id: NodeId, base: Topology):
+        super().__init__()
+        self.side = side
+        self.node_id = node_id
+        self.base = base
+
+    def __missing__(self, nbr: NodeId):
+        state = self[nbr] = self.side(
+            self.node_id, nbr, _renack_ms(self.base, self.node_id, nbr))
+        return state
 
 
 class _SeqWindow:
@@ -370,8 +411,8 @@ class NodeState:
         self.config = config
         self.behavior = Behavior.honest()
         self.ports: Dict[NodeId, OutPort] = {}
-        self.hop_tx: Dict[NodeId, _HopTx] = defaultdict(_HopTx)
-        self.hop_rx: Dict[NodeId, _HopRx] = defaultdict(_HopRx)
+        self.hop_tx: Dict[NodeId, _HopTx] = _HopTable(_HopTx, node_id, view.base)
+        self.hop_rx: Dict[NodeId, _HopRx] = _HopTable(_HopRx, node_id, view.base)
         self.seq_counters: Dict[Tuple[NodeId, str], int] = {}
         self.dedup_window: Dict[Tuple[NodeId, str], _SeqWindow] = {}
         self.rel_pending: Dict[Tuple[NodeId, int], _RelPending] = {}
@@ -480,13 +521,12 @@ class NodeState:
                 raise NoPath(self.id, frame.dst, "no up neighbor")
             # suppress copies echoed back to us
             self._window(frame.src, frame.service).add((frame.dst, frame.seq, frame.kind))
-            flooded = replace(frame, k=FLOODING, routes=())
+            flooded = frame.restamp(FLOODING, ())
             for nbr in neighbors:
                 self._enqueue_data(nbr, flooded, out)
         else:
             paths = k_disjoint_paths(self.view, self.id, frame.dst, k)
-            routed = replace(frame, k=len(paths),
-                             routes=tuple(p.hops for p in paths))
+            routed = frame.restamp(len(paths), tuple(p.hops for p in paths))
             for path in paths:
                 self._enqueue_data(path.hops[1], routed, out)
 
@@ -522,6 +562,9 @@ class NodeState:
             else:
                 self._drop("hop_duplicate", wire, out)
                 return None
+        if wire.k == HOP_ACK_REQ:
+            # a later flagged frame supersedes this arming
+            out.append(rx.ack)
         return wire.inner
 
     def _handle_hop_nack(self, from_nbr: NodeId, wire: Frame, now: float,
@@ -546,6 +589,8 @@ class NodeState:
             tx = self.hop_tx.get(from_nbr)
             if tx is not None and tx.confirmed < wire.seq < tx.next_seq:
                 tx.confirmed = wire.seq
+                if wire.seq == tx.next_seq - 1:
+                    out.append(tx.unprobe)     # nothing left to probe for
         else:
             # high-water announce: anything up to wire.seq we never saw is
             # lost; with nothing missing, confirm so the announces stop
@@ -556,9 +601,13 @@ class NodeState:
             if rx.missing:
                 self._arm_nack(from_nbr, rx, out, NACK_DELAY_MS)
             else:
-                confirm = Frame(kind=KIND_HOP_NACK, k=HOP_CONFIRM, src=self.id,
-                                dst=from_nbr, seq=high)
-                self._enqueue_control(from_nbr, confirm, out)
+                self._confirm(from_nbr, high, out)
+
+    def _confirm(self, nbr: NodeId, high: int, out: Effects) -> None:
+        """Tell the neighbour this node holds every frame up to `high`."""
+        confirm = Frame(kind=KIND_HOP_NACK, k=HOP_CONFIRM, src=self.id,
+                        dst=nbr, seq=high)
+        self._enqueue_control(nbr, confirm, out)
 
     def _mark_missing(self, rx: _HopRx, end: int, now: float) -> None:
         """Every seq from rx.expected below `end` never arrived; remember at
@@ -661,7 +710,7 @@ class NodeState:
             else:
                 self._drop("no_route", frame, out)
             return
-        restamped = replace(frame, routes=(path.hops,))
+        restamped = frame.restamp(frame.k, (path.hops,))
         self._enqueue_data(path.hops[1], restamped, out)
 
     def _consume(self, frame: Frame, from_nbr: NodeId, now: float,
@@ -688,7 +737,7 @@ class NodeState:
         if not duplicate and data.k == FLOODING:
             # first ack for a flooded message floods back
             try:
-                self._launch(replace(ack, k=FLOODING), FLOODING, out)
+                self._launch(ack, FLOODING, out)
             except NoPath:
                 self._count("ack_no_route")
             return
@@ -697,16 +746,16 @@ class NodeState:
             route = tuple(reversed(arrival))
             if self.view.usable(Path(route, 0.0)):
                 self._enqueue_data(route[1],
-                                   replace(ack, k=1, routes=(route,)), out)
+                                   ack.restamp(1, (route,)), out)
                 return
         pool = self._route_pool(data.src)
         if pool:
             path = pool[attempt % len(pool)]
             self._enqueue_data(path.hops[1],
-                               replace(ack, k=1, routes=(path.hops,)), out)
+                               ack.restamp(1, (path.hops,)), out)
         else:
             try:
-                self._launch(replace(ack, k=FLOODING), FLOODING, out)
+                self._launch(ack, FLOODING, out)
             except NoPath:
                 self._count("ack_no_route")
 
@@ -729,8 +778,9 @@ class NodeState:
         for late in expired:
             self._drop("deadline_expired", late, out)
         if frame is None and expired and neighbor in self.hop_tx:
-            # the port emptied without a wrap: the announce counts from here
-            out.append(SetTimer(("ann", neighbor), ANNOUNCE_DELAY_MS))
+            # the port emptied without a wrap, so no frame asked for a
+            # confirm: the tail probe counts from here
+            out.append(self.hop_tx[neighbor].probe)
         return frame, out
 
     def wrap_for_link(self, frame: Frame, neighbor: NodeId, now: float,
@@ -742,14 +792,17 @@ class NodeState:
         tx = self.hop_tx[neighbor]
         seq = tx.next_seq
         tx.next_seq += 1
-        wire = Frame(kind=KIND_HOP_DATA, src=self.id, dst=neighbor, seq=seq,
-                     inner=frame)
-        tx.store(wire, now)
         tx.announce_round = 0
-        # the wrap that empties the port arms the announce and supersedes
-        # any earlier arming, a back-off wait included
-        if not self._data_waiting(neighbor):
-            out.append(SetTimer(("ann", neighbor), ANNOUNCE_DELAY_MS))
+        if self._data_waiting(neighbor):
+            wire = Frame.hop_data(self.id, neighbor, seq, frame, tx.header_size)
+        else:
+            # the wrap that empties the port asks for a confirm and arms the
+            # tail probe, superseding any earlier arming, a back-off wait
+            # included
+            wire = Frame.hop_data(self.id, neighbor, seq, frame, tx.header_size,
+                                  HOP_ACK_REQ)
+            out.append(tx.probe)
+        tx.store(wire, now)
         return wire
 
     # -- timers --
@@ -761,6 +814,8 @@ class NodeState:
             self._rel_timeout(timer_id, now, out)
         elif kind == "nack":
             self._nack_timer(timer_id[1], now, out)
+        elif kind == "ack":
+            self._ack_timer(timer_id[1], out)
         elif kind == "ann":
             self._announce_timer(timer_id[1], now, out)
         elif kind == "delay":
@@ -786,7 +841,7 @@ class NodeState:
         flood_turn = (not originally_flooded) and pending.attempts % 3 == 0
         if pool and not flood_turn:
             path = pool[(pending.attempts - 1) % len(pool)]
-            frame = replace(pending.frame, k=1, routes=(path.hops,))
+            frame = pending.frame.restamp(1, (path.hops,))
             self._enqueue_data(path.hops[1], frame, out)
             self._count("rel_retransmit")
             return
@@ -795,7 +850,7 @@ class NodeState:
             # help, and with no route pool nothing else can
             return
         try:
-            frame = replace(pending.frame, k=FLOODING, routes=())
+            frame = pending.frame.restamp(FLOODING, ())
             self._launch(frame, FLOODING, out)
             self._count("rel_reflood")
         except NoPath:
@@ -817,17 +872,17 @@ class NodeState:
                      payload=_pack_seqs(want))
         self._enqueue_control(nbr, nack, out)
         rx.nack_armed = True
-        out.append(SetTimer(("nack", nbr), self._renack_ms(nbr)))
+        out.append(SetTimer(("nack", nbr), rx.renack_ms))
 
-    def _renack_ms(self, nbr: NodeId) -> float:
-        """How long a request on the link to `nbr` waits for its answer."""
-        try:
-            link_lat = self.view.base.link(self.id, nbr).latency_ms
-        except TopologyError:
-            link_lat = 1.0
-        return max(RENACK_MIN_MS, 2.5 * link_lat)
+    def _ack_timer(self, nbr: NodeId, out: Effects) -> None:
+        """Confirm the frames a flagged frame closed; over a gap the nack
+        timer, armed when the gap opened, answers instead."""
+        rx = self.hop_rx.get(nbr)
+        if rx is not None and not rx.missing:
+            self._confirm(nbr, rx.expected - 1, out)
 
     def _announce_timer(self, nbr: NodeId, now: float, out: Effects) -> None:
+        """The tail probe: no confirm covered the last frame in time."""
         tx = self.hop_tx.get(nbr)
         if tx is None or self._data_waiting(nbr):
             return     # the link is busy; its last wrap arms the timer again
@@ -838,7 +893,7 @@ class NodeState:
         self._enqueue_control(nbr, announce, out)
         tx.announce_round += 1
         if tx.announce_round < ANNOUNCE_RETRIES:
-            delay = self._renack_ms(nbr) * 2 ** (tx.announce_round - 1)
+            delay = tx.renack_ms * 2 ** (tx.announce_round - 1)
             out.append(SetTimer(("ann", nbr), delay))
 
     # -- topology updates --
@@ -847,7 +902,7 @@ class NodeState:
         """Adopt a new view; purge or restamp traffic aimed at dead elements.
 
         A link that goes down drops its hop state, and the cancels of its
-        announce and nack timers lead the effects.  A restarted neighbour
+        announce, nack and ack timers lead the effects.  A restarted neighbour
         starts its link seqs at 0 as soon as it is up, before this node
         adopts the view that says so; dropping the state here, not when the
         link comes back, lets those first frames through."""
@@ -859,6 +914,7 @@ class NodeState:
                 self.hop_rx.pop(nbr, None)
                 out.append(CancelTimer(("ann", nbr)))
                 out.append(CancelTimer(("nack", nbr)))
+                out.append(CancelTimer(("ack", nbr)))
         self.view = new_view
         # rerouting may open ports toward new neighbors; iterate a snapshot
         for nbr, port in list(self.ports.items()):

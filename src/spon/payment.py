@@ -167,7 +167,7 @@ class LedgerError(Exception):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class Hold:
     payer: str
     payee: str
@@ -290,15 +290,17 @@ class Ledger:
 # --- transaction log ----------------------------------------------------------------------
 
 class TxLog:
-    """Append-only record of packet-level outcomes, shared by all parties."""
+    """Append-only record of the packet outcomes that `settle_check` audits
+    against connector margins: each relayed prepare and each upstream claim
+    of a relaying party.  Shared by all parties."""
 
     def __init__(self):
-        self.rows: List[Tuple[float, str, str, str, int, int, str]] = []
+        self.rows: List[Tuple[float, str, str, bytes, int, int, str]] = []
 
     def add(self, time_ms: float, actor: str, kind: str, payment_id: bytes,
             seq: int, amount: int, result: str) -> None:
-        self.rows.append((time_ms, actor, kind, payment_id.hex(), seq,
-                          amount, result))
+        self.rows.append((time_ms, actor, kind, payment_id, seq, amount,
+                          result))
 
 
 # --- transports -----------------------------------------------------------------------------
@@ -583,7 +585,6 @@ class IlpNode(Client):
                         condition=condition_of(preimage),
                         address=sess.dst_addr)
         link = self.links.get(peer)
-        held = False
         if link is not None and amount > 0:
             group = self._hold_group(sess.payment_id, sess.next_seq,
                                      self.client_id, peer)
@@ -596,7 +597,6 @@ class IlpNode(Client):
                                            link.peer_account, amount,
                                            pkt.condition,
                                            api.now + INITIAL_EXPIRY_MS)
-                    held = True
                 except LedgerError:
                     self._count("out_of_funds")
                     self._stream_finish(api, sess, STREAM_FAILED)
@@ -604,15 +604,11 @@ class IlpNode(Client):
             else:
                 # a retry rides on the hold that still backs it, so the
                 # packet must carry that hold's (earlier) expiry
-                held = True
                 pkt.expiry_us = int(link.ledger.hold_expiry(existing) * 1000)
         if link is None and amount > 0:
             self._stream_finish(api, sess, STREAM_FAILED)
             return
         sess.sent_at_ms = api.now
-        self.txlog.add(api.now, self.client_id, "prepare", sess.payment_id,
-                       sess.next_seq, amount, "sent" if held or amount == 0
-                       else "sent_unheld")
         self._send(api, peer, pkt)
         # doubling per retry so a long path outage does not burn the whole
         # retry budget in the first second
@@ -658,8 +654,6 @@ class IlpNode(Client):
         sess.packets_fulfilled += 1
         sess.next_seq += 1
         sess.attempts_current = 0
-        self.txlog.add(api.now, self.client_id, "fulfill", sess.payment_id,
-                       pkt.seq, amount, "confirmed")
         if sess.delivered >= sess.total:
             self._stream_finish(api, sess, STREAM_COMPLETE)
         else:
@@ -671,8 +665,6 @@ class IlpNode(Client):
             return
         reason = REJECT_NAMES.get(pkt.code, str(pkt.code))
         self._count(f"reject_{reason}")
-        self.txlog.add(api.now, self.client_id, "reject", sess.payment_id,
-                       pkt.seq, 0, reason)
         if pkt.code in (R_WRONG_CONDITION, R_NO_ROUTE):
             self._stream_finish(api, sess, STREAM_FAILED)
             return
@@ -762,8 +754,6 @@ class IlpNode(Client):
 
     def _reject(self, api: EngineApi, peer: str, pkt: IlpPacket,
                 code: int) -> None:
-        self.txlog.add(api.now, self.client_id, "reject", pkt.payment_id,
-                       pkt.seq, pkt.amount, REJECT_NAMES.get(code, str(code)))
         self._send(api, peer, IlpPacket(REJECT, pkt.payment_id, pkt.seq,
                                         code=code))
 
@@ -815,8 +805,6 @@ class IlpNode(Client):
             self._reject(api, src_client, pkt, R_EXPIRED)
             return
         self.fulfilled_cache[key] = preimage
-        self.txlog.add(api.now, self.client_id, "fulfill", pkt.payment_id,
-                       pkt.seq, pkt.amount, "claimed")
         self._send(api, src_client, IlpPacket(FULFILL, pkt.payment_id, pkt.seq,
                                               fulfillment=preimage))
 
@@ -949,8 +937,6 @@ class IlpNode(Client):
                            "claimed")
         else:
             self._count("late_fulfill_loss")
-            self.txlog.add(api.now, self.client_id, "fulfill", pkt.payment_id,
-                           pkt.seq, relay.amount_in, "late_loss")
         self._send(api, upstream_peer, IlpPacket(FULFILL, pkt.payment_id,
                                                  pkt.seq,
                                                  fulfillment=preimage))
@@ -984,9 +970,6 @@ class IlpNode(Client):
             if out_link is not None:
                 out_link.ledger.void_hold(relay.downstream_hold)
             del self.relays[key]
-            self.txlog.add(api.now, self.client_id, "reject", pkt.payment_id,
-                           pkt.seq, 0,
-                           REJECT_NAMES.get(pkt.code, str(pkt.code)))
             self._send(api, relay.upstream_peer, pkt)
             return
         owner = self.owners.get(pkt.payment_id)

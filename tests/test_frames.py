@@ -93,6 +93,20 @@ def test_decoded_hop_data_wire_size_counts_its_inner_frame():
     assert back.inner.wire_size() == len(inner.encode())
 
 
+def test_wrapped_frame_is_sized_as_it_encodes():
+    inner = Frame(kind=frames.KIND_DATA, service=frames.SERVICE_PRI, k=1,
+                  src="1", dst="5", seq=9, priority=2, deadline_us=160000,
+                  routes=(("1", "12", "13", "14", "5"),), payload=b"xyz")
+    for src, dst in [("12", "13"), ("FRA", "HKG"), ("é", "ü-relay")]:
+        header = Frame(kind=frames.KIND_HOP_DATA, src=src, dst=dst).wire_size()
+        for k in (0, frames.HOP_ACK_REQ):
+            wrapper = Frame.hop_data(src, dst, 3, inner, header, k)
+            raw = wrapper.encode()
+            assert wrapper.wire_size() == len(raw)
+            back = decode(raw)
+            assert (back.k, back.seq, back.inner) == (k, 3, inner)
+
+
 def test_replaced_frame_is_sized_afresh():
     frame = Frame(kind=frames.KIND_DATA, service=frames.SERVICE_PRI, k=1,
                   src="1", dst="5", seq=7, routes=(("1", "9", "10", "11", "5"),),

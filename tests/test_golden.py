@@ -23,15 +23,15 @@ GOLDEN = {
     "chain-ping-loss": (
         dict(loss=5.0, pings=30, reps=1,
              variants=("baseline", "pri-fld", "rel-1p")),
-        "b689f2f41e2b7f58f6a7882c8ef5693c33bb996a6867ed44dd0bd43771205943"),
+        "98eb1ff1c491756e817355be0a2f9ba21d9b1ea2b0f4f11e3671bc36a410db14"),
     "chain-stream-loss": (
         dict(loss=5.0, payments=2, total=2_000, packet=100, reps=1,
              variants=("baseline", "pri-2p", "rel-2p")),
-        "908b3796ceee289c177dbe6ea87730c07c4c9dbbb4a372b7e4f04f48c9c92eb3"),
+        "037b437ead4dd63d2718ac594c232be52985889d8e9a374afc54d04013888935"),
     "global-stream-loss": (
         dict(loss=2.0, payments=2, total=5_000, packet=500, reps=1,
              variants=("baseline", "pri-fld", "rel-1p")),
-        "21f7f5ae2dcf129b5b76cee799ef20dd99b68aad86cbf74e1eb7bfec515f8a63"),
+        "6255b9cb9968dcfdf86db04812669cf49567e2dc99e74a1eda557ebd2edc750d"),
     "chain-meltdown": (
         dict(total=15_000, packet=10,
              variants=("baseline-cut", "pri-1p", "pri-2p")),

@@ -20,9 +20,14 @@ from spon.netsim import (
     pack_client,
     unpack_client,
 )
-from spon.frames import HOP_ANNOUNCE, HOP_CONFIRM, KIND_HOP_DATA, KIND_HOP_NACK
+from spon.frames import (
+    HOP_ACK_REQ,
+    HOP_CONFIRM,
+    KIND_HOP_DATA,
+    KIND_HOP_NACK,
+)
 from spon.overlay import (
-    ANNOUNCE_DELAY_MS,
+    ACK_DELAY_MS,
     PRI,
     REL,
     Config,
@@ -377,8 +382,8 @@ def stepped(eng, horizon_ms, step_ms, check):
 
 
 def test_lone_frame_leaves_no_tx_done_behind():
-    # about 0.8 ms of serialization per frame, less than the 2 ms before an
-    # announce: each frame (the data, its announce, the confirm) goes out
+    # about 0.8 ms of serialization per frame, less than the 2 ms before the
+    # delayed confirm: each frame (the data, then the confirm) goes out
     # alone, and the run stops often while one is on the wire
     topo = two_node(bw=0.5)
     sink = Collector("cb")
@@ -392,11 +397,11 @@ def test_lone_frame_leaves_no_tx_done_behind():
 
     stepped(eng, 200.0, 0.1, check)
     assert len(sink.bodies) == 1
-    assert eng.counters["wire_tx"] >= 3
+    assert eng.counters["wire_tx"] == 2
     assert any(busy_seen)
 
 
-def test_quiet_period_costs_one_announce_and_one_confirm(monkeypatch):
+def test_quiet_period_costs_one_confirm(monkeypatch):
     sent = []
     wrap = NodeState.wrap_for_link
 
@@ -411,10 +416,11 @@ def test_quiet_period_costs_one_announce_and_one_confirm(monkeypatch):
                  seed=1)
     eng.run(horizon_ms=1000.0)
     assert len(sink.bodies) == 1
-    assert sent == [("A", KIND_HOP_DATA, 0),
-                    ("A", KIND_HOP_NACK, HOP_ANNOUNCE),
+    # the lone frame asks for a delayed confirm, which arrives before the
+    # sender's tail probe is due: no announce
+    assert sent == [("A", KIND_HOP_DATA, HOP_ACK_REQ),
                     ("B", KIND_HOP_NACK, HOP_CONFIRM)]
-    assert eng.counters["wire_tx"] == 3
+    assert eng.counters["wire_tx"] == 2
 
 
 def test_queued_frames_leave_back_to_back():
@@ -474,7 +480,7 @@ def test_frames_queued_as_the_wire_frees_up_wait_for_the_scheduler():
     probe = Engine(two_node(bw=1.0), [Tie(None), Collector("cb")], seed=1)
     probe.run(horizon_ms=0.0)
     done_ms = probe.link_dirs[("A", "B")].busy_until
-    assert 0.0 < done_ms < ANNOUNCE_DELAY_MS
+    assert 0.0 < done_ms < ACK_DELAY_MS
 
     sink = Collector("cb")
     eng = Engine(two_node(bw=1.0), [Tie(done_ms), sink], seed=1)
@@ -643,7 +649,7 @@ def test_restore_lifts_ban():
     assert sink.raw_bodies == [b"try2"]
 
 
-# --- announce timer: armed once per idle period ------------------------------------
+# --- tail probe: armed once per idle period -------------------------------------------
 
 def record_wraps(monkeypatch):
     """Log (time, node, wire kind, announce delays armed) for each frame that
@@ -660,6 +666,11 @@ def record_wraps(monkeypatch):
 
     monkeypatch.setattr(NodeState, "wrap_for_link", record)
     return log
+
+
+# re-nack interval of two_node's 5 ms link (2.5 x its latency); the tail
+# probe waits ACK_DELAY_MS plus this
+PROBE_RENACK_MS = 12.5
 
 
 def left(log, node, kind):
@@ -680,11 +691,13 @@ def announce_armings(monkeypatch):
     return log
 
 
-def test_burst_arms_few_announce_timers_and_announces_after_its_last_frame(
+def test_burst_is_confirmed_after_its_last_frame_without_an_announce(
         monkeypatch):
     # about 0.06 ms of serialization per frame: the 100 frames leave back to
-    # back over some 6 ms, so a timer armed by one frame fires once about
-    # 30 frames later and re-arms itself for the latest frame's announce
+    # back over some 6 ms.  Only the first, which leaves before the rest
+    # queue behind it, and the last leave the port empty, so only they ask
+    # for a confirm and arm the tail probe.  The last confirm comes back
+    # before the probe is due and cancels it
     wraps = record_wraps(monkeypatch)
     armed = announce_armings(monkeypatch)
     sink = Collector("cb")
@@ -695,35 +708,66 @@ def test_burst_arms_few_announce_timers_and_announces_after_its_last_frame(
     assert len(sink.bodies) == 100
     data = [t for t, *_ in left(wraps, "A", KIND_HOP_DATA)]
     assert len(data) == 100
-    assert len([a for a in armed if a[1] == ("n", "A")]) <= len(data) // 20
-    # the one announce of the idle period leaves when the last frame's is due
-    announces = [t for t, *_ in left(wraps, "A", KIND_HOP_NACK)]
-    assert announces == [data[-1] + ANNOUNCE_DELAY_MS]
+    probe_ms = ACK_DELAY_MS + PROBE_RENACK_MS
+    assert armed == [(0.0, ("n", "A"), probe_ms),
+                     (data[-1], ("n", "A"), probe_ms)]
+    assert not left(wraps, "A", KIND_HOP_NACK)
+    # a confirm the ack delay after each of the two arrives
+    confirms = [t for t, *_ in left(wraps, "B", KIND_HOP_NACK)]
+    assert confirms == [
+        pytest.approx(t + 5.0 + HOP_PROCESSING_MS + ACK_DELAY_MS, abs=0.1)
+        for t in (data[0], data[-1])]
+    assert eng.counters["wire_tx"] == 102
+
+
+def test_lost_flagged_frame_is_announced_after_the_ack_delay_and_a_renack(
+        monkeypatch):
+    # the lone frame is lost, so no confirm comes: the tail probe announces
+    # it the ack delay plus the re-nack interval after its wrap, B nacks, A
+    # retransmits, and the recovered frame, still flagged, is confirmed
+    wraps = record_wraps(monkeypatch)
+    faults = [FaultEvent(0.0, change=Change.loss_override("A", "B", 1.0)),
+              FaultEvent(1.0, change=Change.loss_override("A", "B", 0.0))]
+    sink = Collector("cb")
+    eng = Engine(two_node(), [Burst("ca", "cb", 1, ServiceClass(PRI, 1),
+                                    deadline_ms=60_000), sink],
+                 seed=1, faults=faults)
+    eng.run(horizon_ms=1000.0)
+    assert len(sink.bodies) == 1
+    assert [(node, kind) for _, node, kind, _ in wraps[:4]] == [
+        ("A", KIND_HOP_DATA), ("A", KIND_HOP_NACK), ("B", KIND_HOP_NACK),
+        ("A", KIND_HOP_DATA)]
+    assert wraps[1][0] == ACK_DELAY_MS + PROBE_RENACK_MS
+    # B confirms last, and A holds the frame confirmed
+    assert wraps[-1][1:3] == ("B", KIND_HOP_NACK)
+    assert eng.nodes["A"].hop_tx["B"].confirmed == 0
 
 
 @pytest.mark.parametrize("second_ms", [20.0, 38.0])
 def test_frame_wrapped_in_a_back_off_wait_is_announced_on_time(monkeypatch,
                                                                second_ms):
     # every frame is lost, so nothing is confirmed and the announces back
-    # off: 2 ms after the first frame, then 12.5 and 25 ms apart (2.5 x the
-    # 5 ms link), so the wait from 14.5 ms ends at 39.5 ms.  A frame sent at
-    # 20 ms is due before that wait ends, one sent at 38 ms after it.
+    # off: the tail probe fires 14.5 ms after the first frame (the ack delay
+    # plus 2.5 x the 5 ms link), and the next announces are due 12.5 and
+    # 25 ms apart, at 27 and 52 ms.  A frame sent at 20 ms falls in the
+    # first wait, one sent at 38 ms in the second; either wait is
+    # superseded, and the frame is announced the probe delay after its wrap.
     wraps = record_wraps(monkeypatch)
     sender = PacedSender("ca", "cb", 2, per_tick=1, tick_ms=second_ms,
                          service=ServiceClass(PRI, 1))
     eng = Engine(two_node(loss=1.0), [sender, Collector("cb")], seed=1)
-    eng.run(horizon_ms=second_ms + 10.0)
+    eng.run(horizon_ms=second_ms + 20.0)
     data = [t for t, *_ in left(wraps, "A", KIND_HOP_DATA)]
     assert data == [0.0, second_ms]
     announces = [t for t, *_ in left(wraps, "A", KIND_HOP_NACK)]
-    assert announces[:2] == [2.0, 14.5]
-    assert [t for t in announces if t > second_ms] == [
-        second_ms + ANNOUNCE_DELAY_MS]
+    probe_ms = ACK_DELAY_MS + PROBE_RENACK_MS
+    assert announces[0] == probe_ms
+    assert [t for t in announces if t > second_ms] == [second_ms + probe_ms]
 
 
 def test_link_reset_lets_the_next_frame_arm_a_fresh_announce_timer(monkeypatch):
     # the unanswered announces still back off when the link goes down; when
-    # A adopts the view with the link back up (150 ms) it forgets the link's
+    # A adopts the view with the link down (110 ms) it forgets the link's
     # hop state and its timer, so the frame sent at 200 ms arms its own
     wraps = record_wraps(monkeypatch)
     faults = [FaultEvent(10.0, change=Change.link_down("A", "B")),
@@ -732,13 +776,13 @@ def test_link_reset_lets_the_next_frame_arm_a_fresh_announce_timer(monkeypatch):
                          service=ServiceClass(PRI, 1))
     eng = Engine(two_node(loss=1.0), [sender, Collector("cb")], seed=1,
                  faults=faults)
-    eng.run(horizon_ms=210.0)
+    eng.run(horizon_ms=220.0)
     data = left(wraps, "A", KIND_HOP_DATA)
+    probe_ms = ACK_DELAY_MS + PROBE_RENACK_MS
     assert [(t, armed) for t, _, _, armed in data] == [
-        (0.0, [ANNOUNCE_DELAY_MS]),
-        (200.0, [ANNOUNCE_DELAY_MS])]
+        (0.0, [probe_ms]), (200.0, [probe_ms])]
     announces = [t for t, *_ in left(wraps, "A", KIND_HOP_NACK)]
-    assert announces[-1] == 200.0 + ANNOUNCE_DELAY_MS
+    assert announces[-1] == 200.0 + probe_ms
 
 
 # --- cached link-direction state ---------------------------------------------------

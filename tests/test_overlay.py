@@ -5,6 +5,7 @@ import pytest
 from helpers import build_view, data_file
 from spon.frames import (
     Frame,
+    HOP_ACK_REQ,
     HOP_ANNOUNCE,
     HOP_CONFIRM,
     KIND_ACK,
@@ -16,7 +17,7 @@ from spon.frames import (
 )
 from spon import overlay
 from spon.overlay import (
-    ANNOUNCE_DELAY_MS,
+    ACK_DELAY_MS,
     ANNOUNCE_RETRIES,
     HOP_CACHE_EXPIRY_MS,
     MAX_PAYLOAD_BYTES,
@@ -412,7 +413,8 @@ def test_first_announce_with_nothing_missing_is_confirmed():
     assert rearm.delay_ms == 5.0      # re-nack interval: 2.5 x 2 ms link
     confirm = transmits(b.handle_frame("A", first, 6.0))[0].frame
     assert confirm.k == HOP_CONFIRM and confirm.seq == 0
-    assert not a.handle_frame("B", confirm, 8.0)
+    # the confirm covers the last frame sent and cancels the back-off wait
+    assert a.handle_frame("B", confirm, 8.0) == [CancelTimer(("ann", "B"))]
     assert announce(a, "B", 9.0) == (None, None)
 
 
@@ -452,7 +454,7 @@ def test_confirm_stops_the_announces():
     announce(a, "B", 4.0)
     second, _ = announce(a, "B", 9.0)
     confirm = transmits(b.handle_frame("A", second, 11.0))[0].frame
-    assert not a.handle_frame("B", confirm, 13.0)
+    assert a.handle_frame("B", confirm, 13.0) == [CancelTimer(("ann", "B"))]
     assert announce(a, "B", 19.0) == (None, None)
     # a new frame on the link is not covered by the old confirm
     wire_frames(a, "B", 1)
@@ -662,9 +664,11 @@ def test_a_link_back_up_starts_with_fresh_hop_state():
     # both links go down: their hop state goes, and the cancels of their
     # timers lead the effects
     fx = n12.recompute_routes(down, 4.0)
-    assert fx[:4] == [CancelTimer(("ann", "1")), CancelTimer(("nack", "1")),
-                      CancelTimer(("ann", "13")), CancelTimer(("nack", "13"))]
-    assert not [e for e in fx[4:] if isinstance(e, CancelTimer)]
+    assert fx[:6] == [CancelTimer(("ann", "1")), CancelTimer(("nack", "1")),
+                      CancelTimer(("ack", "1")),
+                      CancelTimer(("ann", "13")), CancelTimer(("nack", "13")),
+                      CancelTimer(("ack", "13"))]
+    assert not [e for e in fx[6:] if isinstance(e, CancelTimer)]
     assert "1" not in n12.hop_rx and "13" not in n12.hop_tx
     # a restarted neighbour's first frame, seq 0, arrives before the view
     # that brings its link back, and is no duplicate
@@ -707,6 +711,8 @@ def test_replay_cache_lookup_by_seq(monkeypatch):
 def test_wrap_arms_the_announce_timer_once_per_idle_period():
     a, _b = pair()
     port = a._port("B")
+    # the tail probe: the ack delay plus the re-nack interval, 2.5 x 2 ms
+    probe = SetTimer(("ann", "B"), ACK_DELAY_MS + 5.0)
 
     def data(seq, deadline_us=0):
         return Frame(kind=KIND_DATA, service=SERVICE_PRI, k=1, src="A",
@@ -726,26 +732,91 @@ def test_wrap_arms_the_announce_timer_once_per_idle_period():
     assert send(0.0) == send(0.5) == []
     # a timer that fires while data waits does nothing
     assert announce(a, "B", 0.7) == (None, None)
-    # the wrap that empties the port arms the announce
-    assert send(1.0) == [SetTimer(("ann", "B"), ANNOUNCE_DELAY_MS)]
+    # the wrap that empties the port arms the probe, and only its frame asks
+    # for a confirm
+    assert send(1.0) == [probe]
+    assert [w.k for w, _ in a.hop_tx["B"].cache] == [0, 0, HOP_ACK_REQ]
     # a waiting control frame does not hold the announce back
     port.enqueue_control(Frame(kind=KIND_HOP_NACK, k=HOP_CONFIRM, src="A",
                                dst="B", seq=0))
-    sent, backoff = announce(a, "B", 3.0)
+    sent, backoff = announce(a, "B", 8.0)
     assert sent.k == HOP_ANNOUNCE and sent.seq == 2
     assert backoff.delay_ms == 5.0
     # control frames leave without arming anything
-    assert send(3.5) == send(3.6) == [] and not port.control
-    # a frame wrapped during the back-off wait arms the short delay, which
+    assert send(8.5) == send(8.6) == [] and not port.control
+    # a frame wrapped during the back-off wait arms the probe, which
     # supersedes the wait
     port.enqueue(data(4))
-    assert send(4.0) == [SetTimer(("ann", "B"), ANNOUNCE_DELAY_MS)]
-    assert announce(a, "B", 6.0)[0].seq == 3
-    assert send(6.5) == [] and not port.queued
+    assert send(9.0) == [probe]
+    assert announce(a, "B", 16.0)[0].seq == 3
+    assert send(16.5) == [] and not port.queued
     # the port empties by a deadline drop, with no wrap: the dequeue arms it
     port.enqueue(data(5))
     port.enqueue(data(6, deadline_us=1))
-    assert send(7.0) == []
-    assert send(8.0) == [SetTimer(("ann", "B"), ANNOUNCE_DELAY_MS)]
+    assert send(17.0) == []
+    assert send(18.0) == [probe]
     assert a.counters["deadline_expired"] == 1
-    assert announce(a, "B", 10.0)[0].seq == 4
+    assert announce(a, "B", 25.0)[0].seq == 4
+
+
+# --- delayed confirm: the frame that empties the port asks for one -------------
+
+def acks(effects):
+    return [e for e in effects if isinstance(e, SetTimer)
+            and e.timer_id[0] == "ack"]
+
+
+def test_unflagged_frames_arm_no_ack_timer():
+    a, b = pair()
+    port = a._port("B")
+    for seq in (1, 2):
+        port.enqueue(Frame(kind=KIND_DATA, service=SERVICE_PRI, k=1, src="A",
+                           dst="B", seq=seq, routes=(("A", "B"),)))
+    wires = []
+    for now in (0.0, 0.5):
+        frame, fx = a.scheduler_dequeue("B", now)
+        wires.append(a.wrap_for_link(frame, "B", now, fx))
+    assert [w.k for w in wires] == [0, HOP_ACK_REQ]
+    assert not acks(b.handle_frame("A", wires[0], 2.0))
+    assert acks(b.handle_frame("A", wires[1], 2.5)) == [
+        SetTimer(("ack", "A"), ACK_DELAY_MS)]
+
+
+def test_ack_timer_confirms_every_frame_up_to_the_high_water():
+    a, b = pair()
+    for w in wire_frames(a, "B", 3):
+        b.handle_frame("A", w, 2.0)
+    confirm = transmits(b.handle_timer(("ack", "A"), None, 4.0))[0].frame
+    assert confirm.kind == KIND_HOP_NACK and confirm.k == HOP_CONFIRM
+    assert confirm.seq == 2 and confirm.payload == b""
+    assert a.handle_frame("B", confirm, 6.0) == [CancelTimer(("ann", "B"))]
+    assert a.hop_tx["B"].confirmed == 2
+    assert announce(a, "B", 9.0) == (None, None)
+
+
+def test_ack_timer_over_a_gap_sends_no_confirm():
+    a, b = pair()
+    wires = wire_frames(a, "B", 3)
+    b.handle_frame("A", wires[0], 2.0)
+    fx = b.handle_frame("A", wires[2], 2.5)      # wire 1 is lost
+    assert acks(fx) and [e for e in fx if isinstance(e, SetTimer)
+                         and e.timer_id == ("nack", "A")]
+    # the nack timer armed by the gap answers, and the ack timer stays quiet
+    nack = transmits(b.handle_timer(("nack", "A"), None, 3.5))[0].frame
+    assert nack.payload and nack.k != HOP_CONFIRM
+    assert not b.handle_timer(("ack", "A"), None, 4.5)
+
+
+def test_lost_confirm_ends_in_announce_and_confirm():
+    a, b = pair()
+    wire = wire_frames(a, "B", 1)[0]
+    assert acks(b.handle_frame("A", wire, 2.0))
+    # B's confirm leaves and is lost on the way
+    assert transmits(b.handle_timer(("ack", "A"), None, 4.0))
+    # no confirm came: A's tail probe announces, and B confirms again
+    sent, rearm = announce(a, "B", 7.0)
+    assert sent.k == HOP_ANNOUNCE and sent.seq == 0 and rearm is not None
+    confirm = transmits(b.handle_frame("A", sent, 9.0))[0].frame
+    assert confirm.k == HOP_CONFIRM and confirm.seq == 0
+    assert a.handle_frame("B", confirm, 11.0) == [CancelTimer(("ann", "B"))]
+    assert announce(a, "B", 12.0) == (None, None)
