@@ -10,10 +10,12 @@ heap orders by (time_ms, insertion seq); every per-link-direction loss stream
 has its own RNG derived from the seed and the direction label, so reordering
 elsewhere cannot perturb it.
 
-Each link direction caches its fixed facts (undirected key, latency, bit
-rate) at construction, and its up state and loss from the ground view; the
-cache is refreshed each time the ground view changes, so a transmission and
-an arrival read only their link direction.
+Each link direction caches its fixed facts (latency, bit rate) at
+construction, and its up state and loss from the ground view; the cache is
+refreshed each time the ground view changes, so a transmission and an
+arrival read only their link direction.  A frame leaves only while its
+direction is up, and dies in flight unless it arrives in the epoch it left
+in; a direction's epoch counts the times it went down.
 
 A link direction serializes one frame at a time.  Each transmission reserves
 the insertion seq of its end-of-serialization event (TX_DONE), but the event
@@ -52,14 +54,12 @@ from .overlay import (
 )
 from .topology import (
     Change,
-    LinkKey,
     NoPath,
     NodeId,
     Topology,
     TopologyError,
     TopologyView,
     apply_fault,
-    link_key,
     shortest_path,
 )
 
@@ -142,7 +142,8 @@ class _LinkDir:
     a time.
 
     `up` and `loss` mirror the engine's ground view; `Engine._refresh_links`
-    sets them whenever that view changes.  The frame on the wire finishes at
+    sets them whenever that view changes, and bumps `epoch` when the
+    direction goes from up to down.  The frame on the wire finishes at
     heap key (busy_until, done_seq); before that key the link is busy.  Its
     TX_DONE is on the heap (done_live) only if a frame was waiting when it
     started or has been queued since, so at most one is live and none pops on
@@ -150,12 +151,12 @@ class _LinkDir:
     """
     a: NodeId
     b: NodeId
-    key: LinkKey
     latency_ms: float
     bits_per_ms: float
     rng: random.Random
     up: bool = True
     loss: float = 0.0
+    epoch: int = 0
     busy_until: float = 0.0
     done_seq: int = 0
     done_live: bool = False
@@ -339,11 +340,9 @@ class Engine:
         for spec in topology.links:
             for a, b in ((spec.a, spec.b), (spec.b, spec.a)):
                 self.link_dirs[(a, b)] = _LinkDir(
-                    a, b, spec.key, spec.latency_ms, spec.bw_mbps * 1000.0,
+                    a, b, spec.latency_ms, spec.bw_mbps * 1000.0,
                     self._derive_rng(f"{a}>{b}"))
         self._refresh_links()
-        self.link_epoch: Dict[LinkKey, int] = {
-            s.key: 0 for s in topology.links}
 
         self.raw_links: Dict[Tuple[str, str], RawLink] = {}
         self.raw_dirs: Dict[Tuple[str, str], _RawDir] = {}
@@ -398,10 +397,14 @@ class Engine:
         return out
 
     def _refresh_links(self) -> None:
-        """Copy each link direction's up state and loss from the ground view."""
+        """Copy each link direction's up state and loss from the ground view;
+        a direction that goes down starts a new epoch."""
         ground = self.ground
         for dirn in self.link_dirs.values():
-            dirn.up = ground.link_is_up(dirn.a, dirn.b)
+            up = ground.link_is_up(dirn.a, dirn.b)
+            if dirn.up and not up:
+                dirn.epoch += 1
+            dirn.up = up
             dirn.loss = ground.loss(dirn.a, dirn.b)
 
     # -- bookkeeping --
@@ -624,7 +627,7 @@ class Engine:
             self.trace("wire_loss", a, f"->{b}")
             return
         arrive = done + dirn.latency_ms + HOP_PROCESSING_MS
-        self._push(arrive, _EV_ARRIVAL, (dirn, wire, self.link_epoch[dirn.key]))
+        self._push(arrive, _EV_ARRIVAL, (dirn, wire, dirn.epoch))
 
     # -- faults --
 
@@ -653,19 +656,9 @@ class Engine:
     def _apply_change(self, change: Change) -> None:
         label = change.node if change.node is not None else "-".join(change.link)
         self.trace("fault", label, change.kind)
-        before = self.ground
         self.ground = apply_fault(self.ground, change)
-        if change.kind == "link_down":
-            key = change.link
-            if key in self.link_epoch and before.link_is_up(*key):
-                self.link_epoch[key] += 1
-        elif change.kind == "node_down":
-            node = change.node
-            for nbr in self.topology.neighbors(node):
-                key = link_key(node, nbr)
-                if before.link_is_up(node, nbr):
-                    self.link_epoch[key] += 1
-            self._retire_node(node)
+        if change.kind == "node_down":
+            self._retire_node(change.node)
         elif change.kind == "node_up":
             # a restarted daemon comes back empty, with the current ground view
             if change.node not in self.nodes:
@@ -712,7 +705,7 @@ class Engine:
                 self._on_raw_arrival(*data)
 
     def _on_arrival(self, dirn: _LinkDir, wire: Frame, epoch: int) -> None:
-        if epoch != self.link_epoch[dirn.key] or not dirn.up:
+        if epoch != dirn.epoch:
             self._count("inflight_lost")
             return
         state = self.nodes.get(dirn.b)

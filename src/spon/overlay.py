@@ -26,8 +26,9 @@ with a nack; unanswered announces repeat, spaced by the re-nack interval and
 doubling, ANNOUNCE_RETRIES at most.  A later arming of either timer
 supersedes an earlier one, a back-off wait included; a probe that fires while
 data frames wait does nothing, and waiting control frames never hold it
-back.  A node drops a link's hop state when its view says the link went
-down, so a neighbour that restarts with fresh link seqs is heard from seq 0.
+back.  A node keeps one hop record per neighbour for both directions of the
+link and drops it when its view says the link went down, so a neighbour that
+restarts with fresh link seqs is heard from seq 0.
 
 Every relay runs the same protocol parameters, the module constants below.
 `Config` holds the two that a scenario varies: the fair-queue partition size
@@ -37,7 +38,7 @@ and the PRIORITY deadline factor.
 from __future__ import annotations
 
 import struct
-from collections import OrderedDict, defaultdict, deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
@@ -201,7 +202,7 @@ class OutPort:
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self.queues: "OrderedDict[tuple, Dict[int, Deque[Frame]]]" = OrderedDict()
+        self.queues: Dict[tuple, Dict[int, Deque[Frame]]] = {}
         self.sizes: Dict[tuple, int] = {}
         self.ring: List[tuple] = []
         self.ring_idx = 0
@@ -285,26 +286,39 @@ class OutPort:
 
 # --- hop-by-hop recovery --------------------------------------------------------
 
-class _HopTx:
-    """Sender side of one link direction's recovery.
+class _Hop:
+    """Hop-by-hop recovery on the link to one neighbour, both directions.
 
-    The replay cache holds (wire frame, time stored) for the contiguous seqs
-    first_seq .. next_seq - 1, oldest on the left, so a seq indexes it
-    directly.  The wrapper header size and the tail-probe timer effects are
-    built once per link reset.
+    Sending: the replay cache holds (wire frame, time stored) for the
+    contiguous seqs first_seq .. next_seq - 1, oldest on the left, so a seq
+    indexes it directly; `confirmed` is the highest seq the neighbour said
+    it holds.  Receiving: `expected` is the next seq due and `missing` maps
+    each seq of an open gap to when the gap was found.  The record is made
+    on first use and dropped when the link goes down in the node's view, so
+    the two directions reset together.  The re-nack interval, the wrapper
+    header size and the timer effects are built once per record.
     """
 
-    def __init__(self, src: NodeId, nbr: NodeId, renack_ms: float):
+    def __init__(self, node_id: NodeId, nbr: NodeId, base: Topology):
         self.next_seq = 0
         self.cache: Deque[Tuple[Frame, float]] = deque()
         self.first_seq = 0
         self.announce_round = 0
-        self.confirmed = -1      # highest seq the receiver confirmed holding
-        self.header_size = Frame(kind=KIND_HOP_DATA, src=src,
+        self.confirmed = -1
+        self.expected = 0
+        self.missing: Dict[int, float] = {}
+        self.nack_armed = False
+        # how long a request on the link waits for its answer
+        try:
+            link_lat = base.link(node_id, nbr).latency_ms
+        except TopologyError:
+            link_lat = 1.0
+        self.renack_ms = renack_ms = max(RENACK_MIN_MS, 2.5 * link_lat)
+        self.header_size = Frame(kind=KIND_HOP_DATA, src=node_id,
                                  dst=nbr).wire_size()
-        self.renack_ms = renack_ms
         self.probe = SetTimer(("ann", nbr), ACK_DELAY_MS + renack_ms)
         self.unprobe = CancelTimer(("ann", nbr))
+        self.ack = SetTimer(("ack", nbr), ACK_DELAY_MS)
 
     def store(self, frame: Frame, now: float) -> None:
         """Cache the frame carrying seq next_seq - 1."""
@@ -328,57 +342,25 @@ class _HopTx:
             self.first_seq += 1
 
 
-class _HopRx:
-    """Receiver side of one link direction's recovery."""
+class _Hops(dict):
+    """A node's hop records by neighbour, each made on first use."""
 
-    def __init__(self, _node_id: NodeId, nbr: NodeId, renack_ms: float):
-        self.expected = 0
-        self.missing: Dict[int, float] = {}
-        self.nack_armed = False
-        self.renack_ms = renack_ms
-        self.ack = SetTimer(("ack", nbr), ACK_DELAY_MS)
-
-
-def _renack_ms(base: Topology, a: NodeId, b: NodeId) -> float:
-    """How long a request on the link a-b waits for its answer."""
-    try:
-        link_lat = base.link(a, b).latency_ms
-    except TopologyError:
-        link_lat = 1.0
-    return max(RENACK_MIN_MS, 2.5 * link_lat)
-
-
-class _HopTable(dict):
-    """One side of a node's hop state by neighbour, made on first use."""
-
-    def __init__(self, side: type, node_id: NodeId, base: Topology):
+    def __init__(self, node_id: NodeId, base: Topology):
         super().__init__()
-        self.side = side
         self.node_id = node_id
         self.base = base
 
-    def __missing__(self, nbr: NodeId):
-        state = self[nbr] = self.side(
-            self.node_id, nbr, _renack_ms(self.base, self.node_id, nbr))
-        return state
+    def __missing__(self, nbr: NodeId) -> _Hop:
+        hop = self[nbr] = _Hop(self.node_id, nbr, self.base)
+        return hop
 
 
-class _SeqWindow:
-    """Sliding membership window, bounded to DEDUP_WINDOW entries."""
-
-    def __init__(self):
-        self.entries: "OrderedDict[tuple, int]" = OrderedDict()
-
-    def seen(self, entry: tuple) -> bool:
-        return entry in self.entries
-
-    def add(self, entry: tuple) -> None:
-        self.entries[entry] = 1
-        while len(self.entries) > DEDUP_WINDOW:
-            self.entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self.entries)
+def _remember(window: dict, key: tuple, value: object = None) -> None:
+    """Set `key` in an insertion-ordered window of at most DEDUP_WINDOW keys,
+    forgetting the oldest."""
+    window[key] = value
+    if len(window) > DEDUP_WINDOW:
+        del window[next(iter(window))]
 
 
 @dataclass
@@ -411,13 +393,14 @@ class NodeState:
         self.config = config
         self.behavior = Behavior.honest()
         self.ports: Dict[NodeId, OutPort] = {}
-        self.hop_tx: Dict[NodeId, _HopTx] = _HopTable(_HopTx, node_id, view.base)
-        self.hop_rx: Dict[NodeId, _HopRx] = _HopTable(_HopRx, node_id, view.base)
+        self.hops: Dict[NodeId, _Hop] = _Hops(node_id, view.base)
         self.seq_counters: Dict[Tuple[NodeId, str], int] = {}
-        self.dedup_window: Dict[Tuple[NodeId, str], _SeqWindow] = {}
+        # (src, service code) -> the (dst, seq, kind) of frames already seen
+        self.dedup_window: Dict[Tuple[NodeId, int], Dict[tuple, None]] = \
+            defaultdict(dict)
         self.rel_pending: Dict[Tuple[NodeId, int], _RelPending] = {}
         self.parked: Deque[Frame] = deque()   # REL transit frames awaiting a route
-        self.ack_rotation: "OrderedDict[Tuple[NodeId, int], int]" = OrderedDict()
+        self.ack_rotation: Dict[Tuple[NodeId, int], int] = {}
         self._delay_counter = 0
         self.counters: Dict[str, int] = {}
 
@@ -440,12 +423,6 @@ class NodeState:
         if neighbor not in self.ports:
             self.ports[neighbor] = OutPort(self.config.buffer_capacity)
         return self.ports[neighbor]
-
-    def _window(self, src: NodeId, service: int) -> _SeqWindow:
-        key = (src, _SERVICE_NAME.get(service, str(service)))
-        if key not in self.dedup_window:
-            self.dedup_window[key] = _SeqWindow()
-        return self.dedup_window[key]
 
     def _next_seq(self, dst: NodeId, kind: str) -> int:
         key = (dst, kind)
@@ -520,7 +497,8 @@ class NodeState:
             if not neighbors:
                 raise NoPath(self.id, frame.dst, "no up neighbor")
             # suppress copies echoed back to us
-            self._window(frame.src, frame.service).add((frame.dst, frame.seq, frame.kind))
+            _remember(self.dedup_window[(frame.src, frame.service)],
+                      (frame.dst, frame.seq, frame.kind))
             flooded = frame.restamp(FLOODING, ())
             for nbr in neighbors:
                 self._enqueue_data(nbr, flooded, out)
@@ -548,32 +526,32 @@ class NodeState:
 
     def _hop_receive(self, from_nbr: NodeId, wire: Frame, now: float,
                      out: Effects) -> Optional[Frame]:
-        rx = self.hop_rx[from_nbr]
+        hop = self.hops[from_nbr]
         seq = wire.seq
-        if seq == rx.expected:
-            rx.expected += 1
-        elif seq > rx.expected:
-            self._mark_missing(rx, seq, now)
-            rx.expected = seq + 1
-            self._arm_nack(from_nbr, rx, out, NACK_DELAY_MS)
+        if seq == hop.expected:
+            hop.expected += 1
+        elif seq > hop.expected:
+            self._mark_missing(hop, seq, now)
+            hop.expected = seq + 1
+            self._arm_nack(from_nbr, hop, out, NACK_DELAY_MS)
         else:
-            if seq in rx.missing:
-                del rx.missing[seq]
+            if seq in hop.missing:
+                del hop.missing[seq]
             else:
                 self._drop("hop_duplicate", wire, out)
                 return None
         if wire.k == HOP_ACK_REQ:
             # a later flagged frame supersedes this arming
-            out.append(rx.ack)
+            out.append(hop.ack)
         return wire.inner
 
     def _handle_hop_nack(self, from_nbr: NodeId, wire: Frame, now: float,
                          out: Effects) -> None:
         if wire.payload:
             # neighbor requests retransmission of the listed link seqs
-            tx = self.hop_tx[from_nbr]
+            hop = self.hops[from_nbr]
             for seq in _unpack_seqs(wire.payload):
-                cached = tx.lookup(seq, now)
+                cached = hop.lookup(seq, now)
                 if cached is None:
                     # evicted or expired: send an empty fill so the neighbor
                     # stops asking; the data is gone at this layer
@@ -586,20 +564,20 @@ class NodeState:
         elif wire.k == HOP_CONFIRM:
             # the neighbor holds every frame up to wire.seq; a seq we have
             # not sent yet predates a reset of this link and says nothing
-            tx = self.hop_tx.get(from_nbr)
-            if tx is not None and tx.confirmed < wire.seq < tx.next_seq:
-                tx.confirmed = wire.seq
-                if wire.seq == tx.next_seq - 1:
-                    out.append(tx.unprobe)     # nothing left to probe for
+            hop = self.hops.get(from_nbr)
+            if hop is not None and hop.confirmed < wire.seq < hop.next_seq:
+                hop.confirmed = wire.seq
+                if wire.seq == hop.next_seq - 1:
+                    out.append(hop.unprobe)     # nothing left to probe for
         else:
             # high-water announce: anything up to wire.seq we never saw is
             # lost; with nothing missing, confirm so the announces stop
-            rx = self.hop_rx[from_nbr]
+            hop = self.hops[from_nbr]
             high = wire.seq
-            if high >= rx.expected:
-                self._mark_missing(rx, high + 1, now)
-            if rx.missing:
-                self._arm_nack(from_nbr, rx, out, NACK_DELAY_MS)
+            if high >= hop.expected:
+                self._mark_missing(hop, high + 1, now)
+            if hop.missing:
+                self._arm_nack(from_nbr, hop, out, NACK_DELAY_MS)
             else:
                 self._confirm(from_nbr, high, out)
 
@@ -609,16 +587,16 @@ class NodeState:
                         dst=nbr, seq=high)
         self._enqueue_control(nbr, confirm, out)
 
-    def _mark_missing(self, rx: _HopRx, end: int, now: float) -> None:
-        """Every seq from rx.expected below `end` never arrived; remember at
+    def _mark_missing(self, hop: _Hop, end: int, now: float) -> None:
+        """Every seq from hop.expected below `end` never arrived; remember at
         most HOP_CACHE_FRAMES of them, the sender caches no more."""
-        for s in range(max(rx.expected, end - HOP_CACHE_FRAMES), end):
-            rx.missing[s] = now
-        rx.expected = end
+        for s in range(max(hop.expected, end - HOP_CACHE_FRAMES), end):
+            hop.missing[s] = now
+        hop.expected = end
 
-    def _arm_nack(self, nbr: NodeId, rx: _HopRx, out: Effects, delay: float) -> None:
-        if not rx.nack_armed:
-            rx.nack_armed = True
+    def _arm_nack(self, nbr: NodeId, hop: _Hop, out: Effects, delay: float) -> None:
+        if not hop.nack_armed:
+            hop.nack_armed = True
             out.append(SetTimer(("nack", nbr), delay))
 
     # -- data plane --
@@ -650,17 +628,25 @@ class NodeState:
         else:
             self._process_routed(from_nbr, frame, now, out)
 
-    def _process_flood(self, from_nbr: NodeId, frame: Frame, now: float,
-                       out: Effects) -> None:
-        window = self._window(frame.src, frame.service)
+    def _first_copy(self, from_nbr: NodeId, frame: Frame, now: float,
+                    out: Effects) -> bool:
+        """Remember the frame in its source's window.  A copy seen before is
+        dropped, and a repeated REL data frame for this node is acked again."""
+        window = self.dedup_window[(frame.src, frame.service)]
         entry = (frame.dst, frame.seq, frame.kind)
-        if window.seen(entry):
+        if entry in window:
             self._drop("duplicate", frame, out)
             if frame.dst == self.id and frame.kind == KIND_DATA \
                     and frame.service == SERVICE_REL:
                 self._send_ack(frame, from_nbr, now, out, duplicate=True)
+            return False
+        _remember(window, entry)
+        return True
+
+    def _process_flood(self, from_nbr: NodeId, frame: Frame, now: float,
+                       out: Effects) -> None:
+        if not self._first_copy(from_nbr, frame, now, out):
             return
-        window.add(entry)
         if frame.dst == self.id:
             self._consume(frame, from_nbr, now, out)
         for nbr in self.view.up_neighbors(self.id):
@@ -670,15 +656,8 @@ class NodeState:
     def _process_routed(self, from_nbr: NodeId, frame: Frame, now: float,
                         out: Effects) -> None:
         if frame.dst == self.id:
-            window = self._window(frame.src, frame.service)
-            entry = (frame.dst, frame.seq, frame.kind)
-            if window.seen(entry):
-                self._drop("duplicate", frame, out)
-                if frame.kind == KIND_DATA and frame.service == SERVICE_REL:
-                    self._send_ack(frame, from_nbr, now, out, duplicate=True)
-                return
-            window.add(entry)
-            self._consume(frame, from_nbr, now, out)
+            if self._first_copy(from_nbr, frame, now, out):
+                self._consume(frame, from_nbr, now, out)
             return
         nxt = self._next_hop(frame)
         if nxt is None:
@@ -731,9 +710,7 @@ class NodeState:
                     seq=data.seq)
         key = (data.src, data.seq)
         attempt = self.ack_rotation.get(key, 0)
-        self.ack_rotation[key] = attempt + 1
-        while len(self.ack_rotation) > DEDUP_WINDOW:
-            self.ack_rotation.popitem(last=False)
+        _remember(self.ack_rotation, key, attempt + 1)
         if not duplicate and data.k == FLOODING:
             # first ack for a flooded message floods back
             try:
@@ -777,10 +754,12 @@ class NodeState:
         frame, expired = port.dequeue(now)
         for late in expired:
             self._drop("deadline_expired", late, out)
-        if frame is None and expired and neighbor in self.hop_tx:
-            # the port emptied without a wrap, so no frame asked for a
-            # confirm: the tail probe counts from here
-            out.append(self.hop_tx[neighbor].probe)
+        if frame is None and expired:
+            hop = self.hops.get(neighbor)
+            if hop is not None and hop.next_seq:
+                # the port emptied without a wrap, so no frame asked for a
+                # confirm: the tail probe counts from here
+                out.append(hop.probe)
         return frame, out
 
     def wrap_for_link(self, frame: Frame, neighbor: NodeId, now: float,
@@ -789,20 +768,20 @@ class NodeState:
         nack-driven retransmission.  Recovery frames pass through as-is."""
         if frame.kind in (KIND_HOP_DATA, KIND_HOP_NACK):
             return frame
-        tx = self.hop_tx[neighbor]
-        seq = tx.next_seq
-        tx.next_seq += 1
-        tx.announce_round = 0
+        hop = self.hops[neighbor]
+        seq = hop.next_seq
+        hop.next_seq += 1
+        hop.announce_round = 0
         if self._data_waiting(neighbor):
-            wire = Frame.hop_data(self.id, neighbor, seq, frame, tx.header_size)
+            wire = Frame.hop_data(self.id, neighbor, seq, frame, hop.header_size)
         else:
             # the wrap that empties the port asks for a confirm and arms the
             # tail probe, superseding any earlier arming, a back-off wait
             # included
-            wire = Frame.hop_data(self.id, neighbor, seq, frame, tx.header_size,
+            wire = Frame.hop_data(self.id, neighbor, seq, frame, hop.header_size,
                                   HOP_ACK_REQ)
-            out.append(tx.probe)
-        tx.store(wire, now)
+            out.append(hop.probe)
+        hop.store(wire, now)
         return wire
 
     # -- timers --
@@ -857,43 +836,43 @@ class NodeState:
             self._count("rel_stranded")
 
     def _nack_timer(self, nbr: NodeId, now: float, out: Effects) -> None:
-        rx = self.hop_rx.get(nbr)
-        if rx is None:
+        hop = self.hops.get(nbr)
+        if hop is None:
             return
-        rx.nack_armed = False
+        hop.nack_armed = False
         horizon = now - HOP_CACHE_EXPIRY_MS
-        for seq in [s for s, t in rx.missing.items() if t < horizon]:
-            del rx.missing[seq]
+        for seq in [s for s, t in hop.missing.items() if t < horizon]:
+            del hop.missing[seq]
             self._count("hop_gave_up")
-        if not rx.missing:
+        if not hop.missing:
             return
-        want = sorted(rx.missing)[:NACK_BATCH]
+        want = sorted(hop.missing)[:NACK_BATCH]
         nack = Frame(kind=KIND_HOP_NACK, src=self.id, dst=nbr,
                      payload=_pack_seqs(want))
         self._enqueue_control(nbr, nack, out)
-        rx.nack_armed = True
-        out.append(SetTimer(("nack", nbr), rx.renack_ms))
+        hop.nack_armed = True
+        out.append(SetTimer(("nack", nbr), hop.renack_ms))
 
     def _ack_timer(self, nbr: NodeId, out: Effects) -> None:
         """Confirm the frames a flagged frame closed; over a gap the nack
         timer, armed when the gap opened, answers instead."""
-        rx = self.hop_rx.get(nbr)
-        if rx is not None and not rx.missing:
-            self._confirm(nbr, rx.expected - 1, out)
+        hop = self.hops.get(nbr)
+        if hop is not None and not hop.missing:
+            self._confirm(nbr, hop.expected - 1, out)
 
     def _announce_timer(self, nbr: NodeId, now: float, out: Effects) -> None:
         """The tail probe: no confirm covered the last frame in time."""
-        tx = self.hop_tx.get(nbr)
-        if tx is None or self._data_waiting(nbr):
+        hop = self.hops.get(nbr)
+        if hop is None or self._data_waiting(nbr):
             return     # the link is busy; its last wrap arms the timer again
-        if tx.confirmed >= tx.next_seq - 1:
+        if hop.confirmed >= hop.next_seq - 1:
             return
         announce = Frame(kind=KIND_HOP_NACK, k=HOP_ANNOUNCE, src=self.id,
-                         dst=nbr, seq=tx.next_seq - 1)
+                         dst=nbr, seq=hop.next_seq - 1)
         self._enqueue_control(nbr, announce, out)
-        tx.announce_round += 1
-        if tx.announce_round < ANNOUNCE_RETRIES:
-            delay = tx.renack_ms * 2 ** (tx.announce_round - 1)
+        hop.announce_round += 1
+        if hop.announce_round < ANNOUNCE_RETRIES:
+            delay = hop.renack_ms * 2 ** (hop.announce_round - 1)
             out.append(SetTimer(("ann", nbr), delay))
 
     # -- topology updates --
@@ -910,15 +889,14 @@ class NodeState:
         for nbr in new_view.base.neighbors(self.id):
             if self.view.link_is_up(self.id, nbr) \
                     and not new_view.link_is_up(self.id, nbr):
-                self.hop_tx.pop(nbr, None)
-                self.hop_rx.pop(nbr, None)
+                self.hops.pop(nbr, None)
                 out.append(CancelTimer(("ann", nbr)))
                 out.append(CancelTimer(("nack", nbr)))
                 out.append(CancelTimer(("ack", nbr)))
         self.view = new_view
         # rerouting may open ports toward new neighbors; iterate a snapshot
         for nbr, port in list(self.ports.items()):
-            if self._link_known(nbr) and new_view.link_is_up(self.id, nbr):
+            if new_view.link_is_up(self.id, nbr):
                 continue
             for frame in port.drain():
                 if frame.kind in (KIND_HOP_DATA, KIND_HOP_NACK):
@@ -935,10 +913,3 @@ class NodeState:
         for frame in parked:
             self._reroute(frame, now, out)
         return out
-
-    def _link_known(self, nbr: NodeId) -> bool:
-        try:
-            self.view.base.link(self.id, nbr)
-            return True
-        except TopologyError:
-            return False

@@ -15,13 +15,15 @@ A node finds the stream session or probe that a FULFILL or REJECT answers by
 its payment id, in one table.  Expiries, timeouts, priorities and retry caps
 are the module constants below; no caller varies them.  A stream retries at
 once only after an expired reject; after any other transient reject it waits
-for its session timer.
+for its session timer.  A receiver keeps no record of what it was paid: it
+answers a repeated prepare from the ledger, where the packet's executed hold
+shows it paid, with the preimage it derives again.
 """
 
 import hashlib
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .netsim import Client, EngineApi
 from .overlay import ServiceClass
@@ -265,6 +267,11 @@ class Ledger:
                 return hid
         return None
 
+    def paid(self, group: str) -> bool:
+        """Some hold in the group has been executed."""
+        return any(self.holds[hid].state == HOLD_EXECUTED
+                   for hid in self.groups.get(group, ()))
+
     def executed_preimage(self, hold_id: str) -> Optional[bytes]:
         hold = self.holds.get(hold_id)
         if hold is not None and hold.state == HOLD_EXECUTED:
@@ -357,7 +364,10 @@ class DirectTransport:
     def __init__(self):
         self.next_seq = 0
         self.pending: Dict[int, _ArqPending] = {}
-        self.seen: Dict[str, set] = {}
+        # per source: every seq below its floor was seen, and so was each
+        # seq in its set above the floor
+        self.floor: Dict[str, int] = {}
+        self.above: Dict[str, Set[int]] = {}
         self.failures = 0
 
     def send_packet(self, node: "IlpNode", api: EngineApi, peer_client: str,
@@ -397,10 +407,15 @@ class DirectTransport:
             return None
         api.raw_send(node.client_id, src_client,
                      struct.pack(">BQ", _ARQ_ACK, seq))
-        window = self.seen.setdefault(src_client, set())
-        if seq in window:
+        floor = self.floor.get(src_client, 0)
+        above = self.above.setdefault(src_client, set())
+        if seq < floor or seq in above:
             return None
-        window.add(seq)
+        above.add(seq)
+        while floor in above:
+            above.remove(floor)
+            floor += 1
+        self.floor[src_client] = floor
         return body[9:]
 
     def on_timer(self, node: "IlpNode", timer_id: tuple, data: object,
@@ -514,7 +529,6 @@ class IlpNode(Client):
         # payment id -> the session or probe whose packets carry it
         self.owners: Dict[bytes, Union[StreamSession, PingProbe]] = {}
         self.relays: Dict[Tuple[bytes, int], _RelayState] = {}
-        self.fulfilled_cache: Dict[Tuple[bytes, int], bytes] = {}
         self.counters: Dict[str, int] = {}
         self._next_session = 0
         self._next_probe = 0
@@ -781,30 +795,26 @@ class IlpNode(Client):
                                                   pkt.seq,
                                                   fulfillment=preimage))
             return
-        key = (pkt.payment_id, pkt.seq)
-        if key in self.fulfilled_cache:
-            self._count("duplicate_prepare")
-            self._send(api, src_client, IlpPacket(
-                FULFILL, pkt.payment_id, pkt.seq,
-                fulfillment=self.fulfilled_cache[key]))
-            return
         link = self.links.get(src_client)
         if link is None:
             self._reject(api, src_client, pkt, R_NO_HOLD)
             return
         group = self._hold_group(pkt.payment_id, pkt.seq, src_client,
                                  self.client_id)
-        hold_id = link.ledger.find_active(group, pkt.condition, pkt.amount,
-                                          api.now)
-        if hold_id is None:
-            self._count("no_hold")
-            self._reject(api, src_client, pkt, R_NO_HOLD)
-            return
-        if not link.ledger.execute_hold(hold_id, preimage, api.now):
-            self._count("hold_execute_failed")
-            self._reject(api, src_client, pkt, R_EXPIRED)
-            return
-        self.fulfilled_cache[key] = preimage
+        if link.ledger.paid(group):
+            # a retry of a packet already paid: its fulfill was lost
+            self._count("duplicate_prepare")
+        else:
+            hold_id = link.ledger.find_active(group, pkt.condition,
+                                              pkt.amount, api.now)
+            if hold_id is None:
+                self._count("no_hold")
+                self._reject(api, src_client, pkt, R_NO_HOLD)
+                return
+            if not link.ledger.execute_hold(hold_id, preimage, api.now):
+                self._count("hold_execute_failed")
+                self._reject(api, src_client, pkt, R_EXPIRED)
+                return
         self._send(api, src_client, IlpPacket(FULFILL, pkt.payment_id, pkt.seq,
                                               fulfillment=preimage))
 

@@ -370,7 +370,7 @@ def test_gap_triggers_nack_and_recovery():
 
     fx = b.handle_frame("A", retx[0].frame, 3.0)
     assert [e for e in fx if isinstance(e, Deliver)]
-    assert not b.hop_rx["A"].missing
+    assert not b.hops["A"].missing
     # replaying the recovered frame again is a duplicate
     fx = b.handle_frame("A", retx[0].frame, 3.5)
     assert drops(fx, "hop_duplicate")
@@ -443,7 +443,7 @@ def test_later_announce_with_a_gap_is_nacked_not_confirmed():
     assert not transmits(fx)
     assert [e for e in fx if isinstance(e, SetTimer)
             and e.timer_id == ("nack", "A")]
-    assert sorted(b.hop_rx["A"].missing) == [1, 2]
+    assert sorted(b.hops["A"].missing) == [1, 2]
     nack = transmits(b.handle_timer(("nack", "A"), None, 12.0))[0].frame
     assert nack.payload and nack.k != HOP_CONFIRM
 
@@ -467,7 +467,7 @@ def test_confirm_above_next_seq_is_ignored():
     # a confirm from before a reset of the link names a seq never sent since
     stale = Frame(kind=KIND_HOP_NACK, k=HOP_CONFIRM, src="B", dst="A", seq=2)
     a.handle_frame("B", stale, 3.0)
-    assert a.hop_tx["B"].confirmed == -1
+    assert a.hops["B"].confirmed == -1
     assert announce(a, "B", 4.0)[0].seq == 1
 
 
@@ -495,7 +495,7 @@ def test_evicted_cache_entry_yields_empty_fill(monkeypatch):
     wires = wire_frames(a, "B", 4)      # cache keeps seqs 1..3, evicting 0
     # only the last wire frame arrives; 0..2 are marked missing
     fx = b.handle_frame("A", wires[3], 1.0)
-    assert set(b.hop_rx["A"].missing) == {0, 1, 2}
+    assert set(b.hops["A"].missing) == {0, 1, 2}
     nack = Frame(kind=KIND_HOP_NACK, src="B", dst="A",
                  payload=b"\x00" * 7 + b"\x00")      # request seq 0
     fx = a.handle_frame("B", nack, 10.0)
@@ -507,7 +507,7 @@ def test_evicted_cache_entry_yields_empty_fill(monkeypatch):
     # the fill closes the hole so the neighbor stops asking for seq 0
     fx = b.handle_frame("A", tomb, 10.5)
     assert not [e for e in fx if isinstance(e, Deliver)]
-    assert set(b.hop_rx["A"].missing) == {1, 2}
+    assert set(b.hops["A"].missing) == {1, 2}
 
 
 # --- reliable service ---------------------------------------------------------------
@@ -657,7 +657,7 @@ def test_a_link_back_up_starts_with_fresh_hop_state():
     gap = Frame(kind=KIND_HOP_DATA, src="1", dst="12", seq=4,
                 inner=routed_frame("1", "5", ("1", "12", "13", "14", "5")))
     n12.handle_frame("1", gap, 3.0)
-    assert n12.hop_rx["1"].missing and n12.hop_tx["13"].next_seq == 3
+    assert n12.hops["1"].missing and n12.hops["13"].next_seq == 3
     down = chain_view()
     for a, b in [("12", "13"), ("1", "12")]:
         down = apply_fault(down, Change.link_down(a, b))
@@ -669,7 +669,7 @@ def test_a_link_back_up_starts_with_fresh_hop_state():
                       CancelTimer(("ann", "13")), CancelTimer(("nack", "13")),
                       CancelTimer(("ack", "13"))]
     assert not [e for e in fx[6:] if isinstance(e, CancelTimer)]
-    assert "1" not in n12.hop_rx and "13" not in n12.hop_tx
+    assert "1" not in n12.hops and "13" not in n12.hops
     # a restarted neighbour's first frame, seq 0, arrives before the view
     # that brings its link back, and is no duplicate
     first = Frame(kind=KIND_HOP_DATA, src="1", dst="12", seq=0,
@@ -682,7 +682,7 @@ def test_a_link_back_up_starts_with_fresh_hop_state():
     fx = n12.recompute_routes(chain_view(), 6.0)
     assert not [e for e in fx if isinstance(e, CancelTimer)]
     assert [t.neighbor for t in transmits(fx)] == ["13"]
-    assert n12.hop_rx["1"].expected == 1
+    assert n12.hops["1"].expected == 1
     assert n12.wrap_for_link(transmits(fx)[0].frame, "13", 6.0, []).seq == 0
 
 
@@ -691,7 +691,7 @@ def test_replay_cache_lookup_by_seq(monkeypatch):
     view = build_view("AB", [("A", "B", 2.0)])
     a = NodeState("A", view)
     wires = wire_frames(a, "B", 5)      # stored at 0..4 ms; 0 and 1 evicted
-    tx = a.hop_tx["B"]
+    tx = a.hops["B"]
     assert (tx.first_seq, tx.next_seq) == (2, 5)
     assert [tx.lookup(s, 5.0) for s in range(7)] == [
         None, None, wires[2], wires[3], wires[4], None, None]
@@ -735,7 +735,7 @@ def test_wrap_arms_the_announce_timer_once_per_idle_period():
     # the wrap that empties the port arms the probe, and only its frame asks
     # for a confirm
     assert send(1.0) == [probe]
-    assert [w.k for w, _ in a.hop_tx["B"].cache] == [0, 0, HOP_ACK_REQ]
+    assert [w.k for w, _ in a.hops["B"].cache] == [0, 0, HOP_ACK_REQ]
     # a waiting control frame does not hold the announce back
     port.enqueue_control(Frame(kind=KIND_HOP_NACK, k=HOP_CONFIRM, src="A",
                                dst="B", seq=0))
@@ -790,7 +790,7 @@ def test_ack_timer_confirms_every_frame_up_to_the_high_water():
     assert confirm.kind == KIND_HOP_NACK and confirm.k == HOP_CONFIRM
     assert confirm.seq == 2 and confirm.payload == b""
     assert a.handle_frame("B", confirm, 6.0) == [CancelTimer(("ann", "B"))]
-    assert a.hop_tx["B"].confirmed == 2
+    assert a.hops["B"].confirmed == 2
     assert announce(a, "B", 9.0) == (None, None)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import pytest
 
@@ -289,6 +290,46 @@ def test_lost_fulfill_retry_does_not_double_pay():
     assert l1.balance("cs") == 9_800
     assert l2.balance("cr") == 198
     assert report.fees_by_connector == {"cc": 2}
+
+
+def test_retried_prepare_for_a_paid_packet_is_answered_from_the_ledger():
+    # sender and receiver share one ledger, as every scenario pays
+    book = Ledger("book", {"cs": 10_000, "cr": 0})
+    txlog = TxLog()
+    svc = ServiceClass(PRI, 1)
+    s = IlpNode("cs", "g.s", OverlayTransport(svc), txlog=txlog)
+    r = IlpNode("cr", "g.r", OverlayTransport(svc), secret=b"shh",
+                txlog=txlog)
+    s.add_link(PeerLink("cr", book, "cs", "cr"))
+    s.add_route("g.r", "cr")
+    r.add_link(PeerLink("cs", book, "cr", "cs"))
+    r.add_route("g.s", "cs")
+    api = FakeApi()
+    nodes = {"cs": s, "cr": r}
+    state = {"dropped": False}
+
+    def drop(src, dst, body):
+        if not state["dropped"] and decode_packet(body).kind == FULFILL:
+            state["dropped"] = True
+            return True
+        return False
+
+    sid = s.start_stream(api, "g.r.x", b"shh", 200, 200)
+    pump(api, nodes, drop=drop)
+    sess = s.sessions[sid]
+    assert sess.state == STREAM_RUNNING       # the fulfill never came back
+    api.now = 200.0
+    s.on_timer(("sess", sid), None, api)
+    pump(api, nodes)
+    assert sess.state == STREAM_COMPLETE
+    # the receiver saw its executed hold on the book and fulfilled again
+    assert r.counters["duplicate_prepare"] == 1
+    assert sum(1 for h in book.holds.values()
+               if h.state == HOLD_EXECUTED) == 1
+    assert book.escrow_total() == 0
+    assert book.balance("cs") == 9_800 and book.balance("cr") == 200
+    report = settle_check([book], api.now, txlog)
+    assert report.ok, report.problems
 
 
 def test_lost_prepare_retry_reuses_active_hold():
@@ -611,6 +652,27 @@ def test_ping_latency_over_chain():
     assert probe.timeouts == 0
     assert len(probe.rtts) == 5
     assert all(32.0 < rtt < 34.0 for rtt in probe.rtts)
+
+
+def test_direct_transport_remembers_seen_seqs_in_a_bounded_window():
+    t = DirectTransport()
+    node = IlpNode("cr", "g.r", t)
+    api = FakeApi()
+
+    def arrive(seq):
+        return t.on_raw(node, "cs", struct.pack(">BQ", 1, seq) + b"p", api)
+
+    assert all(arrive(seq) == b"p" for seq in range(1000))
+    assert t.floor["cs"] == 1000 and not t.above["cs"]
+    # out of order: the later seq waits above the floor until the gap fills
+    assert arrive(1001) == b"p" and t.above["cs"] == {1001}
+    assert arrive(1000) == b"p"
+    assert t.floor["cs"] == 1002 and not t.above["cs"]
+    # a replay below the floor is acked again but not handed up
+    api.sent.clear()
+    assert arrive(5) is None
+    assert api.sent == [("cr", "cs", struct.pack(">BQ", 2, 5))]
+    assert t.floor["cs"] == 1002 and not t.above["cs"]
 
 
 def test_direct_transport_stalls_through_outage():
