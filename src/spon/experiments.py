@@ -464,8 +464,9 @@ def _run_payment_once(sc: Scenario, topo: Topology, variant: str, rep: int,
             end = sent + value if status == "ok" else -1.0
             rows.append((rep, rep_seed, "ping", seq, _q(sent), _q(end),
                          _q(value), status))
-        counters["ping_ok"] = len(probe.rtts)
-        counters["ping_timeouts"] = probe.timeouts
+        ok = sum(1 for outcome in probe.outcomes if outcome[3] == "ok")
+        counters["ping_ok"] = ok
+        counters["ping_timeouts"] = len(probe.outcomes) - ok
         completed = probe.sent == sc.ping_count
     else:
         state_names = {STREAM_COMPLETE: "complete", STREAM_FAILED: "failed",
@@ -480,7 +481,7 @@ def _run_payment_once(sc: Scenario, topo: Topology, variant: str, rep: int,
                 rows.append((rep, rep_seed, "packet", seq, _q(done - rtt),
                              _q(done), _q(rtt), "ok"))
             counters["fulfilled"] = counters.get("fulfilled", 0) \
-                + sess.packets_fulfilled
+                + sess.next_seq
             counters["stream_retries"] = counters.get("stream_retries", 0) \
                 + sess.retries
             completed = completed and sess.state == STREAM_COMPLETE

@@ -324,6 +324,8 @@ class Engine:
 
         self.behaviors = dict(behaviors or {})
         self.nodes: Dict[NodeId, NodeState] = {}
+        # node -> how many times it has been spawned; the next incarnation
+        self.spawns: Dict[NodeId, int] = {}
         for n in topology.nodes:
             self._spawn_node(n)
 
@@ -377,7 +379,9 @@ class Engine:
         return random.Random(int.from_bytes(digest[:8], "big"))
 
     def _spawn_node(self, node_id: NodeId) -> None:
-        state = NodeState(node_id, self.ground, self.config)
+        incarnation = self.spawns.get(node_id, 0)
+        self.spawns[node_id] = incarnation + 1
+        state = NodeState(node_id, self.ground, self.config, incarnation)
         if node_id in self.behaviors:
             state.behavior = self.behaviors[node_id]
         self.nodes[node_id] = state

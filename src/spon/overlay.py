@@ -30,6 +30,11 @@ back.  A node keeps one hop record per neighbour for both directions of the
 link and drops it when its view says the link went down, so a neighbour that
 restarts with fresh link seqs is heard from seq 0.
 
+End-to-end seqs are numbered per (destination, service) from the node's
+incarnation: the engine counts each spawn of a node (0, 1, ...), and the
+counters of incarnation i start at i << 32, so a restarted node never reuses
+a seq that a destination's duplicate window still holds.
+
 Every relay runs the same protocol parameters, the module constants below.
 `Config` holds the two that a scenario varies: the fair-queue partition size
 and the PRIORITY deadline factor.
@@ -387,8 +392,9 @@ class NodeState:
     """One overlay relay.  See the module docstring for the contract."""
 
     def __init__(self, node_id: NodeId, view: TopologyView,
-                 config: Config = DEFAULT_CONFIG):
+                 config: Config = DEFAULT_CONFIG, incarnation: int = 0):
         self.id = node_id
+        self.incarnation = incarnation
         self.view = view
         self.config = config
         self.behavior = Behavior.honest()
@@ -399,7 +405,8 @@ class NodeState:
         self.dedup_window: Dict[Tuple[NodeId, int], Dict[tuple, None]] = \
             defaultdict(dict)
         self.rel_pending: Dict[Tuple[NodeId, int], _RelPending] = {}
-        self.parked: Deque[Frame] = deque()   # REL transit frames awaiting a route
+        # REL transit frames awaiting a route, CONTROL_CAPACITY at most
+        self.parked: Deque[Frame] = deque()
         self.ack_rotation: Dict[Tuple[NodeId, int], int] = {}
         self._delay_counter = 0
         self.counters: Dict[str, int] = {}
@@ -426,8 +433,9 @@ class NodeState:
 
     def _next_seq(self, dst: NodeId, kind: str) -> int:
         key = (dst, kind)
-        self.seq_counters[key] = self.seq_counters.get(key, 0) + 1
-        return self.seq_counters[key]
+        seq = self.seq_counters.get(key, self.incarnation << 32) + 1
+        self.seq_counters[key] = seq
+        return seq
 
     def _enqueue_data(self, neighbor: NodeId, frame: Frame, out: Effects) -> None:
         if self._port(neighbor).enqueue(frame):
@@ -683,11 +691,13 @@ class NodeState:
         try:
             path = shortest_path(self.view, self.id, frame.dst)
         except NoPath:
-            if frame.service == SERVICE_REL:
+            if frame.service != SERVICE_REL:
+                self._drop("no_route", frame, out)
+            elif len(self.parked) >= CONTROL_CAPACITY:
+                self._drop("parked_full", frame, out)
+            else:
                 self.parked.append(frame)
                 self._count("parked")
-            else:
-                self._drop("no_route", frame, out)
             return
         restamped = frame.restamp(frame.k, (path.hops,))
         self._enqueue_data(path.hops[1], restamped, out)

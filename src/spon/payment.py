@@ -15,9 +15,16 @@ A node finds the stream session or probe that a FULFILL or REJECT answers by
 its payment id, in one table.  Expiries, timeouts, priorities and retry caps
 are the module constants below; no caller varies them.  A stream retries at
 once only after an expired reject; after any other transient reject it waits
-for its session timer.  A receiver keeps no record of what it was paid: it
-answers a repeated prepare from the ledger, where the packet's executed hold
-shows it paid, with the preimage it derives again.
+for its session timer.
+
+The ledger is the one record of a payment.  A packet's executed hold says it
+was paid and carries the preimage that claimed it, so a receiver answers a
+repeated prepare from the book with the preimage it derives again, and a
+connector answers one with the preimage its outgoing hold revealed.  A
+connector keeps a record of a forwarded packet only while the packet is in
+flight, and drops it once the packet is claimed or rejected; an executed
+incoming hold tells it the packet is claimed, so a retry's hold is never
+claimed as well.
 """
 
 import hashlib
@@ -165,6 +172,11 @@ HOLD_EXECUTED = "executed"
 HOLD_VOID = "void"
 
 
+# a hold group: (payment_id, seq, payer, payee); a hold id: (group, index)
+Group = Tuple[bytes, int, str, str]
+HoldId = Tuple[Group, int]
+
+
 class LedgerError(Exception):
     pass
 
@@ -185,23 +197,22 @@ class Ledger:
 
     Placing a hold debits the payer immediately; the amount lives in the hold
     until it is executed (credited to the payee) or voided (returned).  The
-    hashlock is enforced here, not by the parties.
+    hashlock is enforced here, not by the parties.  A hold group is one ledger
+    edge of one packet, `(payment_id, seq, payer, payee)`; each hold is kept
+    once, in its group's list, and its id is `(group, index)`.
     """
 
     def __init__(self, name: str, accounts: Dict[str, int]):
         self.name = name
         self.accounts = dict(accounts)
         self.initial_total = sum(accounts.values())
-        self.holds: Dict[str, Hold] = {}
-        self.groups: Dict[str, List[str]] = {}
+        self.groups: Dict[Group, List[Hold]] = {}
 
     def balance(self, account: str) -> int:
         return self.accounts[account]
 
-    def place_hold(self, hold_id: str, group: str, payer: str, payee: str,
-                   amount: int, condition: bytes, expiry_ms: float) -> None:
-        if hold_id in self.holds:
-            raise LedgerError(f"hold {hold_id} already exists")
+    def place_hold(self, group: Group, payer: str, payee: str, amount: int,
+                   condition: bytes, expiry_ms: float) -> HoldId:
         if amount <= 0:
             raise LedgerError("hold amount must be positive")
         if payer not in self.accounts or payee not in self.accounts:
@@ -209,13 +220,19 @@ class Ledger:
         if self.accounts[payer] < amount:
             raise LedgerError(f"insufficient funds in {payer}")
         self.accounts[payer] -= amount
-        self.holds[hold_id] = Hold(payer, payee, amount, condition, expiry_ms)
-        self.groups.setdefault(group, []).append(hold_id)
+        holds = self.groups.setdefault(group, [])
+        holds.append(Hold(payer, payee, amount, condition, expiry_ms))
+        return group, len(holds) - 1
 
-    def execute_hold(self, hold_id: str, preimage: bytes, now: float) -> bool:
-        hold = self.holds.get(hold_id)
-        if hold is None:
-            raise LedgerError(f"no hold {hold_id}")
+    def hold(self, hold_id: HoldId) -> Hold:
+        group, index = hold_id
+        try:
+            return self.groups[group][index]
+        except (KeyError, IndexError):
+            raise LedgerError(f"no hold {hold_id}") from None
+
+    def execute_hold(self, hold_id: HoldId, preimage: bytes, now: float) -> bool:
+        hold = self.hold(hold_id)
         if hold.state == HOLD_EXECUTED:
             return hold.preimage == preimage   # idempotent, nothing moves
         if hold.state == HOLD_VOID:
@@ -230,17 +247,15 @@ class Ledger:
         self.accounts[hold.payee] += hold.amount
         return True
 
-    def void_hold(self, hold_id: str) -> None:
-        hold = self.holds.get(hold_id)
-        if hold is None or hold.state != HOLD_ACTIVE:
-            return
-        self._void(hold)
+    def void_hold(self, hold_id: HoldId) -> None:
+        hold = self.hold(hold_id)
+        if hold.state == HOLD_ACTIVE:
+            self._void(hold)
 
-    def void_group(self, group: str) -> int:
+    def void_group(self, group: Group) -> int:
         """Refund every active hold in the group.  Returns the count voided."""
         voided = 0
-        for hid in self.groups.get(group, ()):
-            hold = self.holds[hid]
+        for hold in self.groups.get(group, ()):
             if hold.state == HOLD_ACTIVE:
                 self._void(hold)
                 voided += 1
@@ -251,43 +266,31 @@ class Ledger:
         self.accounts[hold.payer] += hold.amount
 
     def sweep(self, now: float) -> int:
-        expired = [hid for hid, h in self.holds.items()
+        expired = [h for holds in self.groups.values() for h in holds
                    if h.state == HOLD_ACTIVE and now > h.expiry_ms]
-        for hid in expired:
-            self._void(self.holds[hid])
+        for hold in expired:
+            self._void(hold)
         return len(expired)
 
-    def find_active(self, group: str, condition: bytes, min_amount: int,
-                    now: float) -> Optional[str]:
-        for hid in self.groups.get(group, ()):
-            hold = self.holds[hid]
+    def find_active(self, group: Group, condition: bytes, min_amount: int,
+                    now: float) -> Optional[HoldId]:
+        for index, hold in enumerate(self.groups.get(group, ())):
             if (hold.state == HOLD_ACTIVE and now <= hold.expiry_ms
                     and hold.condition == condition
                     and hold.amount >= min_amount):
-                return hid
+                return group, index
         return None
 
-    def paid(self, group: str) -> bool:
-        """Some hold in the group has been executed."""
-        return any(self.holds[hid].state == HOLD_EXECUTED
-                   for hid in self.groups.get(group, ()))
-
-    def executed_preimage(self, hold_id: str) -> Optional[bytes]:
-        hold = self.holds.get(hold_id)
-        if hold is not None and hold.state == HOLD_EXECUTED:
-            return hold.preimage
+    def executed(self, group: Group) -> Optional[Hold]:
+        """The group's executed hold, if any: the packet is paid, and the
+        hold carries the preimage that claimed it."""
+        for hold in self.groups.get(group, ()):
+            if hold.state == HOLD_EXECUTED:
+                return hold
         return None
-
-    def hold_state(self, hold_id: str) -> Optional[str]:
-        hold = self.holds.get(hold_id)
-        return hold.state if hold else None
-
-    def hold_expiry(self, hold_id: str) -> Optional[float]:
-        hold = self.holds.get(hold_id)
-        return hold.expiry_ms if hold else None
 
     def escrow_total(self) -> int:
-        return sum(h.amount for h in self.holds.values()
+        return sum(h.amount for holds in self.groups.values() for h in holds
                    if h.state == HOLD_ACTIVE)
 
     def conserved(self) -> bool:
@@ -302,12 +305,11 @@ class TxLog:
     of a relaying party.  Shared by all parties."""
 
     def __init__(self):
-        self.rows: List[Tuple[float, str, str, bytes, int, int, str]] = []
+        self.rows: List[Tuple[float, str, str, bytes, int, int]] = []
 
     def add(self, time_ms: float, actor: str, kind: str, payment_id: bytes,
-            seq: int, amount: int, result: str) -> None:
-        self.rows.append((time_ms, actor, kind, payment_id, seq, amount,
-                          result))
+            seq: int, amount: int) -> None:
+        self.rows.append((time_ms, actor, kind, payment_id, seq, amount))
 
 
 # --- transports -----------------------------------------------------------------------------
@@ -466,20 +468,19 @@ class StreamSession:
     packet_amount: int
     payment_id: bytes
     state: str = STREAM_RUNNING
-    next_seq: int = 0
-    delivered: int = 0
+    next_seq: int = 0           # also the count of packets fulfilled
     retries: int = 0
     attempts_current: int = 0
     rtt_ewma_ms: float = 0.0
     sent_at_ms: float = 0.0
     started_ms: float = 0.0
     finished_ms: float = 0.0
-    packets_fulfilled: int = 0
     # (seq, completed_at_ms, rtt_ms) per fulfilled packet
     packet_rtts: List[Tuple[int, float, float]] = field(default_factory=list)
 
     def current_amount(self) -> int:
-        return min(self.packet_amount, self.total - self.delivered)
+        return min(self.packet_amount,
+                   self.total - self.next_seq * self.packet_amount)
 
 
 @dataclass
@@ -492,8 +493,6 @@ class PingProbe:
     interval_ms: float
     timeout_ms: float
     sent: int = 0
-    rtts: List[float] = field(default_factory=list)
-    timeouts: int = 0
     outstanding: Dict[int, float] = field(default_factory=dict)
     # (seq, sent_ms, rtt_ms or -1, "ok" | "timeout") in completion order
     outcomes: List[Tuple[int, float, float, str]] = field(default_factory=list)
@@ -501,13 +500,11 @@ class PingProbe:
 
 @dataclass
 class _RelayState:
+    """A connector's record of a packet it forwarded, kept only while the
+    packet is in flight; the ledgers hold everything else about it."""
     upstream_peer: str
-    upstream_hold: Optional[str]    # None for amount-0 probes
     downstream_peer: str
-    downstream_hold: Optional[str]
-    amount_in: int
-    amount_out: int
-    fulfilled: bool = False
+    probe: bool = False         # amount 0: no hold on either leg
 
 
 class IlpNode(Client):
@@ -551,17 +548,6 @@ class IlpNode(Client):
     def _count(self, key: str) -> None:
         self.counters[key] = self.counters.get(key, 0) + 1
 
-    # -- hold naming --
-
-    def _hold_group(self, pid: bytes, seq: int, payer_client: str,
-                    payee_client: str) -> str:
-        return f"{pid.hex()}:{seq}:{payer_client}>{payee_client}"
-
-    def _new_hold_id(self, ledger: Ledger, group: str) -> str:
-        # only the group's payer places holds in it, and a failed place_hold
-        # adds none, so the group's length is a fresh index
-        return f"{group}:{len(ledger.groups.get(group, ()))}"
-
     # -- sending --
 
     def _send(self, api: EngineApi, peer_client: str, pkt: IlpPacket) -> bool:
@@ -600,14 +586,12 @@ class IlpNode(Client):
                         address=sess.dst_addr)
         link = self.links.get(peer)
         if link is not None and amount > 0:
-            group = self._hold_group(sess.payment_id, sess.next_seq,
-                                     self.client_id, peer)
+            group = (sess.payment_id, sess.next_seq, self.client_id, peer)
             existing = link.ledger.find_active(group, pkt.condition, amount,
                                                api.now)
             if existing is None:
-                hold_id = self._new_hold_id(link.ledger, group)
                 try:
-                    link.ledger.place_hold(hold_id, group, link.my_account,
+                    link.ledger.place_hold(group, link.my_account,
                                            link.peer_account, amount,
                                            pkt.condition,
                                            api.now + INITIAL_EXPIRY_MS)
@@ -618,7 +602,7 @@ class IlpNode(Client):
             else:
                 # a retry rides on the hold that still backs it, so the
                 # packet must carry that hold's (earlier) expiry
-                pkt.expiry_us = int(link.ledger.hold_expiry(existing) * 1000)
+                pkt.expiry_us = int(link.ledger.hold(existing).expiry_ms * 1000)
         if link is None and amount > 0:
             self._stream_finish(api, sess, STREAM_FAILED)
             return
@@ -644,9 +628,8 @@ class IlpNode(Client):
         peer = self._route(sess.dst_addr)
         link = self.links.get(peer) if peer else None
         if link is not None:
-            group = self._hold_group(sess.payment_id, sess.next_seq,
-                                     self.client_id, peer)
-            link.ledger.void_group(group)
+            link.ledger.void_group(
+                (sess.payment_id, sess.next_seq, self.client_id, peer))
 
     def _stream_on_fulfill(self, api: EngineApi, sess: StreamSession,
                            pkt: IlpPacket) -> None:
@@ -659,16 +642,13 @@ class IlpNode(Client):
         # a retry's hold, placed after the connector had claimed the first
         # one, is never claimed: give it back now instead of at its expiry
         self._void_packet_holds(api, sess)
-        amount = sess.current_amount()
         rtt = api.now - sess.sent_at_ms
         sess.packet_rtts.append((pkt.seq, api.now, rtt))
         a = RTT_ALPHA
         sess.rtt_ewma_ms = (1 - a) * sess.rtt_ewma_ms + a * rtt
-        sess.delivered += amount
-        sess.packets_fulfilled += 1
         sess.next_seq += 1
         sess.attempts_current = 0
-        if sess.delivered >= sess.total:
+        if sess.next_seq * sess.packet_amount >= sess.total:
             self._stream_finish(api, sess, STREAM_COMPLETE)
         else:
             self._stream_send_current(api, sess)
@@ -744,10 +724,8 @@ class IlpNode(Client):
             return
         if fulfillment is not None and fulfillment == derive_preimage(
                 probe.secret, probe.payment_id, seq):
-            probe.rtts.append(api.now - sent)
             probe.outcomes.append((seq, sent, api.now - sent, "ok"))
         else:
-            probe.timeouts += 1
             probe.outcomes.append((seq, sent, -1.0, "timeout"))
         api.cancel_timer(self.client_id, ("ping", probe.probe_id, seq))
 
@@ -799,9 +777,8 @@ class IlpNode(Client):
         if link is None:
             self._reject(api, src_client, pkt, R_NO_HOLD)
             return
-        group = self._hold_group(pkt.payment_id, pkt.seq, src_client,
-                                 self.client_id)
-        if link.ledger.paid(group):
+        group = (pkt.payment_id, pkt.seq, src_client, self.client_id)
+        if link.ledger.executed(group) is not None:
             # a retry of a packet already paid: its fulfill was lost
             self._count("duplicate_prepare")
         else:
@@ -825,54 +802,53 @@ class IlpNode(Client):
             self._count("no_route")
             self._reject(api, src_client, pkt, R_NO_ROUTE)
             return
-        out_link = self.links.get(next_peer)
         key = (pkt.payment_id, pkt.seq)
 
         if pkt.amount == 0:
             # probes carry no value, but the return path still needs a
             # breadcrumb so the fulfillment can retrace its way upstream
             if key not in self.relays:
-                self.relays[key] = _RelayState(src_client, None, next_peer,
-                                               None, 0, 0)
+                self.relays[key] = _RelayState(src_client, next_peer,
+                                               probe=True)
             fwd = IlpPacket(PREPARE, pkt.payment_id, pkt.seq, 0, pkt.expiry_us,
                             condition=pkt.condition, address=pkt.address)
             self._send(api, next_peer, fwd)
             return
 
-        relay = self.relays.get(key)
-        if relay is not None and out_link is not None:
-            state = out_link.ledger.hold_state(relay.downstream_hold)
-            if state == HOLD_EXECUTED:
-                # the outgoing leg already paid out; recover the preimage from
-                # the shared book and claim (or re-claim) the incoming leg
-                self._count("preimage_recovered")
-                preimage = out_link.ledger.executed_preimage(relay.downstream_hold)
-                self._claim_upstream(api, src_client, pkt, preimage)
-                return
-            if state == HOLD_ACTIVE:
-                self._count("duplicate_prepare")
-                expiry = out_link.ledger.hold_expiry(relay.downstream_hold)
-                fwd = IlpPacket(PREPARE, pkt.payment_id, pkt.seq,
-                                relay.amount_out, int(expiry * 1000),
-                                condition=pkt.condition, address=pkt.address)
-                self._send(api, next_peer, fwd)
-                return
-            # voided or expired: fall through and set up fresh legs
-
+        out_link = self.links.get(next_peer)
         if out_link is None:
             self._count("no_route")
             self._reject(api, src_client, pkt, R_NO_ROUTE)
             return
+        out_group = (pkt.payment_id, pkt.seq, self.client_id, next_peer)
+        paid = out_link.ledger.executed(out_group)
+        if paid is not None:
+            # the outgoing leg already paid out; recover the preimage from
+            # the shared book and claim (or re-claim) the incoming leg
+            self._count("preimage_recovered")
+            self.relays.pop(key, None)
+            self._claim_upstream(api, src_client, pkt, paid.preimage)
+            return
+        if key in self.relays:
+            # in flight: a connector places an outgoing hold only when the
+            # group has no live one, so its forward rode on the newest
+            live = out_link.ledger.groups[out_group][-1]
+            if live.state == HOLD_ACTIVE:
+                self._count("duplicate_prepare")
+                fwd = IlpPacket(PREPARE, pkt.payment_id, pkt.seq, live.amount,
+                                int(live.expiry_ms * 1000),
+                                condition=pkt.condition, address=pkt.address)
+                self._send(api, next_peer, fwd)
+                return
+            # voided: set up fresh legs
+
         in_link = self.links.get(src_client)
         if in_link is None:
             self._reject(api, src_client, pkt, R_NO_HOLD)
             return
-
-        in_group = self._hold_group(pkt.payment_id, pkt.seq, src_client,
-                                    self.client_id)
-        upstream_hold = in_link.ledger.find_active(in_group, pkt.condition,
-                                                   pkt.amount, api.now)
-        if upstream_hold is None:
+        in_group = (pkt.payment_id, pkt.seq, src_client, self.client_id)
+        if in_link.ledger.find_active(in_group, pkt.condition, pkt.amount,
+                                      api.now) is None:
             self._count("no_hold")
             self._reject(api, src_client, pkt, R_NO_HOLD)
             return
@@ -887,15 +863,11 @@ class IlpNode(Client):
             self._reject(api, src_client, pkt, R_INSUFFICIENT_TIME)
             return
 
-        out_group = self._hold_group(pkt.payment_id, pkt.seq, self.client_id,
-                                     next_peer)
         down_hold = out_link.ledger.find_active(out_group, pkt.condition,
                                                 amount_out, api.now)
         if down_hold is None:
-            down_hold = self._new_hold_id(out_link.ledger, out_group)
             try:
-                out_link.ledger.place_hold(down_hold, out_group,
-                                           out_link.my_account,
+                out_link.ledger.place_hold(out_group, out_link.my_account,
                                            out_link.peer_account, amount_out,
                                            pkt.condition,
                                            expiry_out_us / 1000.0)
@@ -904,11 +876,11 @@ class IlpNode(Client):
                 self._reject(api, src_client, pkt, R_INSUFFICIENT_FUNDS)
                 return
         else:
-            expiry_out_us = int(out_link.ledger.hold_expiry(down_hold) * 1000)
-        self.relays[key] = _RelayState(src_client, upstream_hold, next_peer,
-                                       down_hold, pkt.amount, amount_out)
+            expiry_out_us = int(out_link.ledger.hold(down_hold).expiry_ms
+                                * 1000)
+        self.relays[key] = _RelayState(src_client, next_peer)
         self.txlog.add(api.now, self.client_id, "forward", pkt.payment_id,
-                       pkt.seq, amount_out, "relayed")
+                       pkt.seq, amount_out)
         fwd = IlpPacket(PREPARE, pkt.payment_id, pkt.seq, amount_out,
                         expiry_out_us, condition=pkt.condition,
                         address=pkt.address)
@@ -916,37 +888,24 @@ class IlpNode(Client):
 
     def _claim_upstream(self, api: EngineApi, upstream_peer: str,
                         pkt: IlpPacket, preimage: bytes) -> None:
-        relay = self.relays.get((pkt.payment_id, pkt.seq))
-        if relay is None or preimage is None:
-            return
-        if relay.upstream_hold is None:
-            # amount-0 probe: no escrow on either leg, just relay the proof
-            del self.relays[(pkt.payment_id, pkt.seq)]
-            self._send(api, upstream_peer, IlpPacket(
-                FULFILL, pkt.payment_id, pkt.seq, fulfillment=preimage))
-            return
+        """Claim the incoming hold with the preimage and pass the fulfil on.
+        A packet whose incoming group already has an executed hold is claimed:
+        claiming a second (a retry's hold) would charge the sender twice."""
         in_link = self.links.get(upstream_peer)
         if in_link is None:
             return
-        if relay.fulfilled:
-            # already claimed one incoming hold for this packet; claiming a
-            # second (a retry's hold) would charge the sender twice
-            self._send(api, upstream_peer, IlpPacket(
-                FULFILL, pkt.payment_id, pkt.seq, fulfillment=preimage))
-            return
-        group = self._hold_group(pkt.payment_id, pkt.seq, upstream_peer,
-                                 self.client_id)
-        hold_id = in_link.ledger.find_active(group, condition_of(preimage),
-                                             0, api.now)
-        if hold_id is None:
-            hold_id = relay.upstream_hold
-        if in_link.ledger.execute_hold(hold_id, preimage, api.now):
-            relay.fulfilled = True
-            self.txlog.add(api.now, self.client_id, "fulfill",
-                           pkt.payment_id, pkt.seq, relay.amount_in,
-                           "claimed")
-        else:
-            self._count("late_fulfill_loss")
+        ledger = in_link.ledger
+        group = (pkt.payment_id, pkt.seq, upstream_peer, self.client_id)
+        if ledger.executed(group) is None:
+            hold_id = ledger.find_active(group, condition_of(preimage), 0,
+                                         api.now)
+            if hold_id is not None and ledger.execute_hold(hold_id, preimage,
+                                                           api.now):
+                self.txlog.add(api.now, self.client_id, "fulfill",
+                               pkt.payment_id, pkt.seq,
+                               ledger.hold(hold_id).amount)
+            else:
+                self._count("late_fulfill_loss")
         self._send(api, upstream_peer, IlpPacket(FULFILL, pkt.payment_id,
                                                  pkt.seq,
                                                  fulfillment=preimage))
@@ -958,8 +917,15 @@ class IlpNode(Client):
         if relay is not None:
             if src_client != relay.downstream_peer:
                 return
-            self._claim_upstream(api, relay.upstream_peer, pkt,
-                                 pkt.fulfillment)
+            del self.relays[key]
+            if relay.probe:
+                # no escrow on either leg, just relay the proof
+                self._send(api, relay.upstream_peer, IlpPacket(
+                    FULFILL, pkt.payment_id, pkt.seq,
+                    fulfillment=pkt.fulfillment))
+            else:
+                self._claim_upstream(api, relay.upstream_peer, pkt,
+                                     pkt.fulfillment)
             return
         owner = self.owners.get(pkt.payment_id)
         if owner is None:
@@ -974,12 +940,16 @@ class IlpNode(Client):
         key = (pkt.payment_id, pkt.seq)
         relay = self.relays.get(key)
         if relay is not None:
-            if src_client != relay.downstream_peer or relay.fulfilled:
+            if src_client != relay.downstream_peer:
                 return
-            out_link = self.links.get(relay.downstream_peer)
-            if out_link is not None:
-                out_link.ledger.void_hold(relay.downstream_hold)
             del self.relays[key]
+            if not relay.probe:
+                # give back the hold the rejected forward rode on: the
+                # outgoing group's newest
+                ledger = self.links[relay.downstream_peer].ledger
+                group = (pkt.payment_id, pkt.seq, self.client_id,
+                         relay.downstream_peer)
+                ledger.void_hold((group, len(ledger.groups[group]) - 1))
             self._send(api, relay.upstream_peer, pkt)
             return
         owner = self.owners.get(pkt.payment_id)
@@ -1029,6 +999,11 @@ class SettleReport:
     fees_by_connector: Dict[str, int]
 
 
+def _group_label(group: Group) -> str:
+    pid, seq, payer, payee = group
+    return f"{pid.hex()}:{seq}:{payer}>{payee}"
+
+
 def settle_check(ledgers: List[Ledger], now: float,
                  txlog: Optional[TxLog] = None) -> SettleReport:
     """Recompute conservation and value-movement invariants from the books,
@@ -1040,25 +1015,20 @@ def settle_check(ledgers: List[Ledger], now: float,
         ledger.sweep(now)
         if not ledger.conserved():
             problems.append(f"ledger {ledger.name}: money not conserved")
-        for group, hold_ids in ledger.groups.items():
-            executed = [h for h in hold_ids
-                        if ledger.holds[h].state == HOLD_EXECUTED]
+        for group, holds in ledger.groups.items():
+            executed = [h for h in holds if h.state == HOLD_EXECUTED]
             if len(executed) > 1:
                 problems.append(
-                    f"ledger {ledger.name}: group {group} executed "
-                    f"{len(executed)} times")
-            if executed and any(ledger.holds[h].state == HOLD_ACTIVE
-                                for h in hold_ids):
+                    f"ledger {ledger.name}: group {_group_label(group)} "
+                    f"executed {len(executed)} times")
+            if executed and any(h.state == HOLD_ACTIVE for h in holds):
                 # the packet is paid, yet a second hold still sits in escrow
                 problems.append(
-                    f"ledger {ledger.name}: group {group} executed with a "
-                    f"hold still active")
-            pid, seq, edge = group.rsplit(":", 2)
-            payer, payee = edge.split(">")
+                    f"ledger {ledger.name}: group {_group_label(group)} "
+                    f"executed with a hold still active")
+            edge = group[2:]                # (payer, payee)
             for h in executed:
-                amt = ledger.holds[h].amount
-                edge_flow[(payer, payee)] = (
-                    edge_flow.get((payer, payee), 0) + amt)
+                edge_flow[edge] = edge_flow.get(edge, 0) + h.amount
 
     inflow: Dict[str, int] = {}
     outflow: Dict[str, int] = {}
@@ -1082,12 +1052,12 @@ def settle_check(ledgers: List[Ledger], now: float,
                 continue
             claimed: Dict[Tuple[str, int], int] = {}
             relayed: Dict[Tuple[str, int], int] = {}
-            for _t, actor, kind, pid, seq, amount, result in txlog.rows:
+            for _t, actor, kind, pid, seq, amount in txlog.rows:
                 if actor != party:
                     continue
-                if kind == "fulfill" and result == "claimed":
+                if kind == "fulfill":
                     claimed[(pid, seq)] = amount
-                elif kind == "forward" and result == "relayed":
+                elif kind == "forward":
                     relayed[(pid, seq)] = amount
             expected = sum(amount - relayed[key]
                            for key, amount in claimed.items()

@@ -168,6 +168,21 @@ def test_forward_rel_parks_when_no_route():
     assert not n12.parked
 
 
+def test_parked_frames_are_capped(monkeypatch):
+    monkeypatch.setattr(overlay, "CONTROL_CAPACITY", 2)
+    view = chain_view()
+    for a, b in [("12", "13"), ("1", "12")]:
+        view = apply_fault(view, Change.link_down(a, b))
+    n12 = node("12", view)
+    for seq in range(1, 4):                # the third finds the queue full
+        frame = routed_frame("1", "5", ("1", "12", "13", "14", "5"),
+                             service=SERVICE_REL, seq=seq)
+        fx = n12.handle_frame("1", frame, now=1.0)
+    assert [f.seq for f in n12.parked] == [1, 2]
+    assert [d.frame.seq for d in drops(fx, "parked_full")] == [3]
+    assert n12.counters["parked"] == 2 and n12.counters["parked_full"] == 1
+
+
 def test_delivery_and_duplicate_suppression():
     n5 = node("5")
     frame = routed_frame("1", "5", ("1", "12", "13", "14", "5"))
