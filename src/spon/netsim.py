@@ -15,7 +15,8 @@ construction, and its up state and loss from the ground view; the cache is
 refreshed each time the ground view changes, so a transmission and an
 arrival read only their link direction.  A frame leaves only while its
 direction is up, and dies in flight unless it arrives in the epoch it left
-in; a direction's epoch counts the times it went down.
+in; a direction's epoch counts the times it went down.  A raw pipe's
+directions cache their path's facts and follow the epoch rule the same way.
 
 A link direction serializes one frame at a time.  Each transmission reserves
 the insertion seq of its end-of-serialization event (TX_DONE), but the event
@@ -33,6 +34,7 @@ only hands it the new view.
 import csv
 import hashlib
 import heapq
+import math
 import random
 import weakref
 from dataclasses import dataclass, field
@@ -166,9 +168,9 @@ class _LinkDir:
 class RawLink:
     """A direct client-to-client pipe following a fixed underlay path.
 
-    Latency, loss, bandwidth, and up/down state are read from the ground view
-    at each send, so faults and loss overrides on the path apply to raw
-    traffic exactly as they do to overlay traffic crossing the same links.
+    Its up state and loss follow the path's links, so faults and loss
+    overrides on the path apply to raw traffic exactly as they do to overlay
+    traffic crossing the same links; an unreachable `as_pair` also cuts it.
     """
     a_client: str
     b_client: str
@@ -178,7 +180,19 @@ class RawLink:
 
 @dataclass
 class _RawDir:
+    """One direction a->b of a raw pipe, cached like a `_LinkDir`: latency and
+    bottleneck rate are fixed; `Engine._refresh_links` derives `up`, `loss`
+    and `epoch` from `hops` (the path's links) and the AS pair's reachability."""
+    a: str
+    b: str
+    latency_ms: float
+    bits_per_ms: float
+    hops: Tuple[_LinkDir, ...]
+    as_pair: Optional[Tuple[int, int]]
     rng: random.Random
+    up: bool = True
+    loss: float = 0.0
+    epoch: int = 0
     busy_until: float = 0.0
 
 
@@ -344,15 +358,20 @@ class Engine:
                 self.link_dirs[(a, b)] = _LinkDir(
                     a, b, spec.latency_ms, spec.bw_mbps * 1000.0,
                     self._derive_rng(f"{a}>{b}"))
-        self._refresh_links()
-
-        self.raw_links: Dict[Tuple[str, str], RawLink] = {}
         self.raw_dirs: Dict[Tuple[str, str], _RawDir] = {}
         for rl in raw_links:
-            key = tuple(sorted((rl.a_client, rl.b_client)))
-            self.raw_links[key] = rl
+            pairs = list(zip(rl.path, rl.path[1:]))
+            specs = [topology.link(a, b) for a, b in pairs]
+            latency = 0.0
+            for spec in specs:
+                latency += spec.latency_ms
+            rate = min(spec.bw_mbps for spec in specs) * 1000.0
+            hops = tuple(self.link_dirs[pair] for pair in pairs)
             for a, b in ((rl.a_client, rl.b_client), (rl.b_client, rl.a_client)):
-                self.raw_dirs[(a, b)] = _RawDir(self._derive_rng(f"raw:{a}>{b}"))
+                self.raw_dirs[(a, b)] = _RawDir(
+                    a, b, latency, rate, hops, rl.as_pair,
+                    self._derive_rng(f"raw:{a}>{b}"))
+        self._refresh_links()
 
         self._heap: List[tuple] = []
         self._seq = 0
@@ -401,8 +420,8 @@ class Engine:
         return out
 
     def _refresh_links(self) -> None:
-        """Copy each link direction's up state and loss from the ground view;
-        a direction that goes down starts a new epoch."""
+        """Copy each link direction's up state and loss from the ground view,
+        then derive each raw pipe's; a direction going down starts an epoch."""
         ground = self.ground
         for dirn in self.link_dirs.values():
             up = ground.link_is_up(dirn.a, dirn.b)
@@ -410,6 +429,14 @@ class Engine:
                 dirn.epoch += 1
             dirn.up = up
             dirn.loss = ground.loss(dirn.a, dirn.b)
+        for raw in self.raw_dirs.values():
+            up = all(hop.up for hop in raw.hops) and (
+                raw.as_pair is None or self.underlay is None
+                or self.underlay.reachable(*raw.as_pair, self.bans))
+            if raw.up and not up:
+                raw.epoch += 1
+            raw.up = up
+            raw.loss = 1.0 - math.prod(1.0 - hop.loss for hop in raw.hops)
 
     # -- bookkeeping --
 
@@ -459,7 +486,7 @@ class Engine:
         src_node = self.topology.attachments[src_client]
         dst_node = self.topology.attachments[dst_client]
         state = self.nodes.get(src_node)
-        if state is None or not self.ground.node_is_up(src_node):
+        if state is None:
             self._count("send_node_down")
             return False
         payload = pack_client(dst_client, src_client, body)
@@ -473,44 +500,23 @@ class Engine:
         return True
 
     def raw_send(self, src_client: str, dst_client: str, body: bytes) -> None:
-        key = tuple(sorted((src_client, dst_client)))
-        link = self.raw_links.get(key)
-        if link is None:
+        dirn = self.raw_dirs.get((src_client, dst_client))
+        if dirn is None:
             raise TopologyError(f"no raw link between {src_client} and {dst_client}")
-        dirn = self.raw_dirs[(src_client, dst_client)]
-        latency = 0.0
-        loss_pass = 1.0
-        bw = None
-        up = True
-        for a, b in zip(link.path, link.path[1:]):
-            spec = self.topology.link(a, b)
-            latency += spec.latency_ms
-            loss_pass *= 1.0 - self.ground.loss(a, b)
-            bw = spec.bw_mbps if bw is None else min(bw, spec.bw_mbps)
-            if not self.ground.link_is_up(a, b):
-                up = False
-        if link.as_pair is not None and not self._as_pair_usable(link.as_pair):
-            up = False
-        size = len(body) + RAW_OVERHEAD_BYTES
-        ser = size * 8.0 / (bw * 1000.0)
+        ser = (len(body) + RAW_OVERHEAD_BYTES) * 8.0 / dirn.bits_per_ms
         depart = max(self.now, dirn.busy_until)
         dirn.busy_until = depart + ser
         self._count("raw_tx")
-        if not up:
+        if not dirn.up:
             self._count("raw_down_drop")
             self.trace("raw_drop", src_client, "path_down")
             return
-        if dirn.rng.random() < 1.0 - loss_pass:
+        if dirn.rng.random() < dirn.loss:
             self._count("raw_lost")
             self.trace("raw_drop", src_client, "loss")
             return
-        self._push(depart + ser + latency, _EV_RAW_ARRIVAL,
-                   (src_client, dst_client, body, tuple(link.path)))
-
-    def _as_pair_usable(self, pair: Tuple[int, int]) -> bool:
-        if self.underlay is None:
-            return True
-        return self.underlay.reachable(pair[0], pair[1], self.bans)
+        self._push(depart + ser + dirn.latency_ms, _EV_RAW_ARRIVAL,
+                   (dirn, body, dirn.epoch))
 
     def rtt_hint(self, src_client: str, dst_client: str) -> float:
         a = self.topology.attachments[src_client]
@@ -521,13 +527,10 @@ class Engine:
             return DEFAULT_RTT_MS
 
     def raw_rtt_hint(self, src_client: str, dst_client: str) -> float:
-        key = tuple(sorted((src_client, dst_client)))
-        link = self.raw_links.get(key)
-        if link is None:
+        dirn = self.raw_dirs.get((src_client, dst_client))
+        if dirn is None:
             return DEFAULT_RTT_MS
-        latency = sum(self.topology.link(a, b).latency_ms
-                      for a, b in zip(link.path, link.path[1:]))
-        return 2.0 * latency
+        return 2.0 * dirn.latency_ms
 
     # -- effect processing --
 
@@ -606,15 +609,13 @@ class Engine:
             return            # queue is purged once the view change propagates
         b = dirn.b
         now = self.now
+        # a dequeue that yields a frame leaves only trace-only Drops in fx
         frame, fx = state.scheduler_dequeue(b, now)
+        wire = None if frame is None else state.wrap_for_link(frame, b, now, fx)
         if fx:
             self._process_effects(a, fx)
-        if frame is None:
+        if wire is None:
             return
-        wrap_fx: List[object] = []
-        wire = state.wrap_for_link(frame, b, now, wrap_fx)
-        if wrap_fx:
-            self._process_effects(a, wrap_fx)
         ser = wire.wire_size() * 8.0 / dirn.bits_per_ms
         self._count("wire_tx")
         # the TX_DONE's seq is taken now even if the event is pushed later
@@ -737,18 +738,16 @@ class Engine:
             if client is not None:
                 client.on_timer(timer_id, data, self.api)
 
-    def _on_raw_arrival(self, src_client: str, dst_client: str, body: bytes,
-                        path: Tuple[NodeId, ...]) -> None:
-        for a, b in zip(path, path[1:]):
-            if not self.ground.link_is_up(a, b):
-                self._count("raw_inflight_lost")
-                return
-        client = self.clients.get(dst_client)
+    def _on_raw_arrival(self, dirn: _RawDir, body: bytes, epoch: int) -> None:
+        if epoch != dirn.epoch:
+            self._count("raw_inflight_lost")
+            return
+        client = self.clients.get(dirn.b)
         if client is None:
             self._count("raw_no_client")
             return
         self._count("raw_delivered")
-        client.on_raw(src_client, body, self.api)
+        client.on_raw(dirn.a, body, self.api)
 
     # -- reporting --
 

@@ -28,6 +28,7 @@ from spon.frames import (
 )
 from spon.overlay import (
     ACK_DELAY_MS,
+    DEFAULT_RTT_MS,
     PRI,
     REL,
     Config,
@@ -70,6 +71,22 @@ class Collector(Client):
 
     def on_error(self, reason, dst_client, body, api):
         self.errors.append((reason, body))
+
+
+class Scripted(Client):
+    """Calls each action(api) at its time; records what each returns."""
+
+    def __init__(self, client_id, actions):
+        super().__init__(client_id)
+        self.actions = actions
+        self.results = []
+
+    def on_start(self, api):
+        for i, (at_ms, _action) in enumerate(self.actions):
+            api.set_timer(self.client_id, ("act", i), at_ms)
+
+    def on_timer(self, timer_id, data, api):
+        self.results.append(self.actions[timer_id[1]][1](api))
 
 
 class Burst(Client):
@@ -276,6 +293,21 @@ def test_node_restart_resets_link_state():
     assert len(sink.bodies) >= 7
     # traffic after the restart flows again
     assert any(t > 1700.0 for t in sink.times)
+
+
+def test_send_from_a_downed_relay_fails_until_it_is_back():
+    def send(api):
+        return api.send("c1", "c5", b"at%d" % api.now, ServiceClass(PRI, 1))
+
+    sender = Scripted("c1", [(50.0, send), (500.0, send)])
+    sink = Collector("c5")
+    faults = [FaultEvent(10.0, change=Change.node_down("1")),
+              FaultEvent(300.0, change=Change.node_up("1"))]
+    eng = Engine(load_topology(CHAIN), [sender, sink], seed=1, faults=faults)
+    eng.run(horizon_ms=2000.0)
+    assert sender.results == [False, True]
+    assert eng.counters["send_node_down"] == 1
+    assert sink.bodies == [b"at500"]
 
 
 def test_meltdown_schedule_layout():
@@ -593,6 +625,52 @@ def test_raw_pipe_stalls_when_path_cut():
     eng.run(horizon_ms=1000.0)
     assert sink.raw_bodies == []
     assert eng.counters["raw_down_drop"] == 1
+
+
+CHAIN_RAW = RawLink("c1", "c5", path=("1", "12", "13", "14", "5"))
+
+
+def raw_run(actions, faults):
+    """c1 runs the scripted actions over the 16 ms raw pipe to c5."""
+    sink = Collector("c5")
+    eng = Engine(load_topology(CHAIN), [Scripted("c1", actions), sink],
+                 seed=2, raw_links=[CHAIN_RAW], faults=faults)
+    eng.run(horizon_ms=1000.0)
+    return eng, sink
+
+
+def raw_send_x(api):
+    api.raw_send("c1", "c5", b"x%d" % api.now)
+
+
+@pytest.mark.parametrize("faults", [
+    [FaultEvent(5.0, change=Change.node_down("13"))],
+    # back up before the packet lands at 16 ms: only the epoch it left in
+    # can tell that the path went down under it
+    [FaultEvent(2.0, change=Change.node_down("13")),
+     FaultEvent(6.0, change=Change.node_up("13"))],
+], ids=["node_down", "node_restart"])
+def test_inflight_raw_packet_dies_with_path(faults):
+    eng, sink = raw_run([(0.0, raw_send_x)], faults)
+    assert sink.raw_bodies == []
+    assert eng.counters["raw_inflight_lost"] == 1
+
+
+def test_raw_rtt_hint_is_twice_the_path_latency():
+    topo = load_topology(CHAIN)
+    clients = [Collector("c1"), Collector("c5")]
+    eng = Engine(topo, clients, seed=2, raw_links=[CHAIN_RAW])
+    assert eng.api.raw_rtt_hint("c1", "c5") == 32.0
+    assert eng.api.raw_rtt_hint("c5", "c1") == 32.0
+    eng = Engine(topo, clients, seed=2)
+    assert eng.api.raw_rtt_hint("c1", "c5") == DEFAULT_RTT_MS
+
+
+def test_raw_loss_override_applies_from_the_next_send_on():
+    faults = [FaultEvent(100.0, change=Change.loss_override("12", "13", 1.0))]
+    eng, sink = raw_run([(50.0, raw_send_x), (150.0, raw_send_x)], faults)
+    assert sink.raw_bodies == [b"x50"]
+    assert eng.counters["raw_lost"] == 1
 
 
 # --- AS underlay --------------------------------------------------------------------
