@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 VERSION = 1
 
@@ -45,9 +45,23 @@ HOP_ACK_REQ = 1
 
 MAX_PAYLOAD = 1 << 20
 
+# encoded bytes of a frame besides its two ids, its routes and its payload:
+# the four leading fields, the two id lengths, seq, priority, deadline, the
+# route count and the payload length
+_FIXED_BYTES = 4 + 1 + 1 + 8 + 1 + 8 + 1 + 4
+
 
 class FrameError(ValueError):
     """Frame violates the wire format."""
+
+
+def route_size(hops: Tuple[str, ...]) -> int:
+    """Encoded bytes of one route: its hop count, then each hop id with its
+    length."""
+    size = 1
+    for hop in hops:
+        size += 1 + len(hop.encode())
+    return size
 
 
 def _check_id(name: str, value: str) -> bytes:
@@ -74,43 +88,60 @@ class Frame:
     # hop-data carries another frame; kept as an object in-process and only
     # serialized into payload on encode.
     inner: Optional["Frame"] = None
-    # Encoded length, computed on first use or set by hop_data.  Frames are
-    # not mutated once sized (decode sets `inner` before returning), and
-    # restamp builds a fresh, unsized frame.
+    # Encoded length, computed on first use or set when the frame is built
+    # by restamp, hop_data or hop_control.  Frames are not mutated once sized
+    # (decode sets `inner` before returning).
     _size: Optional[int] = field(
         default=None, init=False, repr=False, compare=False)
 
     def wire_size(self) -> int:
-        if self._size is not None:
-            return self._size
-        size = 4 + 1 + len(self.src.encode()) + 1 + len(self.dst.encode()) + 8 + 1 + 8
-        size += 1
-        for route in self.routes:
-            size += 1 + sum(1 + len(h.encode()) for h in route)
-        size += 4 + self._payload_size()
-        self._size = size
-        return size
+        if self._size is None:
+            size = self._unrouted_size()
+            for route in self.routes:
+                size += route_size(route)
+            self._size = size
+        return self._size
 
-    def _payload_size(self) -> int:
+    def _unrouted_size(self) -> int:
         if self.inner is not None:
-            return self.inner.wire_size()
-        return len(self.payload)
+            body = self.inner.wire_size()
+        else:
+            body = len(self.payload)
+        return _FIXED_BYTES + len(self.src.encode()) + len(self.dst.encode()) \
+            + body
 
-    def restamp(self, k: int, routes: Tuple[Tuple[str, ...], ...]) -> "Frame":
-        """A copy with new routing fields; dataclasses.replace does the same
-        at several times the cost."""
-        return Frame(self.kind, self.service, k, self.src, self.dst, self.seq,
-                     self.priority, self.deadline_us, routes, self.payload,
-                     self.inner)
+    def restamp(self, k: int, paths: Sequence = ()) -> "Frame":
+        """A copy routed over `paths`, each a `topology.Path`; dataclasses.replace
+        does the same at several times the cost.  The copy is sized from the
+        paths' `route_size`, so no route is encoded per frame."""
+        routes = []
+        size = self._unrouted_size()
+        for path in paths:
+            routes.append(path.hops)
+            size += path.route_size
+        frame = Frame(self.kind, self.service, k, self.src, self.dst, self.seq,
+                      self.priority, self.deadline_us, tuple(routes),
+                      self.payload, self.inner)
+        frame._size = size
+        return frame
 
     @classmethod
     def hop_data(cls, src: str, dst: str, seq: int, inner: "Frame",
                  header_size: int, k: int = 0) -> "Frame":
         """A hop-data wrapper around `inner`, sized without encoding its ids:
         `header_size` is the size of an empty wrapper from src to dst."""
-        frame = cls(kind=KIND_HOP_DATA, k=k, src=src, dst=dst, seq=seq,
-                    inner=inner)
+        frame = cls(KIND_HOP_DATA, SERVICE_NONE, k, src, dst, seq, 0, 0, (),
+                    b"", inner)
         frame._size = header_size + inner.wire_size()
+        return frame
+
+    @classmethod
+    def hop_control(cls, kind: int, src: str, dst: str, header_size: int,
+                    k: int = 0, seq: int = 0, payload: bytes = b"") -> "Frame":
+        """A hop-layer frame with no inner frame (confirm, announce, nack or
+        tombstone), sized from `header_size` like a hop-data wrapper."""
+        frame = cls(kind=kind, k=k, src=src, dst=dst, seq=seq, payload=payload)
+        frame._size = header_size + len(payload)
         return frame
 
     def encode(self) -> bytes:

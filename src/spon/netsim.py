@@ -18,6 +18,16 @@ direction is up, and dies in flight unless it arrives in the epoch it left
 in; a direction's epoch counts the times it went down.  A raw pipe's
 directions cache their path's facts and follow the epoch rule the same way.
 
+A timer keeps at most one entry on the heap, as a timing wheel restarts a
+timer without a queue insertion.  Every arming takes an insertion seq and is
+recorded, with its due time and data, under the timer's key; a heap entry is
+pushed only when the key has none, or has one due later than the new arming.
+When an entry pops and its key was re-armed later, it is pushed again under
+that arming's reserved (due, seq) and takes no new seq, so a timer fires
+exactly where an entry pushed at its last arming would have.  An entry that no
+longer matches its key's record (the timer fired, was cancelled, or was
+re-armed earlier) is dead and costs one dict lookup when it pops.
+
 A link direction serializes one frame at a time.  Each transmission reserves
 the insertion seq of its end-of-serialization event (TX_DONE), but the event
 is put on the heap only while a frame waits in the port behind the one on the
@@ -375,8 +385,9 @@ class Engine:
 
         self._heap: List[tuple] = []
         self._seq = 0
-        # (owner, timer id) -> insertion seq of its live heap entry
-        self._timer_gen: Dict[Tuple[tuple, tuple], int] = {}
+        # (owner, timer id) of each armed timer -> [due, seq, data, entry due,
+        # entry seq]: its last arming and its one live heap entry
+        self._timer_gen: Dict[Tuple[tuple, tuple], list] = {}
         self._view_serial = 0
         self._node_view_serial: Dict[NodeId, int] = {n: 0 for n in topology.nodes}
         self.pops = 0
@@ -453,10 +464,20 @@ class Engine:
 
     def set_timer(self, owner: tuple, timer_id: tuple, delay_ms: float,
                   data: object = None) -> None:
-        # re-arming supersedes the earlier arming: only the heap entry whose
-        # insertion seq is recorded here fires
-        self._push(self.now + delay_ms, _EV_TIMER, (owner, timer_id, data))
-        self._timer_gen[(owner, timer_id)] = self._seq
+        # re-arming supersedes the earlier arming; a live entry due no later
+        # than this arming is kept and moved to it when it pops
+        self._seq += 1
+        seq = self._seq
+        due = self.now + delay_ms
+        key = (owner, timer_id)
+        armed = self._timer_gen.get(key)
+        if armed is None or armed[3] > due:
+            heapq.heappush(self._heap, (due, seq, _EV_TIMER, key))
+            self._timer_gen[key] = [due, seq, data, due, seq]
+        else:
+            armed[0] = due
+            armed[1] = seq
+            armed[2] = data
 
     def cancel_timer(self, owner: tuple, timer_id: tuple) -> None:
         self._timer_gen.pop((owner, timer_id), None)
@@ -617,7 +638,8 @@ class Engine:
         if wire is None:
             return
         ser = wire.wire_size() * 8.0 / dirn.bits_per_ms
-        self._count("wire_tx")
+        counters = self.counters
+        counters["wire_tx"] = counters.get("wire_tx", 0) + 1
         # the TX_DONE's seq is taken now even if the event is pushed later
         dirn.busy_until = done = now + ser
         self._seq += 1
@@ -631,8 +653,10 @@ class Engine:
             self._count("wire_lost")
             self.trace("wire_loss", a, f"->{b}")
             return
-        arrive = done + dirn.latency_ms + HOP_PROCESSING_MS
-        self._push(arrive, _EV_ARRIVAL, (dirn, wire, dirn.epoch))
+        self._seq += 1
+        heapq.heappush(self._heap, (done + dirn.latency_ms + HOP_PROCESSING_MS,
+                                    self._seq, _EV_ARRIVAL,
+                                    (dirn, wire, dirn.epoch)))
 
     # -- faults --
 
@@ -683,6 +707,7 @@ class Engine:
 
     def run(self, horizon_ms: float) -> None:
         cap = EVENT_CAP
+        timers = self._timer_gen
         while self._heap:
             if self._heap[0][0] > horizon_ms:
                 break
@@ -701,7 +726,10 @@ class Engine:
                 dirn.done_live = False
                 self._send_next(dirn)
             elif kind == _EV_TIMER:
-                self._on_timer(seq, *data)
+                # an entry its key no longer names is dead
+                armed = timers.get(data)
+                if armed is not None and armed[4] == seq:
+                    self._on_timer(seq, data, armed)
             elif kind == _EV_FAULT:
                 self._apply_fault(data)
             elif kind == _EV_VIEW:
@@ -720,12 +748,19 @@ class Engine:
         fx = state.handle_frame(dirn.a, wire, self.now)
         self._process_effects(dirn.b, fx)
 
-    def _on_timer(self, seq: int, owner: tuple, timer_id: tuple,
-                  data: object) -> None:
-        key = (owner, timer_id)
-        if self._timer_gen.get(key) != seq:
+    def _on_timer(self, seq: int, key: Tuple[tuple, tuple],
+                  armed: list) -> None:
+        """Fire the live entry `seq` of timer `key`, or move it on to the
+        key's later arming."""
+        due, armed_seq, data = armed[0], armed[1], armed[2]
+        if armed_seq != seq:
+            # re-armed later: move the entry to that arming's reserved key
+            armed[3] = due
+            armed[4] = armed_seq
+            heapq.heappush(self._heap, (due, armed_seq, _EV_TIMER, key))
             return
         del self._timer_gen[key]
+        owner, timer_id = key
         scope, name = owner
         if scope == "n":
             state = self.nodes.get(name)

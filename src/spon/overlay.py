@@ -214,14 +214,12 @@ class OutPort:
         self.control: Deque[Frame] = deque()
         self.queued = 0          # frames held, control included
 
-    @staticmethod
-    def partition(frame: Frame) -> tuple:
-        if frame.service == SERVICE_REL:
-            return ("r", frame.src, frame.dst)
-        return ("p", frame.src)
-
     def enqueue(self, frame: Frame) -> bool:
-        key = self.partition(frame)
+        # a partition per source, and per flow for RELIABLE
+        if frame.service == SERVICE_REL:
+            key = ("r", frame.src, frame.dst)
+        else:
+            key = ("p", frame.src)
         if key not in self.queues:
             self.queues[key] = defaultdict(deque)
             self.sizes[key] = 0
@@ -243,7 +241,8 @@ class OutPort:
     def _pop_partition(self, key: tuple, now_us: int,
                        dropped: List[Frame]) -> Optional[Frame]:
         levels = self.queues[key]
-        for level in sorted(levels, reverse=True):
+        # most partitions only ever see one priority level
+        for level in levels if len(levels) == 1 else sorted(levels, reverse=True):
             q = levels[level]
             while q:
                 frame = q.popleft()
@@ -300,8 +299,9 @@ class _Hop:
     it holds.  Receiving: `expected` is the next seq due and `missing` maps
     each seq of an open gap to when the gap was found.  The record is made
     on first use and dropped when the link goes down in the node's view, so
-    the two directions reset together.  The re-nack interval, the wrapper
-    header size and the timer effects are built once per record.
+    the two directions reset together.  The re-nack interval, the header
+    size and the timer effects are built once per record; every hop-layer
+    frame the record's node sends is sized from that header.
     """
 
     def __init__(self, node_id: NodeId, nbr: NodeId, base: Topology):
@@ -327,11 +327,13 @@ class _Hop:
 
     def store(self, frame: Frame, now: float) -> None:
         """Cache the frame carrying seq next_seq - 1."""
-        self.cache.append((frame, now))
-        if len(self.cache) > HOP_CACHE_FRAMES:
-            self.cache.popleft()
+        cache = self.cache
+        cache.append((frame, now))
+        if len(cache) > HOP_CACHE_FRAMES:
+            cache.popleft()
             self.first_seq += 1
-        self._expire(now)
+        if cache[0][1] < now - HOP_CACHE_EXPIRY_MS:
+            self._expire(now)
 
     def lookup(self, seq: int, now: float) -> Optional[Frame]:
         self._expire(now)
@@ -360,12 +362,26 @@ class _Hops(dict):
         return hop
 
 
-def _remember(window: dict, key: tuple, value: object = None) -> None:
-    """Set `key` in an insertion-ordered window of at most DEDUP_WINDOW keys,
-    forgetting the oldest."""
+class _Window(dict):
+    """A dict of at most DEDUP_WINDOW keys; `order` lists its keys oldest
+    first, so the oldest is forgotten without a scan of the dict."""
+
+    __slots__ = ("order",)
+
+    def __init__(self):
+        super().__init__()
+        self.order: Deque[tuple] = deque()
+
+
+def _remember(window: _Window, key: tuple, value: object = None) -> None:
+    """Set `key` in the window, forgetting the oldest key when a new one
+    overfills it; a key set again keeps its place."""
+    if key not in window:
+        order = window.order
+        order.append(key)
+        if len(order) > DEDUP_WINDOW:
+            del window[order.popleft()]
     window[key] = value
-    if len(window) > DEDUP_WINDOW:
-        del window[next(iter(window))]
 
 
 @dataclass
@@ -402,12 +418,12 @@ class NodeState:
         self.hops: Dict[NodeId, _Hop] = _Hops(node_id, view.base)
         self.seq_counters: Dict[Tuple[NodeId, str], int] = {}
         # (src, service code) -> the (dst, seq, kind) of frames already seen
-        self.dedup_window: Dict[Tuple[NodeId, int], Dict[tuple, None]] = \
-            defaultdict(dict)
+        self.dedup_window: Dict[Tuple[NodeId, int], _Window] = \
+            defaultdict(_Window)
         self.rel_pending: Dict[Tuple[NodeId, int], _RelPending] = {}
         # REL transit frames awaiting a route, CONTROL_CAPACITY at most
         self.parked: Deque[Frame] = deque()
-        self.ack_rotation: Dict[Tuple[NodeId, int], int] = {}
+        self.ack_rotation: Dict[Tuple[NodeId, int], int] = _Window()
         self._delay_counter = 0
         self.counters: Dict[str, int] = {}
 
@@ -507,12 +523,12 @@ class NodeState:
             # suppress copies echoed back to us
             _remember(self.dedup_window[(frame.src, frame.service)],
                       (frame.dst, frame.seq, frame.kind))
-            flooded = frame.restamp(FLOODING, ())
+            flooded = frame.restamp(FLOODING)
             for nbr in neighbors:
                 self._enqueue_data(nbr, flooded, out)
         else:
             paths = k_disjoint_paths(self.view, self.id, frame.dst, k)
-            routed = frame.restamp(len(paths), tuple(p.hops for p in paths))
+            routed = frame.restamp(len(paths), paths)
             for path in paths:
                 self._enqueue_data(path.hops[1], routed, out)
 
@@ -564,8 +580,8 @@ class NodeState:
                     # evicted or expired: send an empty fill so the neighbor
                     # stops asking; the data is gone at this layer
                     self._drop("hop_unrecoverable", wire, out)
-                    tomb = Frame(kind=KIND_HOP_DATA, src=self.id, dst=from_nbr,
-                                 seq=seq)
+                    tomb = Frame.hop_control(KIND_HOP_DATA, self.id, from_nbr,
+                                             hop.header_size, seq=seq)
                     self._enqueue_control(from_nbr, tomb, out)
                 else:
                     self._enqueue_control(from_nbr, cached, out)
@@ -587,12 +603,12 @@ class NodeState:
             if hop.missing:
                 self._arm_nack(from_nbr, hop, out, NACK_DELAY_MS)
             else:
-                self._confirm(from_nbr, high, out)
+                self._confirm(from_nbr, hop, high, out)
 
-    def _confirm(self, nbr: NodeId, high: int, out: Effects) -> None:
+    def _confirm(self, nbr: NodeId, hop: _Hop, high: int, out: Effects) -> None:
         """Tell the neighbour this node holds every frame up to `high`."""
-        confirm = Frame(kind=KIND_HOP_NACK, k=HOP_CONFIRM, src=self.id,
-                        dst=nbr, seq=high)
+        confirm = Frame.hop_control(KIND_HOP_NACK, self.id, nbr,
+                                    hop.header_size, k=HOP_CONFIRM, seq=high)
         self._enqueue_control(nbr, confirm, out)
 
     def _mark_missing(self, hop: _Hop, end: int, now: float) -> None:
@@ -671,10 +687,12 @@ class NodeState:
         if nxt is None:
             self._drop("not_on_route", frame, out)
             return
-        if self.view.node_is_up(nxt) and self.view.link_is_up(self.id, nxt):
+        if nxt in self.view.up_neighbors(self.id):
             self._enqueue_data(nxt, frame, out)
-            return
-        self._reroute(frame, now, out)
+        elif nxt in self.view.base.neighbors(self.id):
+            self._reroute(frame, now, out)
+        else:
+            self._drop("bad_route", frame, out)
 
     def _next_hop(self, frame: Frame) -> Optional[NodeId]:
         for route in frame.routes:
@@ -699,7 +717,7 @@ class NodeState:
                 self.parked.append(frame)
                 self._count("parked")
             return
-        restamped = frame.restamp(frame.k, (path.hops,))
+        restamped = frame.restamp(frame.k, (path,))
         self._enqueue_data(path.hops[1], restamped, out)
 
     def _consume(self, frame: Frame, from_nbr: NodeId, now: float,
@@ -730,16 +748,14 @@ class NodeState:
             return
         arrival = self._arrival_route(data, from_nbr)
         if arrival is not None and attempt == 0:
-            route = tuple(reversed(arrival))
-            if self.view.usable(Path(route, 0.0)):
-                self._enqueue_data(route[1],
-                                   ack.restamp(1, (route,)), out)
+            back = Path(tuple(reversed(arrival)), 0.0)
+            if self.view.usable(back):
+                self._enqueue_data(back.hops[1], ack.restamp(1, (back,)), out)
                 return
         pool = self._route_pool(data.src)
         if pool:
             path = pool[attempt % len(pool)]
-            self._enqueue_data(path.hops[1],
-                               ack.restamp(1, (path.hops,)), out)
+            self._enqueue_data(path.hops[1], ack.restamp(1, (path,)), out)
         else:
             try:
                 self._launch(ack, FLOODING, out)
@@ -830,7 +846,7 @@ class NodeState:
         flood_turn = (not originally_flooded) and pending.attempts % 3 == 0
         if pool and not flood_turn:
             path = pool[(pending.attempts - 1) % len(pool)]
-            frame = pending.frame.restamp(1, (path.hops,))
+            frame = pending.frame.restamp(1, (path,))
             self._enqueue_data(path.hops[1], frame, out)
             self._count("rel_retransmit")
             return
@@ -839,7 +855,7 @@ class NodeState:
             # help, and with no route pool nothing else can
             return
         try:
-            frame = pending.frame.restamp(FLOODING, ())
+            frame = pending.frame.restamp(FLOODING)
             self._launch(frame, FLOODING, out)
             self._count("rel_reflood")
         except NoPath:
@@ -857,8 +873,8 @@ class NodeState:
         if not hop.missing:
             return
         want = sorted(hop.missing)[:NACK_BATCH]
-        nack = Frame(kind=KIND_HOP_NACK, src=self.id, dst=nbr,
-                     payload=_pack_seqs(want))
+        nack = Frame.hop_control(KIND_HOP_NACK, self.id, nbr, hop.header_size,
+                                 payload=_pack_seqs(want))
         self._enqueue_control(nbr, nack, out)
         hop.nack_armed = True
         out.append(SetTimer(("nack", nbr), hop.renack_ms))
@@ -868,7 +884,7 @@ class NodeState:
         timer, armed when the gap opened, answers instead."""
         hop = self.hops.get(nbr)
         if hop is not None and not hop.missing:
-            self._confirm(nbr, hop.expected - 1, out)
+            self._confirm(nbr, hop, hop.expected - 1, out)
 
     def _announce_timer(self, nbr: NodeId, now: float, out: Effects) -> None:
         """The tail probe: no confirm covered the last frame in time."""
@@ -877,8 +893,9 @@ class NodeState:
             return     # the link is busy; its last wrap arms the timer again
         if hop.confirmed >= hop.next_seq - 1:
             return
-        announce = Frame(kind=KIND_HOP_NACK, k=HOP_ANNOUNCE, src=self.id,
-                         dst=nbr, seq=hop.next_seq - 1)
+        announce = Frame.hop_control(KIND_HOP_NACK, self.id, nbr,
+                                     hop.header_size, k=HOP_ANNOUNCE,
+                                     seq=hop.next_seq - 1)
         self._enqueue_control(nbr, announce, out)
         hop.announce_round += 1
         if hop.announce_round < ANNOUNCE_RETRIES:

@@ -6,6 +6,8 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
+from .frames import route_size
+
 NodeId = str
 LinkKey = Tuple[str, str]
 
@@ -231,9 +233,9 @@ class TopologyView:
     loss_overrides: Mapping[LinkKey, float]
 
     # Routes computed on this view, keyed ("sp", src, dst) or ("kd", src, dst,
-    # k).  A view never changes, so an entry never goes stale; it is dropped
-    # with the view.  A value is a Path, a tuple of Paths, or the detail
-    # string of a NoPath.
+    # k), and up neighbours keyed ("nb", node).  A view never changes, so an
+    # entry never goes stale; it is dropped with the view.  A value is a Path,
+    # a tuple of Paths or of node ids, or the detail string of a NoPath.
     _routes: Dict[tuple, object] = field(
         init=False, repr=False, compare=False, default_factory=dict)
 
@@ -264,16 +266,28 @@ class TopologyView:
         return self.base.link(a, b).loss
 
     def up_neighbors(self, node: NodeId) -> Tuple[NodeId, ...]:
-        if not self.node_is_up(node):
-            return ()
-        return tuple(n for n in self.base.neighbors(node) if self.link_is_up(node, n))
+        """The neighbours reached over an up link; computed once per view and
+        node, then served from the view's memo."""
+        key = ("nb", node)
+        found = self._routes.get(key)
+        if found is None:
+            if not self.node_is_up(node):
+                found = ()
+            else:
+                found = tuple(n for n in self.base.neighbors(node)
+                              if self.link_is_up(node, n))
+            self._routes[key] = found
+        return found
 
     def usable(self, path: "Path") -> bool:
-        """True when every hop and link of the path is currently up."""
+        """True when every hop and link of the path is currently up; a hop
+        pair with no link makes the path unusable."""
         hops = path.hops
         if not all(self.node_up.get(h, False) for h in hops):
             return False
-        return all(self.link_is_up(u, v) for u, v in zip(hops, hops[1:]))
+        link_up = self.link_up
+        return all(link_up.get(link_key(u, v), False)
+                   for u, v in zip(hops, hops[1:]))
 
 
 def apply_fault(view: TopologyView, change: Change) -> TopologyView:
@@ -306,6 +320,11 @@ def apply_fault(view: TopologyView, change: Change) -> TopologyView:
 class Path:
     hops: Tuple[NodeId, ...]
     total_latency_ms: float
+    # encoded bytes of the hops as a frame route, for Frame.restamp
+    route_size: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "route_size", route_size(self.hops))
 
     def __len__(self) -> int:
         return len(self.hops)

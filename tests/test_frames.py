@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import build_view
 from spon import frames
 from spon.frames import Frame, FrameError, decode
+from spon.overlay import PRI, NodeState, ServiceClass, Transmit
+from spon.topology import Change, apply_fault, k_disjoint_paths, shortest_path
 
 
 def hand_encode(kind, service, k, src, dst, seq, priority, deadline_us, routes, payload):
@@ -118,6 +121,77 @@ def test_replaced_frame_is_sized_afresh():
         assert copy.wire_size() == len(copy.encode())
         assert copy.wire_size() != frame.wire_size()
     assert frame.wire_size() == len(frame.encode())
+
+
+def sent_frames(effects):
+    return [e.frame for e in effects if isinstance(e, Transmit)]
+
+
+def sized_as_encoded(frame):
+    return frame.wire_size() == len(frame.encode())
+
+
+# "é" and "ü" encode to two bytes each, so a size counting characters is off
+RELAYS = ("src", "é", "ü-relay", "dst")
+EDGES = [("src", "é", 1.0), ("é", "dst", 1.0), ("src", "ü-relay", 2.0),
+         ("ü-relay", "dst", 2.0), ("é", "ü-relay", 1.0)]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_restamped_routed_frame_is_sized_as_it_encodes(k):
+    view = build_view(RELAYS, EDGES)
+    sender = NodeState("src", view)
+    routed = sent_frames(sender.client_send("dst", b"pay", ServiceClass(PRI, k),
+                                            now=0.0))
+    assert len(routed) == k and routed[0].k == k
+    assert all(sized_as_encoded(frame) for frame in routed)
+    unsized = Frame(kind=frames.KIND_DATA, src="src", dst="dst", seq=1,
+                    payload=b"pay")
+    paths = tuple(k_disjoint_paths(view, "src", "dst", k))
+    assert sized_as_encoded(unsized.restamp(k, paths))
+    assert sized_as_encoded(routed[0].restamp(0))
+
+
+def test_rerouted_frame_is_sized_as_it_encodes():
+    view = apply_fault(build_view(RELAYS, EDGES), Change.node_down("dst"))
+    relay = NodeState("é", view)
+    frame = Frame(kind=frames.KIND_DATA, service=frames.SERVICE_PRI, k=1,
+                  src="src", dst="ü-relay", seq=3,
+                  routes=(("src", "é", "dst", "ü-relay"),), payload=b"pay")
+    out = sent_frames(relay.handle_frame("src", frame, now=1.0))
+    assert [f.routes for f in out] == [(("é", "ü-relay"),)]
+    assert sized_as_encoded(out[0])
+    back = shortest_path(build_view(RELAYS, EDGES), "é", "src")
+    assert sized_as_encoded(out[0].restamp(1, (back,)))
+
+
+def test_hop_control_frames_are_sized_as_they_encode():
+    view = build_view(("é", "ü-relay"), [("é", "ü-relay", 2.0)])
+    a, b = NodeState("é", view), NodeState("ü-relay", view)
+    inner = Frame(kind=frames.KIND_DATA, service=frames.SERVICE_PRI, k=1,
+                  src="é", dst="ü-relay", seq=1, routes=(("é", "ü-relay"),))
+    wires = [a.wrap_for_link(inner, "ü-relay", float(i), []) for i in range(3)]
+    controls = {}
+    # wire 0 lost, wire 2 arrives: the gap is nacked
+    b.handle_frame("é", wires[2], 1.0)
+    controls["nack"] = sent_frames(b.handle_timer(("nack", "é"), None, 2.0))[0]
+    # the tail probe announces the high-water seq
+    controls["announce"] = sent_frames(a.handle_timer(("ann", "ü-relay"),
+                                                      None, 3.0))[0]
+    # a nack for a seq the sender never cached is answered by a tombstone
+    gone = Frame(kind=frames.KIND_HOP_NACK, src="ü-relay", dst="é",
+                 payload=struct.pack(">Q", 7))
+    controls["tombstone"] = sent_frames(a.handle_frame("ü-relay", gone, 4.0))[0]
+    # the recovered frames close the gap, and an announce is confirmed
+    for wire in wires[:2]:
+        b.handle_frame("é", wire, 5.0)
+    controls["confirm"] = sent_frames(b.handle_frame("é", controls["announce"],
+                                                     6.0))[0]
+    assert controls["nack"].payload and controls["tombstone"].inner is None
+    assert (controls["announce"].k, controls["confirm"].k) == (
+        frames.HOP_ANNOUNCE, frames.HOP_CONFIRM)
+    for name, frame in controls.items():
+        assert sized_as_encoded(frame), name
 
 
 def test_decode_rejects_malformed():

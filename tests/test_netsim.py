@@ -349,9 +349,8 @@ def test_horizon_stops_periodic_timers():
 
 def armed_entries_are_live(eng):
     """Every armed timer names a heap entry that is still to fire."""
-    live = {(seq, data[0], data[1]) for _t, seq, kind, data in eng._heap
-            if kind == _EV_TIMER}
-    return all((seq,) + key in live for key, seq in eng._timer_gen.items())
+    live = {(seq, key) for _t, seq, kind, key in eng._heap if kind == _EV_TIMER}
+    return all((armed[4], key) in live for key, armed in eng._timer_gen.items())
 
 
 def test_timer_table_holds_only_armed_timers():
@@ -398,6 +397,91 @@ def test_rearmed_or_cancelled_timer_fires_only_its_last_arming():
     eng = Engine(topo, [client, Collector("cb")], seed=1)
     eng.run(horizon_ms=100.0)
     assert client.fired == [(30.0, ("t",), "live")]
+    assert not eng._timer_gen
+
+
+class Arming(Client):
+    """Runs each (delay, timer id, data) arming, or ("cancel", timer id), at
+    start; records each firing as (time, timer id, data)."""
+
+    def __init__(self, armings):
+        super().__init__("ca")
+        self.armings = armings
+        self.fired = []
+
+    def on_start(self, api):
+        for arming in self.armings:
+            if arming[0] == "cancel":
+                api.cancel_timer("ca", arming[1])
+            else:
+                api.set_timer("ca", arming[1], arming[0], data=arming[2])
+
+    def on_timer(self, timer_id, data, api):
+        self.fired.append((api.now, timer_id, data))
+
+
+def timer_entries(eng):
+    return [entry for entry in eng._heap if entry[2] == _EV_TIMER]
+
+
+def test_timer_rearmed_later_fires_once_at_its_last_arming():
+    client = Arming([(10.0, ("t",), "first"), (30.0, ("u",), "between")]
+                    + [(12.0 + i, ("t",), i) for i in range(17)]
+                    + [(30.0, ("t",), "last")])
+    eng = Engine(two_node(), [client, Collector("cb")], seed=1)
+    eng.run(horizon_ms=5.0)
+    # one heap entry per armed timer, however often it was re-armed
+    assert len(timer_entries(eng)) == 2
+    # armed after the last arming of "t", before its entry moves there at 10
+    eng.set_timer(("c", "ca"), ("w",), 30.0 - eng.now, "after")
+    eng.run(horizon_ms=100.0)
+    # same instant: each fires in the order it was last armed
+    assert client.fired == [(30.0, ("u",), "between"), (30.0, ("t",), "last"),
+                            (30.0, ("w",), "after")]
+    assert not eng._timer_gen
+
+
+def test_timer_rearmed_earlier_fires_early_and_once():
+    client = Arming([(30.0, ("t",), "late"), (20.0, ("v",), "v"),
+                     (10.0, ("t",), "early")])
+    eng = Engine(two_node(), [client, Collector("cb")], seed=1)
+    eng.run(horizon_ms=100.0)
+    assert client.fired == [(10.0, ("t",), "early"), (20.0, ("v",), "v")]
+    assert eng.pops == 5     # two client starts, two firings, one dead entry
+
+
+@pytest.mark.parametrize("delay", [5.0, 10.0, 20.0])
+def test_timer_cancelled_then_rearmed_fires_only_the_new_arming(delay):
+    client = Arming([(10.0, ("t",), "old"), ("cancel", ("t",)),
+                     (delay, ("t",), "new")])
+    eng = Engine(two_node(), [client, Collector("cb")], seed=1)
+    eng.run(horizon_ms=0.0)
+    assert len(timer_entries(eng)) == 2      # the old entry is still there
+    eng.run(horizon_ms=100.0)
+    assert client.fired == [(delay, ("t",), "new")]
+    assert eng.pops == 4     # two client starts, the firing, one dead entry
+
+
+@pytest.mark.parametrize("faults", [(), ("down",), ("down", "up")])
+def test_timer_of_a_retired_relay_never_fires(monkeypatch, faults):
+    fired = []
+    monkeypatch.setattr(NodeState, "handle_timer",
+                        lambda self, timer_id, data, now:
+                        fired.append((self.id, timer_id, now)) or [])
+    changes = {"down": FaultEvent(15.0, change=Change.node_down("B")),
+               "up": FaultEvent(17.0, change=Change.node_up("B"))}
+    eng = Engine(two_node(), [Collector("ca"), Collector("cb")], seed=1,
+                 faults=[changes[name] for name in faults])
+    owner = ("n", "B")
+    eng.set_timer(owner, ("probe",), 10.0)
+    eng.set_timer(owner, ("probe",), 20.0)
+    eng.run(horizon_ms=12.0)
+    # the entry due at 10 was moved to the last arming's reserved key
+    armed = eng._timer_gen[(owner, ("probe",))]
+    assert (armed[0], armed[4]) == (20.0, armed[1])
+    assert (20.0, armed[1], _EV_TIMER, (owner, ("probe",))) in eng._heap
+    eng.run(horizon_ms=100.0)
+    assert fired == ([] if faults else [("B", ("probe",), 20.0)])
     assert not eng._timer_gen
 
 

@@ -152,6 +152,25 @@ def test_forward_reroutes_around_dead_next_hop():
     assert tx[0].frame.routes[0][-1] == "5"
 
 
+@pytest.mark.parametrize("route", [("1", "12", "zz", "5"), ("1", "12", "5")])
+def test_forward_drops_a_route_whose_next_hop_is_not_adjacent(route):
+    n12 = node("12")
+    fx = n12.handle_frame("1", routed_frame("1", "5", route), now=1.0)
+    assert not transmits(fx)
+    assert drops(fx, "bad_route")
+    assert n12.counters == {"bad_route": 1}
+
+
+def test_rel_data_on_a_route_with_no_link_back_is_acked_over_the_pool():
+    n5 = node("5")
+    data = routed_frame("1", "5", ("1", "2", "14", "5"), service=SERVICE_REL)
+    # the route's reverse, 5-14-2-1, names a link 14-2 that does not exist
+    fx = n5.handle_frame("14", data, now=1.0)
+    assert [e for e in fx if isinstance(e, Deliver)]
+    acks = [t.frame for t in transmits(fx) if t.frame.kind == KIND_ACK]
+    assert [a.routes for a in acks] == [(("5", "14", "13", "12", "1"),)]
+
+
 def test_forward_rel_parks_when_no_route():
     view = chain_view()
     for a, b in [("12", "13"), ("1", "12")]:
@@ -523,6 +542,32 @@ def test_evicted_cache_entry_yields_empty_fill(monkeypatch):
     fx = b.handle_frame("A", tomb, 10.5)
     assert not [e for e in fx if isinstance(e, Deliver)]
     assert set(b.hops["A"].missing) == {1, 2}
+
+
+def test_remember_keeps_the_newest_distinct_keys(monkeypatch):
+    monkeypatch.setattr(overlay, "DEDUP_WINDOW", 3)
+    window = overlay._Window()
+    for key in ["a", "b", "c", "d"]:
+        overlay._remember(window, (key,))
+    assert list(window) == [("b",), ("c",), ("d",)]
+    # a key set again keeps its place, so it is still the oldest
+    overlay._remember(window, ("b",), 1)
+    overlay._remember(window, ("e",))
+    assert window == {("c",): None, ("d",): None, ("e",): None}
+    assert list(window.order) == list(window)
+
+
+def test_ack_rotation_window_counts_each_ack(monkeypatch):
+    monkeypatch.setattr(overlay, "DEDUP_WINDOW", 3)
+    n5 = node("5")
+    for seq in [1, 2, 2, 3, 4, 2]:
+        n5.handle_frame("14", routed_frame("1", "5", ("1", "12", "13", "14", "5"),
+                                           service=SERVICE_REL, seq=seq), 1.0)
+    # seq 2's repeats count on in place; seq 4 pushes out seq 1, the oldest
+    assert dict(n5.ack_rotation) == {("1", 2): 3, ("1", 3): 1, ("1", 4): 1}
+    assert list(n5.ack_rotation.order) == list(n5.ack_rotation)
+    window = n5.dedup_window[("1", SERVICE_REL)]
+    assert [entry[1] for entry in window] == [2, 3, 4]
 
 
 # --- reliable service ---------------------------------------------------------------
