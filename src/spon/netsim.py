@@ -466,17 +466,16 @@ class Engine:
                   data: object = None) -> None:
         # re-arming supersedes the earlier arming; a live entry due no later
         # than this arming is kept and moved to it when it pops
-        self._seq += 1
-        seq = self._seq
         due = self.now + delay_ms
         key = (owner, timer_id)
         armed = self._timer_gen.get(key)
         if armed is None or armed[3] > due:
-            heapq.heappush(self._heap, (due, seq, _EV_TIMER, key))
-            self._timer_gen[key] = [due, seq, data, due, seq]
+            self._push(due, _EV_TIMER, key)
+            self._timer_gen[key] = [due, self._seq, data, due, self._seq]
         else:
+            self._seq += 1
             armed[0] = due
-            armed[1] = seq
+            armed[1] = self._seq
             armed[2] = data
 
     def cancel_timer(self, owner: tuple, timer_id: tuple) -> None:
@@ -638,8 +637,7 @@ class Engine:
         if wire is None:
             return
         ser = wire.wire_size() * 8.0 / dirn.bits_per_ms
-        counters = self.counters
-        counters["wire_tx"] = counters.get("wire_tx", 0) + 1
+        self._count("wire_tx")
         # the TX_DONE's seq is taken now even if the event is pushed later
         dirn.busy_until = done = now + ser
         self._seq += 1
@@ -653,10 +651,8 @@ class Engine:
             self._count("wire_lost")
             self.trace("wire_loss", a, f"->{b}")
             return
-        self._seq += 1
-        heapq.heappush(self._heap, (done + dirn.latency_ms + HOP_PROCESSING_MS,
-                                    self._seq, _EV_ARRIVAL,
-                                    (dirn, wire, dirn.epoch)))
+        arrive = done + dirn.latency_ms + HOP_PROCESSING_MS
+        self._push(arrive, _EV_ARRIVAL, (dirn, wire, dirn.epoch))
 
     # -- faults --
 
