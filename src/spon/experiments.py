@@ -490,7 +490,6 @@ def _run_payment_once(sc: Scenario, topo: Topology, variant: str, rep: int,
     report = settle_check([ledger], eng.now, txlog)
     problems = [f"rep {rep}: {p}" for p in report.problems]
     _merge_counters(counters, eng.counters)
-    _merge_counters(counters, eng.node_counters())
     counters["pops"] = eng.pops
     _merge_counters(counters, sender.counters, "snd_")
     _merge_counters(counters, receiver.counters, "rcv_")
@@ -523,7 +522,6 @@ def _run_fairness_once(sc: Scenario, topo: Topology, variant: str, rep: int,
 
     counters: Dict[str, int] = {}
     _merge_counters(counters, eng.counters)
-    _merge_counters(counters, eng.node_counters())
     counters["pops"] = eng.pops
     report = settle_check([], eng.now)
     return RunResult(rows, counters, report.ok, True,

@@ -3,7 +3,7 @@
 The engine owns physical truth: link occupancy, serialization, propagation,
 loss sampling, and fault timing.  Overlay nodes are pure state machines
 (`spon.overlay.NodeState`); clients are actors attached to nodes that react to
-deliveries, errors, and timers through a narrow `EngineApi`.
+deliveries and timers through a narrow `EngineApi`.
 
 Determinism contract: a run is a pure function of (inputs, seed).  The event
 heap orders by (time_ms, insertion seq); every per-link-direction loss stream
@@ -26,7 +26,16 @@ When an entry pops and its key was re-armed later, it is pushed again under
 that arming's reserved (due, seq) and takes no new seq, so a timer fires
 exactly where an entry pushed at its last arming would have.  An entry that no
 longer matches its key's record (the timer fired, was cancelled, or was
-re-armed earlier) is dead and costs one dict lookup when it pops.
+re-armed earlier) is dead and costs one dict lookup when it pops.  Neither a
+dead entry nor a moved one sets the clock: when `run` returns, `Engine.now` is
+the time of the last event that acted, and a stream row still running at the
+end, and the settle sweep, read that time whatever the heap held past it.
+
+A run keeps one counter table, `Engine.counters`.  Every relay the engine
+spawns counts its drops and recoveries straight into it, so a relay that goes
+down takes nothing with it; the engine's own keys (`wire_*`, `raw_*`,
+`send_*`, `deliver_*`, `delivered`, `inflight_lost`) and the relays' never
+share a name.
 
 A link direction serializes one frame at a time.  Each transmission reserves
 the insertion seq of its end-of-serialization event (TX_DONE), but the event
@@ -55,7 +64,6 @@ from .overlay import (
     DEFAULT_CONFIG,
     DEFAULT_RTT_MS,
     CancelTimer,
-    ClientError,
     Config,
     Deliver,
     Drop,
@@ -94,7 +102,7 @@ class EngineOverrun(RuntimeError):
 
 # Overlay payloads are opaque; clients address each other by client id.  The
 # envelope prefixes the body with destination and source client ids so the
-# engine can hand deliveries and error notices to the right actor.
+# engine can hand deliveries to the right actor.
 
 def pack_client(dst_client: str, src_client: str, body: bytes) -> bytes:
     d = dst_client.encode("utf-8")
@@ -136,10 +144,6 @@ class Client:
         pass
 
     def on_raw(self, src_client: str, body: bytes, api: "EngineApi") -> None:
-        pass
-
-    def on_error(self, reason: str, dst_client: str, body: bytes,
-                 api: "EngineApi") -> None:
         pass
 
     def on_timer(self, timer_id: tuple, data: object, api: "EngineApi") -> None:
@@ -347,6 +351,7 @@ class Engine:
                 self.ground = apply_fault(self.ground, change)
 
         self.behaviors = dict(behaviors or {})
+        self.counters: Dict[str, int] = {}
         self.nodes: Dict[NodeId, NodeState] = {}
         # node -> how many times it has been spawned; the next incarnation
         self.spawns: Dict[NodeId, int] = {}
@@ -391,8 +396,6 @@ class Engine:
         self._view_serial = 0
         self._node_view_serial: Dict[NodeId, int] = {n: 0 for n in topology.nodes}
         self.pops = 0
-        self.counters: Dict[str, int] = {}
-        self.retired_counters: Dict[str, int] = {}
         self.trace_rows: List[Tuple[float, str, str, str]] = []
 
         # same-instant ties break by insertion: the world changes state before
@@ -412,6 +415,7 @@ class Engine:
         incarnation = self.spawns.get(node_id, 0)
         self.spawns[node_id] = incarnation + 1
         state = NodeState(node_id, self.ground, self.config, incarnation)
+        state.counters = self.counters
         if node_id in self.behaviors:
             state.behavior = self.behaviors[node_id]
         self.nodes[node_id] = state
@@ -482,21 +486,11 @@ class Engine:
         self._timer_gen.pop((owner, timer_id), None)
 
     def _retire_node(self, node_id: NodeId) -> None:
-        state = self.nodes.pop(node_id, None)
-        if state is not None:
-            for k, v in state.counters.items():
-                self.retired_counters[k] = self.retired_counters.get(k, 0) + v
+        self.nodes.pop(node_id, None)
         # orphan every timer the dead process owned
         owner = ("n", node_id)
         for key in [key for key in self._timer_gen if key[0] == owner]:
             del self._timer_gen[key]
-
-    def node_counters(self) -> Dict[str, int]:
-        merged = dict(self.retired_counters)
-        for state in self.nodes.values():
-            for k, v in state.counters.items():
-                merged[k] = merged.get(k, 0) + v
-        return merged
 
     # -- client operations --
 
@@ -568,8 +562,6 @@ class Engine:
                 self.cancel_timer(("n", node_id), eff.timer_id)
             elif kind is Drop:
                 self.trace("drop", node_id, eff.reason)
-            elif kind is ClientError:
-                self._client_error(node_id, eff)
 
     def _deliver(self, node_id: NodeId, eff: Deliver) -> None:
         try:
@@ -587,19 +579,6 @@ class Engine:
         self._count("delivered")
         self.trace("deliver", node_id, f"{src_client}->{dst_client}")
         client.on_deliver(src_client, body, eff.wire_bytes, self.api)
-
-    def _client_error(self, node_id: NodeId, eff: ClientError) -> None:
-        self._count(f"client_error_{eff.reason}")
-        if eff.frame is None:
-            return
-        try:
-            dst_client, src_client, body = unpack_client(eff.frame.payload)
-        except ValueError:
-            return
-        client = self.clients.get(src_client)
-        if client is not None:
-            self.trace("client_error", node_id, f"{eff.reason}:{dst_client}")
-            client.on_error(eff.reason, dst_client, body, self.api)
 
     # -- overlay link service --
 
@@ -711,21 +690,33 @@ class Engine:
             self.pops += 1
             if self.pops > cap:
                 raise EngineOverrun(f"exceeded {cap} events")
+            if kind == _EV_TIMER:
+                # an entry its key no longer names is dead; neither it nor an
+                # entry moved to a later arming sets the clock
+                armed = timers.get(data)
+                if armed is None or armed[4] != seq:
+                    continue
+                due, armed_seq = armed[0], armed[1]
+                if armed_seq != seq:
+                    # re-armed later: move the entry to that arming's reserved key
+                    armed[3] = due
+                    armed[4] = armed_seq
+                    heapq.heappush(self._heap, (due, armed_seq, _EV_TIMER, data))
+                    continue
+                self.now = time_ms
+                self.now_seq = seq
+                self._on_timer(data, armed[2])
+                continue
             self.now = time_ms
             self.now_seq = seq
-            if kind == _EV_CLIENT_START:
-                self.clients[data].on_start(self.api)
-            elif kind == _EV_ARRIVAL:
+            if kind == _EV_ARRIVAL:
                 self._on_arrival(*data)
             elif kind == _EV_TX_DONE:
                 dirn = data[2]
                 dirn.done_live = False
                 self._send_next(dirn)
-            elif kind == _EV_TIMER:
-                # an entry its key no longer names is dead
-                armed = timers.get(data)
-                if armed is not None and armed[4] == seq:
-                    self._on_timer(seq, data, armed)
+            elif kind == _EV_CLIENT_START:
+                self.clients[data].on_start(self.api)
             elif kind == _EV_FAULT:
                 self._apply_fault(data)
             elif kind == _EV_VIEW:
@@ -744,17 +735,8 @@ class Engine:
         fx = state.handle_frame(dirn.a, wire, self.now)
         self._process_effects(dirn.b, fx)
 
-    def _on_timer(self, seq: int, key: Tuple[tuple, tuple],
-                  armed: list) -> None:
-        """Fire the live entry `seq` of timer `key`, or move it on to the
-        key's later arming."""
-        due, armed_seq, data = armed[0], armed[1], armed[2]
-        if armed_seq != seq:
-            # re-armed later: move the entry to that arming's reserved key
-            armed[3] = due
-            armed[4] = armed_seq
-            heapq.heappush(self._heap, (due, armed_seq, _EV_TIMER, key))
-            return
+    def _on_timer(self, key: Tuple[tuple, tuple], data: object) -> None:
+        """Fire timer `key` at its last arming, which carried `data`."""
         del self._timer_gen[key]
         owner, timer_id = key
         scope, name = owner

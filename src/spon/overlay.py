@@ -73,7 +73,6 @@ from .topology import (
 PRI = "PRI"
 REL = "REL"
 _SERVICE_CODE = {PRI: SERVICE_PRI, REL: SERVICE_REL}
-_SERVICE_NAME = {v: k for k, v in _SERVICE_CODE.items()}
 
 FLOODING = 0
 
@@ -138,9 +137,7 @@ class Transmit:
 
 @dataclass
 class Deliver:
-    src: NodeId
-    seq: int
-    service: str
+    """A payload reached its destination node, in a frame of `wire_bytes`."""
     payload: bytes
     wire_bytes: int
 
@@ -160,14 +157,6 @@ class CancelTimer:
 @dataclass
 class Drop:
     reason: str
-    frame: Optional[Frame] = None
-
-
-@dataclass
-class ClientError:
-    reason: str
-    dst: NodeId
-    seq: int
     frame: Optional[Frame] = None
 
 
@@ -424,6 +413,7 @@ class NodeState:
         self.parked: Deque[Frame] = deque()
         self.ack_rotation: Dict[Tuple[NodeId, int], int] = _Window()
         self._delay_counter = 0
+        # the engine hands every relay it spawns its run's one table
         self.counters: Dict[str, int] = {}
 
     # -- helpers --
@@ -485,7 +475,7 @@ class NodeState:
             raise PayloadTooLarge(f"{len(payload)} bytes")
         out: Effects = []
         if dst == self.id:
-            out.append(Deliver(self.id, 0, service.kind, payload, len(payload)))
+            out.append(Deliver(payload, len(payload)))
             return out
 
         seq = self._next_seq(dst, service.kind)
@@ -726,8 +716,7 @@ class NodeState:
             if pending is not None:
                 out.append(CancelTimer(("rel", frame.src, frame.seq)))
             return
-        out.append(Deliver(frame.src, frame.seq, _SERVICE_NAME[frame.service],
-                           frame.payload, frame.wire_size()))
+        out.append(Deliver(frame.payload, frame.wire_size()))
         if frame.service == SERVICE_REL:
             self._send_ack(frame, from_nbr, now, out, duplicate=False)
 
@@ -836,7 +825,6 @@ class NodeState:
         if pending.attempts > REL_MAX_RETRIES:
             del self.rel_pending[(dst, seq)]
             self._count("rel_failed")
-            out.append(ClientError("retries_exhausted", dst, seq, pending.frame))
             return
         pending.rto_ms *= 2.0
         out.append(SetTimer(timer_id, pending.rto_ms))
@@ -928,8 +916,7 @@ class NodeState:
                 if frame.kind in (KIND_HOP_DATA, KIND_HOP_NACK):
                     continue   # link-layer traffic dies with the link
                 if frame.k == FLOODING:
-                    self._count("flood_purged")
-                    out.append(Drop("link_down", frame))
+                    self._drop("link_down", frame, out)
                 elif frame.dst == self.id:
                     continue
                 else:

@@ -57,7 +57,6 @@ class Collector(Client):
         self.bodies = []
         self.times = []
         self.raw_bodies = []
-        self.errors = []
 
     def on_deliver(self, src_client, body, wire_bytes, api):
         self.bodies.append(body)
@@ -68,9 +67,6 @@ class Collector(Client):
 
     def on_raw(self, src_client, body, api):
         self.raw_bodies.append(body)
-
-    def on_error(self, reason, dst_client, body, api):
-        self.errors.append((reason, body))
 
 
 class Scripted(Client):
@@ -245,7 +241,7 @@ def test_rel_survives_heavy_loss():
     eng.run(horizon_ms=60_000.0)
     assert len(set(sink.bodies)) == 50
     assert "client_error_retries_exhausted" not in eng.counters
-    assert "rel_failed" not in eng.node_counters()
+    assert "rel_failed" not in eng.counters
 
 
 # --- faults -------------------------------------------------------------------------
@@ -462,6 +458,27 @@ def test_timer_cancelled_then_rearmed_fires_only_the_new_arming(delay):
     assert eng.pops == 4     # two client starts, the firing, one dead entry
 
 
+@pytest.mark.parametrize("rearm_ms", [None, 200.0])
+def test_clock_ends_at_the_last_event_that_acted(rearm_ms):
+    # ("t",) is armed for 50 ms; at 10 ms it is cancelled, or re-armed past
+    # the horizon, so its entry pops at 50 ms dead or moves on
+    class Stopper(Client):
+        def on_start(self, api):
+            api.set_timer("ca", ("t",), 50.0)
+            api.set_timer("ca", ("stop",), 10.0)
+
+        def on_timer(self, timer_id, data, api):
+            if rearm_ms is None:
+                api.cancel_timer("ca", ("t",))
+            else:
+                api.set_timer("ca", ("t",), rearm_ms)
+
+    eng = Engine(two_node(), [Stopper("ca"), Collector("cb")], seed=1)
+    eng.run(horizon_ms=100.0)
+    assert eng.pops == 4     # two client starts, the stop, the entry at 50
+    assert eng.now == 10.0
+
+
 @pytest.mark.parametrize("faults", [(), ("down",), ("down", "up")])
 def test_timer_of_a_retired_relay_never_fires(monkeypatch, faults):
     fired = []
@@ -627,7 +644,7 @@ def test_relay_restart_under_steady_traffic_drains_every_port():
     # down, so its fresh link seqs after the restart are no duplicates
     lost = {b"m%d" % i for i in range(400)} - set(sink.bodies)
     assert lost == {b"m78", b"m79"}
-    counters = eng.node_counters()
+    counters = eng.counters
     assert "hop_duplicate" not in counters
     assert "hop_unrecoverable" not in counters
     for node_id, state in eng.nodes.items():
@@ -652,12 +669,78 @@ def test_relay_restarts_on_lossless_links_cost_no_hop_recovery():
                       FaultEvent(700.0, change=Change.node_up(victim))]
             eng = Engine(topo, [pump, sink], seed=trial * 7 + 1, faults=faults)
             eng.run(4000.0)
-            counters = eng.node_counters()
+            counters = eng.counters
             where = f"trial {trial} {kind}"
             assert "hop_duplicate" not in counters, where
             assert "hop_unrecoverable" not in counters, where
             if kind == REL:
                 assert Counter(sink.got) == Counter(pump.sent), where
+
+
+# --- one counter table per run -----------------------------------------------------
+
+def flooded_lossy_chain(faults=(), trace=False):
+    """50 flooded PRI messages over a 30%-loss hop: copies that come back round
+    leave relays with drops of their own, and the run is quiet by 300 ms."""
+    loss = FaultEvent(0.0, change=Change.loss_override("12", "13", 0.3))
+    eng = Engine(load_topology(CHAIN),
+                 [Burst("c1", "c5", 50, ServiceClass(PRI, 0)), Collector("c5")],
+                 seed=4, faults=[loss, *faults], trace=trace)
+    eng.run(horizon_ms=2000.0)
+    return eng
+
+
+def test_counts_survive_a_relay_that_goes_down():
+    kept = flooded_lossy_chain()
+    retired = flooded_lossy_chain([FaultEvent(1000.0,
+                                              change=Change.node_down("7"))])
+    assert "7" not in retired.nodes
+    assert kept.counters["duplicate"] > 0
+    assert retired.counters == kept.counters
+
+
+def test_rel_give_up_is_counted_once_and_handed_to_no_client():
+    class Sender(Client):
+        """Records every callback after the send, `on_error` included."""
+
+        def __init__(self):
+            super().__init__("ca")
+            self.handed = []
+
+        def on_start(self, api):
+            api.send("ca", "cb", b"m", ServiceClass(REL, 1))
+
+        def on_deliver(self, src_client, body, wire_bytes, api):
+            self.handed.append(("deliver", body))
+
+        def on_timer(self, timer_id, data, api):
+            self.handed.append(("timer", timer_id))
+
+        def on_error(self, reason, dst_client, body, api):
+            self.handed.append(("error", reason))
+
+    sender, sink = Sender(), Collector("cb")
+    eng = Engine(two_node(loss=1.0), [sender, sink], seed=1)
+    eng.run(horizon_ms=60_000.0)
+    assert eng.counters["rel_failed"] == 1
+    assert not [key for key in eng.counters if key.startswith("client_error_")]
+    assert sender.handed == []
+    assert sink.bodies == []
+
+
+def test_trace_export_is_byte_identical_across_reruns(tmp_path):
+    def export(name):
+        path = tmp_path / name
+        flooded_lossy_chain(trace=True).export_trace(str(path))
+        return path.read_bytes()
+
+    first = export("first.csv")
+    assert export("second.csv") == first
+    lines = first.decode("utf-8").splitlines()
+    assert lines[0] == "time_ms,event,node,detail"
+    # a relay's Drop effects reach the trace beside the engine's own rows
+    events = {line.split(",")[1] for line in lines[1:]}
+    assert {"drop", "wire_loss"} <= events
 
 
 # --- raw links ---------------------------------------------------------------------
