@@ -35,7 +35,9 @@ A run keeps one counter table, `Engine.counters`.  Every relay the engine
 spawns counts its drops and recoveries straight into it, so a relay that goes
 down takes nothing with it; the engine's own keys (`wire_*`, `raw_*`,
 `send_*`, `deliver_*`, `delivered`, `inflight_lost`) and the relays' never
-share a name.
+share a name.  Each discarded frame, packet or delivery is one count and,
+when the engine traces, one `drop` row named by its counter (`Engine._drop`,
+or the `trace` callable a relay is handed); a refused send is a count only.
 
 A link direction serializes one frame at a time.  Each transmission reserves
 the insertion seq of its end-of-serialization event (TX_DONE), but the event
@@ -66,7 +68,6 @@ from .overlay import (
     CancelTimer,
     Config,
     Deliver,
-    Drop,
     NodeState,
     ServiceClass,
     SetTimer,
@@ -416,6 +417,7 @@ class Engine:
         self.spawns[node_id] = incarnation + 1
         state = NodeState(node_id, self.ground, self.config, incarnation)
         state.counters = self.counters
+        state.trace = self.trace if self.trace_enabled else None
         if node_id in self.behaviors:
             state.behavior = self.behaviors[node_id]
         self.nodes[node_id] = state
@@ -465,6 +467,11 @@ class Engine:
     def trace(self, event: str, node: str, detail: str) -> None:
         if self.trace_enabled:
             self.trace_rows.append((self.now, event, node, detail))
+
+    def _drop(self, reason: str, where: str) -> None:
+        """Count and trace a frame, packet or delivery the engine discards."""
+        self._count(reason)
+        self.trace("drop", where, reason)
 
     def set_timer(self, owner: tuple, timer_id: tuple, delay_ms: float,
                   data: object = None) -> None:
@@ -522,12 +529,10 @@ class Engine:
         dirn.busy_until = depart + ser
         self._count("raw_tx")
         if not dirn.up:
-            self._count("raw_down_drop")
-            self.trace("raw_drop", src_client, "path_down")
+            self._drop("raw_down_drop", f"{src_client}>{dst_client}")
             return
         if dirn.rng.random() < dirn.loss:
-            self._count("raw_lost")
-            self.trace("raw_drop", src_client, "loss")
+            self._drop("raw_lost", f"{src_client}>{dst_client}")
             return
         self._push(depart + ser + dirn.latency_ms, _EV_RAW_ARRIVAL,
                    (dirn, body, dirn.epoch))
@@ -560,21 +565,19 @@ class Engine:
                 self._deliver(node_id, eff)
             elif kind is CancelTimer:
                 self.cancel_timer(("n", node_id), eff.timer_id)
-            elif kind is Drop:
-                self.trace("drop", node_id, eff.reason)
 
     def _deliver(self, node_id: NodeId, eff: Deliver) -> None:
         try:
             dst_client, src_client, body = unpack_client(eff.payload)
         except ValueError:
-            self._count("deliver_malformed")
+            self._drop("deliver_malformed", node_id)
             return
         if self.topology.attachments.get(dst_client) != node_id:
-            self._count("deliver_misrouted")
+            self._drop("deliver_misrouted", node_id)
             return
         client = self.clients.get(dst_client)
         if client is None:
-            self._count("deliver_no_client")
+            self._drop("deliver_no_client", node_id)
             return
         self._count("delivered")
         self.trace("deliver", node_id, f"{src_client}->{dst_client}")
@@ -608,7 +611,6 @@ class Engine:
             return            # queue is purged once the view change propagates
         b = dirn.b
         now = self.now
-        # a dequeue that yields a frame leaves only trace-only Drops in fx
         frame, fx = state.scheduler_dequeue(b, now)
         wire = None if frame is None else state.wrap_for_link(frame, b, now, fx)
         if fx:
@@ -627,8 +629,7 @@ class Engine:
                            (done, self._seq, _EV_TX_DONE, (a, b, dirn)))
         loss = dirn.loss
         if loss > 0.0 and dirn.rng.random() < loss:
-            self._count("wire_lost")
-            self.trace("wire_loss", a, f"->{b}")
+            self._drop("wire_lost", f"{a}>{b}")
             return
         arrive = done + dirn.latency_ms + HOP_PROCESSING_MS
         self._push(arrive, _EV_ARRIVAL, (dirn, wire, dirn.epoch))
@@ -725,12 +726,9 @@ class Engine:
                 self._on_raw_arrival(*data)
 
     def _on_arrival(self, dirn: _LinkDir, wire: Frame, epoch: int) -> None:
-        if epoch != dirn.epoch:
-            self._count("inflight_lost")
-            return
         state = self.nodes.get(dirn.b)
-        if state is None:
-            self._count("inflight_lost")
+        if epoch != dirn.epoch or state is None:
+            self._drop("inflight_lost", f"{dirn.a}>{dirn.b}")
             return
         fx = state.handle_frame(dirn.a, wire, self.now)
         self._process_effects(dirn.b, fx)
@@ -753,11 +751,11 @@ class Engine:
 
     def _on_raw_arrival(self, dirn: _RawDir, body: bytes, epoch: int) -> None:
         if epoch != dirn.epoch:
-            self._count("raw_inflight_lost")
+            self._drop("raw_inflight_lost", f"{dirn.a}>{dirn.b}")
             return
         client = self.clients.get(dirn.b)
         if client is None:
-            self._count("raw_no_client")
+            self._drop("raw_no_client", f"{dirn.a}>{dirn.b}")
             return
         self._count("raw_delivered")
         client.on_raw(dirn.a, body, self.api)

@@ -1,9 +1,10 @@
 """Overlay node state machine.
 
 Nodes are pure event machines: every operation takes the current virtual time
-and returns a list of effects (transmit intents, deliveries, timer requests,
-drops).  The simulation engine owns the clock, the links and the timers; a
-node never blocks and never draws randomness.
+and returns a list of effects (transmit intents, deliveries, timer requests);
+a discarded frame is only counted, and traced through `trace` if the node has
+one.  The simulation engine owns the clock, the links and the timers; a node
+never blocks and never draws randomness.
 
 Two delivery services ride the same links: PRIORITY (timely, fair-queued per
 source, no end-to-end retransmission) and RELIABLE (per-flow fair queuing,
@@ -45,7 +46,7 @@ from __future__ import annotations
 import struct
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from .frames import (
     Frame,
@@ -152,12 +153,6 @@ class SetTimer:
 @dataclass
 class CancelTimer:
     timer_id: tuple
-
-
-@dataclass
-class Drop:
-    reason: str
-    frame: Optional[Frame] = None
 
 
 Effects = List[object]
@@ -375,7 +370,6 @@ def _remember(window: _Window, key: tuple, value: object = None) -> None:
 @dataclass
 class _RelPending:
     frame: Frame
-    service: ServiceClass
     attempts: int = 0
     rto_ms: float = 0.0
 
@@ -413,17 +407,20 @@ class NodeState:
         self.parked: Deque[Frame] = deque()
         self.ack_rotation: Dict[Tuple[NodeId, int], int] = _Window()
         self._delay_counter = 0
-        # the engine hands every relay it spawns its run's one table
+        # the engine hands every relay it spawns its run's one table, and
+        # its trace writer when it traces
         self.counters: Dict[str, int] = {}
+        self.trace: Optional[Callable[[str, NodeId, str], None]] = None
 
     # -- helpers --
 
     def _count(self, reason: str) -> None:
         self.counters[reason] = self.counters.get(reason, 0) + 1
 
-    def _drop(self, reason: str, frame: Frame, out: Effects) -> None:
+    def _drop(self, reason: str) -> None:
         self._count(reason)
-        out.append(Drop(reason, frame))
+        if self.trace is not None:
+            self.trace("drop", self.id, reason)
 
     def _data_waiting(self, neighbor: NodeId) -> bool:
         """A data frame waits in the port toward `neighbor`; control frames
@@ -446,13 +443,13 @@ class NodeState:
         if self._port(neighbor).enqueue(frame):
             out.append(Transmit(neighbor, frame))
         else:
-            self._drop("buffer_full", frame, out)
+            self._drop("buffer_full")
 
     def _enqueue_control(self, neighbor: NodeId, frame: Frame, out: Effects) -> None:
         if self._port(neighbor).enqueue_control(frame):
             out.append(Transmit(neighbor, frame))
         else:
-            self._drop("control_overflow", frame, out)
+            self._drop("control_overflow")
 
     def _route_pool(self, dst: NodeId) -> List[Path]:
         try:
@@ -497,8 +494,7 @@ class NodeState:
         self._launch(frame, service.k, out)
         # registered only once the first transmission is actually queued
         if service.kind == REL:
-            pending = _RelPending(frame=frame, service=service,
-                                  rto_ms=2.0 * self._best_rtt_ms(dst))
+            pending = _RelPending(frame, rto_ms=2.0 * self._best_rtt_ms(dst))
             self.rel_pending[(dst, seq)] = pending
             out.append(SetTimer(("rel", dst, seq), pending.rto_ms))
         return out
@@ -551,7 +547,7 @@ class NodeState:
             if seq in hop.missing:
                 del hop.missing[seq]
             else:
-                self._drop("hop_duplicate", wire, out)
+                self._drop("hop_duplicate")
                 return None
         if wire.k == HOP_ACK_REQ:
             # a later flagged frame supersedes this arming
@@ -568,7 +564,7 @@ class NodeState:
                 if cached is None:
                     # evicted or expired: send an empty fill so the neighbor
                     # stops asking; the data is gone at this layer
-                    self._drop("hop_unrecoverable", wire, out)
+                    self._drop("hop_unrecoverable")
                     tomb = Frame.hop_control(KIND_HOP_DATA, self.id, from_nbr,
                                              hop.header_size, seq=seq)
                     self._enqueue_control(from_nbr, tomb, out)
@@ -625,10 +621,10 @@ class NodeState:
     def _process(self, from_nbr: NodeId, frame: Frame, now: float, out: Effects,
                  delayed: bool = False) -> None:
         if frame.kind not in (KIND_DATA, KIND_ACK):
-            self._drop("unhandled_kind", frame, out)
+            self._drop("unhandled_kind")
             return
         if self._adversarial(frame):
-            self._drop("adversarial", frame, out)
+            self._drop("adversarial")
             return
         if self.behavior.kind == "delay" and not delayed:
             self._delay_counter += 1
@@ -648,7 +644,7 @@ class NodeState:
         window = self.dedup_window[(frame.src, frame.service)]
         entry = (frame.dst, frame.seq, frame.kind)
         if entry in window:
-            self._drop("duplicate", frame, out)
+            self._drop("duplicate")
             if frame.dst == self.id and frame.kind == KIND_DATA \
                     and frame.service == SERVICE_REL:
                 self._send_ack(frame, from_nbr, now, out, duplicate=True)
@@ -674,14 +670,14 @@ class NodeState:
             return
         nxt = self._next_hop(frame)
         if nxt is None:
-            self._drop("not_on_route", frame, out)
+            self._drop("not_on_route")
             return
         if nxt in self.view.up_neighbors(self.id):
             self._enqueue_data(nxt, frame, out)
         elif nxt in self.view.base.neighbors(self.id):
             self._reroute(frame, now, out)
         else:
-            self._drop("bad_route", frame, out)
+            self._drop("bad_route")
 
     def _next_hop(self, frame: Frame) -> Optional[NodeId]:
         for route in frame.routes:
@@ -699,9 +695,9 @@ class NodeState:
             path = shortest_path(self.view, self.id, frame.dst)
         except NoPath:
             if frame.service != SERVICE_REL:
-                self._drop("no_route", frame, out)
+                self._drop("no_route")
             elif len(self.parked) >= CONTROL_CAPACITY:
-                self._drop("parked_full", frame, out)
+                self._drop("parked_full")
             else:
                 self.parked.append(frame)
                 self._count("parked")
@@ -766,8 +762,8 @@ class NodeState:
         if port is None:
             return None, out
         frame, expired = port.dequeue(now)
-        for late in expired:
-            self._drop("deadline_expired", late, out)
+        for _ in expired:
+            self._drop("deadline_expired")
         if frame is None and expired:
             hop = self.hops.get(neighbor)
             if hop is not None and hop.next_seq:
@@ -829,7 +825,7 @@ class NodeState:
         pending.rto_ms *= 2.0
         out.append(SetTimer(timer_id, pending.rto_ms))
         pool = self._route_pool(dst)
-        originally_flooded = pending.service.k == FLOODING
+        originally_flooded = pending.frame.k == FLOODING
         flood_turn = (not originally_flooded) and pending.attempts % 3 == 0
         if pool and not flood_turn:
             path = pool[(pending.attempts - 1) % len(pool)]
@@ -916,7 +912,7 @@ class NodeState:
                 if frame.kind in (KIND_HOP_DATA, KIND_HOP_NACK):
                     continue   # link-layer traffic dies with the link
                 if frame.k == FLOODING:
-                    self._drop("link_down", frame, out)
+                    self._drop("link_down")
                 elif frame.dst == self.id:
                     continue
                 else:

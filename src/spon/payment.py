@@ -48,8 +48,8 @@ PING_TIMEOUT_MS = 1000.0
 # overlay priority levels: fulfils and rejects beat prepares
 PREPARE_PRIORITY = 1
 FULFILL_PRIORITY = 2
-# DirectTransport gives up after ARQ_MAX_TRIES sends; its RTO doubles up to
-# ARQ_RTO_CAP_MS
+# DirectTransport gives up after ARQ_MAX_TRIES sends, counting `arq_failed`;
+# its RTO doubles up to ARQ_RTO_CAP_MS
 ARQ_MAX_TRIES = 200
 ARQ_RTO_CAP_MS = 1000.0
 
@@ -370,7 +370,6 @@ class DirectTransport:
         # seq in its set above the floor
         self.floor: Dict[str, int] = {}
         self.above: Dict[str, Set[int]] = {}
-        self.failures = 0
 
     def send_packet(self, node: "IlpNode", api: EngineApi, peer_client: str,
                     raw: bytes, kind: int) -> bool:
@@ -430,7 +429,7 @@ class DirectTransport:
             return True
         if entry.attempts >= ARQ_MAX_TRIES:
             del self.pending[seq]
-            self.failures += 1
+            node._count("arq_failed")
             return True
         self._transmit(node, api, seq, entry)
         return True

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -240,7 +243,6 @@ def test_rel_survives_heavy_loss():
     eng = Engine(topo, [sender, sink], seed=5, faults=faults)
     eng.run(horizon_ms=60_000.0)
     assert len(set(sink.bodies)) == 50
-    assert "client_error_retries_exhausted" not in eng.counters
     assert "rel_failed" not in eng.counters
 
 
@@ -738,9 +740,85 @@ def test_trace_export_is_byte_identical_across_reruns(tmp_path):
     assert export("second.csv") == first
     lines = first.decode("utf-8").splitlines()
     assert lines[0] == "time_ms,event,node,detail"
-    # a relay's Drop effects reach the trace beside the engine's own rows
-    events = {line.split(",")[1] for line in lines[1:]}
-    assert {"drop", "wire_loss"} <= events
+    # a relay's drops reach the trace beside the engine's own
+    reasons = {line.split(",")[3] for line in lines[1:]
+               if line.split(",")[1] == "drop"}
+    assert {"duplicate", "wire_lost"} <= reasons
+
+
+def test_trace_export_is_byte_identical_across_hash_seeds(tmp_path):
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    code = ("import sys\n"
+            "from test_netsim import flooded_lossy_chain\n"
+            "flooded_lossy_chain(trace=True).export_trace(sys.argv[1])\n")
+    exports = []
+    for hash_seed in ("0", "12345"):
+        path = tmp_path / f"trace_{hash_seed}.csv"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join([src, here]))
+        subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                       check=True, timeout=120)
+        exports.append(path.read_bytes())
+    assert exports[0] == exports[1]
+
+
+# every reason a relay or the engine counts a discarded frame, packet or
+# delivery under
+DROP_REASONS = {
+    "buffer_full", "control_overflow", "hop_duplicate", "hop_unrecoverable",
+    "unhandled_kind", "adversarial", "duplicate", "not_on_route",
+    "bad_route", "no_route", "parked_full", "deadline_expired", "link_down",
+    "wire_lost", "inflight_lost", "raw_down_drop", "raw_lost",
+    "raw_inflight_lost", "raw_no_client", "deliver_malformed",
+    "deliver_misrouted", "deliver_no_client",
+}
+
+
+def inflight_loss_world():
+    faults = [FaultEvent(1.0, change=Change.link_down("A", "B"))]
+    eng = Engine(two_node(latency=50.0),
+                 [Burst("ca", "cb", 1, ServiceClass(PRI, 1)), Collector("cb")],
+                 seed=1, faults=faults, trace=True)
+    eng.run(horizon_ms=5000.0)
+    return eng
+
+
+def raw_loss_world():
+    faults = [FaultEvent(100.0, change=Change.loss_override("12", "13", 1.0)),
+              FaultEvent(200.0, change=Change.node_down("13"))]
+    actions = [(50.0, raw_send_x), (150.0, raw_send_x), (250.0, raw_send_x)]
+    eng = Engine(load_topology(CHAIN), [Scripted("c1", actions),
+                                        Collector("c5")],
+                 seed=2, raw_links=[CHAIN_RAW], faults=faults, trace=True)
+    eng.run(horizon_ms=1000.0)
+    return eng
+
+
+def congested_world():
+    """20 messages at once into a 1 Mbps link: the port holds 10, and those
+    still waiting after 5 ms miss their deadline."""
+    eng = Engine(two_node(bw=1.0),
+                 [Burst("ca", "cb", 20, ServiceClass(PRI, 1), deadline_ms=5.0),
+                  Collector("cb")],
+                 seed=1, config=Config(buffer_capacity=10), trace=True)
+    eng.run(horizon_ms=1000.0)
+    return eng
+
+
+@pytest.mark.parametrize("world, expected", [
+    (lambda: flooded_lossy_chain(trace=True),
+     {("12>13", "wire_lost"), ("13>12", "wire_lost"), ("13", "duplicate")}),
+    (inflight_loss_world, {("A>B", "inflight_lost")}),
+    (raw_loss_world, {("c1>c5", "raw_lost"), ("c1>c5", "raw_down_drop")}),
+    (congested_world, {("A", "buffer_full"), ("A", "deadline_expired")}),
+], ids=["flooded_lossy_chain", "inflight", "raw", "congested"])
+def test_each_drop_is_one_count_and_one_trace_row(world, expected):
+    eng = world()
+    drops = [(row[2], row[3]) for row in eng.trace_rows if row[1] == "drop"]
+    assert expected <= set(drops)
+    assert Counter(reason for _, reason in drops) == {
+        key: n for key, n in eng.counters.items() if key in DROP_REASONS}
 
 
 # --- raw links ---------------------------------------------------------------------
@@ -1048,7 +1126,8 @@ def test_loss_override_applies_from_the_next_transmission_on():
     sink = Collector("cb")
     eng = Engine(two_node(), [sender, sink], seed=1, faults=faults, trace=True)
     eng.run(horizon_ms=2000.0)
-    lost = [row[0] for row in eng.trace_rows if row[1] == "wire_loss"]
+    lost = [row[0] for row in eng.trace_rows
+            if row[1] == "drop" and row[3] == "wire_lost"]
     assert lost and 300.0 <= min(lost) and max(lost) < 600.0
     # nothing gets through while every frame is lost; hop recovery then
     # repairs every gap once the loss is lifted

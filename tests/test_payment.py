@@ -7,6 +7,7 @@ from helpers import data_file
 from spon.netsim import Client, Engine, FaultEvent, RawLink
 from spon.overlay import PRI, REL, ServiceClass
 from spon.payment import (
+    ARQ_MAX_TRIES,
     DirectTransport,
     FULFILL,
     HOLD_EXECUTED,
@@ -189,6 +190,18 @@ class FakeApi:
 
     def raw_rtt_hint(self, a, b):
         return 32.0
+
+
+def test_arq_give_up_is_counted_by_its_node():
+    node = IlpNode("cs", "g.s", DirectTransport())
+    api = FakeApi()
+    node.transport.send_packet(node, api, "cr", b"pkt", PREPARE)
+    # the pipe is dead: no ack comes back, and every send's timer fires
+    for _ in range(ARQ_MAX_TRIES):
+        node.on_timer(("arq", 0), None, api)
+    assert len(api.sent) == ARQ_MAX_TRIES
+    assert node.counters == {"arq_failed": 1}
+    assert not node.transport.pending
 
 
 def three_party():
