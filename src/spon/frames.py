@@ -38,7 +38,10 @@ SERVICE_REL = 2
 # high-water seq: an announce (0) asks the receiver to confirm, and a confirm
 # (1) says the receiver holds every frame up to seq.  A hop-data wrapper
 # whose frame left the sender's port empty carries HOP_ACK_REQ (1), and the
-# receiver confirms it after a short delay; other wrappers carry 0.
+# receiver confirms it after a short delay; other wrappers carry 0.  A
+# wrapper has no deadline of its own, so its `deadline_us` carries the
+# sender's cumulative ack for the reverse direction: the next seq due, which
+# confirms every frame below it, or 0 when no confirm is owed.
 HOP_ANNOUNCE = 0
 HOP_CONFIRM = 1
 HOP_ACK_REQ = 1
@@ -127,10 +130,11 @@ class Frame:
 
     @classmethod
     def hop_data(cls, src: str, dst: str, seq: int, inner: "Frame",
-                 header_size: int, k: int = 0) -> "Frame":
+                 header_size: int, k: int = 0, ack: int = 0) -> "Frame":
         """A hop-data wrapper around `inner`, sized without encoding its ids:
-        `header_size` is the size of an empty wrapper from src to dst."""
-        frame = cls(KIND_HOP_DATA, SERVICE_NONE, k, src, dst, seq, 0, 0, (),
+        `header_size` is the size of an empty wrapper from src to dst.  A
+        nonzero `ack` goes in the deadline field (see HOP_ACK_REQ)."""
+        frame = cls(KIND_HOP_DATA, SERVICE_NONE, k, src, dst, seq, 0, ack, (),
                     b"", inner)
         frame._size = header_size + inner.wire_size()
         return frame

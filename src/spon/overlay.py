@@ -18,10 +18,15 @@ found without new traffic by delayed acknowledgement with a tail-loss probe
 (TCP's delayed ACK and RACK-TLP).  The wrap that leaves no data frame waiting
 in the port flags its frame (k = HOP_ACK_REQ) and arms the sender's probe
 timer for ACK_DELAY_MS plus the re-nack interval.  A receiver arms its ack
-timer for ACK_DELAY_MS on every flagged frame it accepts; when it fires with
-nothing missing, the receiver confirms the high-water seq it holds, and a
-confirm that covers the sender's last frame cancels the probe.  A lossless
-quiet hop thus costs one control frame.  A probe that fires unanswered sends
+timer for ACK_DELAY_MS on every flagged frame it accepts.  While no gap is
+open, the confirm it owes rides the next data frame it wraps back toward the
+sender, as a cumulative ack in the wrapper's deadline field (TCP's
+piggybacked ACK); a gap fill is a replay, and its ack is ignored.  When the
+timer fires with nothing missing and the confirm still owed, the receiver
+confirms the high-water seq it holds in a frame of its own.  A confirm that
+covers the sender's last frame cancels the probe.  A lossless quiet hop thus
+costs one control frame, and none when data flows back before the ack timer
+fires.  A probe that fires unanswered sends
 an announce of the high-water seq, which the receiver confirms or answers
 with a nack; unanswered announces repeat, spaced by the re-nack interval and
 doubling, ANNOUNCE_RETRIES at most.  A later arming of either timer
@@ -45,7 +50,7 @@ from __future__ import annotations
 
 import struct
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from .frames import (
@@ -222,9 +227,10 @@ class OutPort:
         self.queued += 1
         return True
 
-    def _pop_partition(self, key: tuple, now_us: int,
-                       dropped: List[Frame]) -> Optional[Frame]:
+    def _pop_partition(self, key: tuple,
+                       now_us: int) -> Tuple[Optional[Frame], int]:
         levels = self.queues[key]
+        expired = 0
         # every pop on fairness-ramp and meltdown-routed, and 71% on
         # ping-flood-loss, is from a partition of one level: skip the sort
         for level in levels if len(levels) == 1 else sorted(levels, reverse=True):
@@ -235,27 +241,28 @@ class OutPort:
                 self.queued -= 1
                 if (frame.service == SERVICE_PRI and frame.deadline_us
                         and now_us > frame.deadline_us):
-                    dropped.append(frame)
+                    expired += 1
                     continue
-                return frame
-        return None
+                return frame, expired
+        return None, expired
 
-    def dequeue(self, now_ms: float) -> Tuple[Optional[Frame], List[Frame]]:
-        """Next frame for the wire plus any frames dropped past deadline.
-        Control first, then round-robin over the data partitions."""
-        dropped: List[Frame] = []
+    def dequeue(self, now_ms: float) -> Tuple[Optional[Frame], int]:
+        """Next frame for the wire plus the number of frames dropped past
+        deadline.  Control first, then round-robin over the data partitions."""
         if self.control:
             self.queued -= 1
-            return self.control.popleft(), dropped
+            return self.control.popleft(), 0
         n = len(self.ring)
         now_us = int(now_ms * 1000.0)
+        expired = 0
         for step in range(n):
             pos = (self.ring_idx + step) % n
-            frame = self._pop_partition(self.ring[pos], now_us, dropped)
+            frame, dropped = self._pop_partition(self.ring[pos], now_us)
+            expired += dropped
             if frame is not None:
                 self.ring_idx = (pos + 1) % n
-                return frame, dropped
-        return None, dropped
+                return frame, expired
+        return None, expired
 
     def drain(self) -> List[Frame]:
         """Remove and return every queued data frame (control included)."""
@@ -281,12 +288,14 @@ class _Hop:
     Sending: the replay cache holds (wire frame, time stored) for the
     contiguous seqs first_seq .. next_seq - 1, oldest on the left, so a seq
     indexes it directly; `confirmed` is the highest seq the neighbour said
-    it holds.  Receiving: `expected` is the next seq due and `missing` maps
-    each seq of an open gap to when the gap was found.  The record is made
-    on first use and dropped when the link goes down in the node's view, so
-    the two directions reset together.  The re-nack interval, the header
-    size and the timer effects are built once per record; every hop-layer
-    frame the record's node sends is sized from that header.
+    it holds.  Receiving: `expected` is the next seq due, `missing` maps
+    each seq of an open gap to when the gap was found, and `acked` is the
+    highest seq this node has told the neighbour it holds, by a confirm or
+    by the ack on a wrapper of reverse data; it never decreases.  The record
+    is made on first use and dropped when the link goes down in the node's
+    view, so the two directions reset together.  The re-nack interval, the
+    header size and the timer effects are built once per record; every
+    hop-layer frame the record's node sends is sized from that header.
     """
 
     def __init__(self, node_id: NodeId, nbr: NodeId, base: Topology):
@@ -297,6 +306,7 @@ class _Hop:
         self.confirmed = -1
         self.expected = 0
         self.missing: Dict[int, float] = {}
+        self.acked = -1
         self.nack_armed = False
         # how long a request on the link waits for its answer
         try:
@@ -537,18 +547,21 @@ class NodeState:
                      out: Effects) -> Optional[Frame]:
         hop = self.hops[from_nbr]
         seq = wire.seq
-        if seq == hop.expected:
-            hop.expected += 1
-        elif seq > hop.expected:
-            self._mark_missing(hop, seq, now)
+        if seq >= hop.expected:
+            if seq > hop.expected:
+                self._mark_missing(hop, seq, now)
+                self._arm_nack(from_nbr, hop, out, NACK_DELAY_MS)
             hop.expected = seq + 1
-            self._arm_nack(from_nbr, hop, out, NACK_DELAY_MS)
+            if wire.deadline_us:
+                # the neighbour's confirm rode its data; a gap fill is a
+                # replay whose ack may predate a reset of the link, and
+                # confirms nothing
+                self._on_confirm(hop, wire.deadline_us - 1, out)
+        elif seq in hop.missing:
+            del hop.missing[seq]
         else:
-            if seq in hop.missing:
-                del hop.missing[seq]
-            else:
-                self._drop("hop_duplicate")
-                return None
+            self._drop("hop_duplicate")
+            return None
         if wire.k == HOP_ACK_REQ:
             # a later flagged frame supersedes this arming
             out.append(hop.ack)
@@ -571,13 +584,9 @@ class NodeState:
                 else:
                     self._enqueue_control(from_nbr, cached, out)
         elif wire.k == HOP_CONFIRM:
-            # the neighbor holds every frame up to wire.seq; a seq we have
-            # not sent yet predates a reset of this link and says nothing
             hop = self.hops.get(from_nbr)
-            if hop is not None and hop.confirmed < wire.seq < hop.next_seq:
-                hop.confirmed = wire.seq
-                if wire.seq == hop.next_seq - 1:
-                    out.append(hop.unprobe)     # nothing left to probe for
+            if hop is not None:
+                self._on_confirm(hop, wire.seq, out)
         else:
             # high-water announce: anything up to wire.seq we never saw is
             # lost; with nothing missing, confirm so the announces stop
@@ -590,8 +599,19 @@ class NodeState:
             else:
                 self._confirm(from_nbr, hop, high, out)
 
+    def _on_confirm(self, hop: _Hop, high: int, out: Effects) -> None:
+        """The neighbour holds every frame up to `high`, by a confirm or by
+        the ack on its data; a seq not sent yet predates a reset of this
+        link and says nothing."""
+        if hop.confirmed < high < hop.next_seq:
+            hop.confirmed = high
+            if high == hop.next_seq - 1:
+                out.append(hop.unprobe)     # nothing left to probe for
+
     def _confirm(self, nbr: NodeId, hop: _Hop, high: int, out: Effects) -> None:
         """Tell the neighbour this node holds every frame up to `high`."""
+        if high > hop.acked:
+            hop.acked = high
         confirm = Frame.hop_control(KIND_HOP_NACK, self.id, nbr,
                                     hop.header_size, k=HOP_CONFIRM, seq=high)
         self._enqueue_control(nbr, confirm, out)
@@ -762,14 +782,15 @@ class NodeState:
         if port is None:
             return None, out
         frame, expired = port.dequeue(now)
-        for _ in expired:
-            self._drop("deadline_expired")
-        if frame is None and expired:
-            hop = self.hops.get(neighbor)
-            if hop is not None and hop.next_seq:
-                # the port emptied without a wrap, so no frame asked for a
-                # confirm: the tail probe counts from here
-                out.append(hop.probe)
+        if expired:
+            for _ in range(expired):
+                self._drop("deadline_expired")
+            if frame is None:
+                hop = self.hops.get(neighbor)
+                if hop is not None and hop.next_seq:
+                    # the port emptied without a wrap, so no frame asked
+                    # for a confirm: the tail probe counts from here
+                    out.append(hop.probe)
         return frame, out
 
     def wrap_for_link(self, frame: Frame, neighbor: NodeId, now: float,
@@ -782,14 +803,21 @@ class NodeState:
         seq = hop.next_seq
         hop.next_seq += 1
         hop.announce_round = 0
+        # a confirm owed to the neighbour rides this frame as the cumulative
+        # ack, the next seq due; 0 means none is owed
+        ack = 0
+        if hop.acked < hop.expected - 1 and not hop.missing:
+            ack = hop.expected
+            hop.acked = ack - 1
         if self._data_waiting(neighbor):
-            wire = Frame.hop_data(self.id, neighbor, seq, frame, hop.header_size)
+            wire = Frame.hop_data(self.id, neighbor, seq, frame, hop.header_size,
+                                  0, ack)
         else:
             # the wrap that empties the port asks for a confirm and arms the
             # tail probe, superseding any earlier arming, a back-off wait
             # included
             wire = Frame.hop_data(self.id, neighbor, seq, frame, hop.header_size,
-                                  HOP_ACK_REQ)
+                                  HOP_ACK_REQ, ack)
             out.append(hop.probe)
         hop.store(wire, now)
         return wire
@@ -863,10 +891,12 @@ class NodeState:
         out.append(SetTimer(("nack", nbr), hop.renack_ms))
 
     def _ack_timer(self, nbr: NodeId, out: Effects) -> None:
-        """Confirm the frames a flagged frame closed; over a gap the nack
-        timer, armed when the gap opened, answers instead."""
+        """Confirm the frames a flagged frame closed, unless the neighbour
+        was already told, most often by the ack on reverse data; over a gap
+        the nack timer, armed when the gap opened, answers instead."""
         hop = self.hops.get(nbr)
-        if hop is not None and not hop.missing:
+        if hop is not None and hop.acked < hop.expected - 1 \
+                and not hop.missing:
             self._confirm(nbr, hop, hop.expected - 1, out)
 
     def _announce_timer(self, nbr: NodeId, now: float, out: Effects) -> None:

@@ -110,6 +110,23 @@ def test_wrapped_frame_is_sized_as_it_encodes():
             assert (back.k, back.seq, back.inner) == (k, 3, inner)
 
 
+def test_hop_data_round_trips_a_nonzero_ack():
+    inner = Frame(kind=frames.KIND_DATA, service=frames.SERVICE_PRI, k=1,
+                  src="13", dst="12", seq=4, routes=(("13", "12"),),
+                  payload=b"pong")
+    header = Frame(kind=frames.KIND_HOP_DATA, src="13", dst="12").wire_size()
+    ack = (1 << 40) + 7
+    wrapper = Frame.hop_data("13", "12", 5, inner, header, frames.HOP_ACK_REQ,
+                             ack)
+    raw = wrapper.encode()
+    # the ack rides the deadline field: it costs no byte
+    assert len(raw) == wrapper.wire_size() \
+        == Frame.hop_data("13", "12", 5, inner, header).wire_size()
+    back = decode(raw)
+    assert (back.k, back.seq, back.deadline_us, back.inner) == \
+        (frames.HOP_ACK_REQ, 5, ack, inner)
+
+
 def test_replaced_frame_is_sized_afresh():
     frame = Frame(kind=frames.KIND_DATA, service=frames.SERVICE_PRI, k=1,
                   src="1", dst="5", seq=7, routes=(("1", "9", "10", "11", "5"),),

@@ -23,15 +23,15 @@ GOLDEN = {
     "chain-ping-loss": (
         dict(loss=5.0, pings=30, reps=1,
              variants=("baseline", "pri-fld", "rel-1p")),
-        "98eb1ff1c491756e817355be0a2f9ba21d9b1ea2b0f4f11e3671bc36a410db14"),
+        "3f3a481d92df15a6c54e7154fc5a58b03a11b6a0d2242532c35e4e2aa7e99d36"),
     "chain-stream-loss": (
         dict(loss=5.0, payments=2, total=2_000, packet=100, reps=1,
              variants=("baseline", "pri-2p", "rel-2p")),
-        "037b437ead4dd63d2718ac594c232be52985889d8e9a374afc54d04013888935"),
+        "9105e1130faa36b6fbe9491b9cea838e68dbf71ba5096e7da775155f56eaf1b1"),
     "global-stream-loss": (
         dict(loss=2.0, payments=2, total=5_000, packet=500, reps=1,
              variants=("baseline", "pri-fld", "rel-1p")),
-        "6255b9cb9968dcfdf86db04812669cf49567e2dc99e74a1eda557ebd2edc750d"),
+        "21f7f5ae2dcf129b5b76cee799ef20dd99b68aad86cbf74e1eb7bfec515f8a63"),
     "chain-meltdown": (
         dict(total=15_000, packet=10,
              variants=("baseline-cut", "pri-1p", "pri-2p")),

@@ -312,8 +312,8 @@ def test_port_length_counts_the_frames_it_holds(monkeypatch):
     check()
     port.dequeue(0.0)
     check()
-    frame, dropped = port.dequeue(5.0)     # A0 and A1 are past deadline
-    assert len(dropped) >= 1
+    frame, expired = port.dequeue(5.0)     # A0 and A1 are past deadline
+    assert expired == 2
     check()
     port.dequeue(5.0)
     check()
@@ -322,7 +322,7 @@ def test_port_length_counts_the_frames_it_holds(monkeypatch):
     check()
     port.drain()
     check()
-    assert port.dequeue(5.0) == (None, [])
+    assert port.dequeue(5.0) == (None, 0)
     check()
     assert all(length == actual for length, actual in checks), checks
     assert checks[-1] == (0, 0)
@@ -881,3 +881,89 @@ def test_lost_confirm_ends_in_announce_and_confirm():
     assert confirm.k == HOP_CONFIRM and confirm.seq == 0
     assert a.handle_frame("B", confirm, 11.0) == [CancelTimer(("ann", "B"))]
     assert announce(a, "B", 12.0) == (None, None)
+
+
+# --- an owed confirm rides reverse data ------------------------------------------
+
+def reverse(b, now, count=1):
+    """B wraps `count` data frames back toward A, like the engine would."""
+    wires = []
+    for i in range(count):
+        inner = Frame(kind=KIND_DATA, service=SERVICE_PRI, k=1, src="B",
+                      dst="A", seq=i + 1, routes=(("B", "A"),), payload=b"r")
+        wires.append(b.wrap_for_link(inner, "A", now, []))
+    return wires
+
+
+def test_reverse_data_carries_the_owed_confirm():
+    a, b = pair()
+    wire = wire_frames(a, "B", 1)[0]
+    assert wire.k == HOP_ACK_REQ and wire.deadline_us == 0
+    assert acks(b.handle_frame("A", wire, 2.0))
+    # B sends data back before its ack timer fires: the wrapper confirms seq 0
+    back = reverse(b, 3.0)[0]
+    assert back.deadline_us == 1 and b.hops["A"].acked == 0
+    fx = a.handle_frame("B", back, 5.0)
+    assert CancelTimer(("ann", "B")) in fx
+    assert a.hops["B"].confirmed == 0
+    assert [e for e in fx if isinstance(e, Deliver)]
+    # the ack timer finds the confirm given, and the tail probe is off
+    assert b.handle_timer(("ack", "A"), None, 4.0) == []
+    assert announce(a, "B", 9.0) == (None, None)
+
+
+def test_a_lost_piggyback_ends_in_announce_and_confirm():
+    a, b = pair()
+    b.handle_frame("A", wire_frames(a, "B", 1)[0], 2.0)
+    assert reverse(b, 3.0)[0].deadline_us == 1     # and it is lost
+    assert not transmits(b.handle_timer(("ack", "A"), None, 4.0))
+    sent, _ = announce(a, "B", 9.0)
+    assert sent.k == HOP_ANNOUNCE and sent.seq == 0
+    confirm = transmits(b.handle_frame("A", sent, 11.0))[0].frame
+    assert confirm.k == HOP_CONFIRM and confirm.seq == 0
+    assert a.handle_frame("B", confirm, 13.0) == [CancelTimer(("ann", "B"))]
+    assert a.hops["B"].confirmed == 0
+
+
+@pytest.mark.parametrize("tail", [False, True])
+def test_a_gap_fill_confirms_nothing(tail):
+    """A retransmitted wrapper is a replay: after a reset of the link its ack
+    could name frames of the new numbering.  That holds for a gap a later
+    frame exposed and for a trailing loss an announce exposed."""
+    a, b = pair()
+    b.handle_frame("A", wire_frames(a, "B", 1)[0], 2.0)
+    wires = reverse(b, 3.0, 1 if tail else 2)
+    assert [w.deadline_us for w in wires] == [1, 0][:len(wires)]
+    # wires[0] is lost
+    if tail:
+        sent, _ = announce(b, "A", 12.0)
+        a.handle_frame("B", sent, 14.0)
+    else:
+        a.handle_frame("B", wires[1], 4.0)
+    assert sorted(a.hops["B"].missing) == [0]
+    nack = transmits(a.handle_timer(("nack", "B"), None, 15.0))[0].frame
+    replay = transmits(b.handle_frame("A", nack, 16.0))[0].frame
+    assert replay is wires[0]
+    fx = a.handle_frame("B", replay, 17.0)
+    assert [e for e in fx if isinstance(e, Deliver)]
+    assert not a.hops["B"].missing
+    assert a.hops["B"].confirmed == -1
+    assert not [e for e in fx if isinstance(e, CancelTimer)]
+
+
+def test_a_wrapper_with_nothing_owed_carries_zero():
+    a, b = pair()
+    # nothing received yet
+    assert reverse(b, 1.0)[0].deadline_us == 0
+    wires = wire_frames(a, "B", 3)
+    b.handle_frame("A", wires[0], 2.0)
+    # the confirm rides the first wrapper only
+    assert [w.deadline_us for w in reverse(b, 3.0, 2)] == [1, 0]
+    # a gap is open: the nack answers, not an ack
+    b.handle_frame("A", wires[2], 4.0)
+    assert b.hops["A"].missing and reverse(b, 5.0)[0].deadline_us == 0
+    # an explicit confirm leaves nothing owed either
+    b.handle_frame("A", wires[1], 6.0)
+    assert transmits(b.handle_timer(("ack", "A"), None, 8.0))
+    assert b.hops["A"].acked == 2
+    assert reverse(b, 9.0)[0].deadline_us == 0
