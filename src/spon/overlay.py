@@ -9,7 +9,9 @@ never blocks and never draws randomness.
 Two delivery services ride the same links: PRIORITY (timely, fair-queued per
 source, no end-to-end retransmission) and RELIABLE (per-flow fair queuing,
 end-to-end acks with doubling RTO).  k = 0 selects flooding, k >= 1 selects
-that many node-disjoint source routes.
+that many node-disjoint source routes.  A flood goes no further than its
+destination: each relay forwards the first copy it sees to every other up
+neighbour, and the destination consumes it and forwards nothing.
 
 Each link direction additionally runs a small negative-ack recovery protocol:
 frames carry per-link sequence numbers, receivers nack gaps, and senders keep
@@ -20,21 +22,21 @@ in the port flags its frame (k = HOP_ACK_REQ) and arms the sender's probe
 timer for ACK_DELAY_MS plus the re-nack interval.  A receiver arms its ack
 timer for ACK_DELAY_MS on every flagged frame it accepts.  While no gap is
 open, the confirm it owes rides the next data frame it wraps back toward the
-sender, as a cumulative ack in the wrapper's deadline field (TCP's
-piggybacked ACK); a gap fill is a replay, and its ack is ignored.  When the
-timer fires with nothing missing and the confirm still owed, the receiver
-confirms the high-water seq it holds in a frame of its own.  A confirm that
-covers the sender's last frame cancels the probe.  A lossless quiet hop thus
-costs one control frame, and none when data flows back before the ack timer
-fires.  A probe that fires unanswered sends
-an announce of the high-water seq, which the receiver confirms or answers
-with a nack; unanswered announces repeat, spaced by the re-nack interval and
-doubling, ANNOUNCE_RETRIES at most.  A later arming of either timer
-supersedes an earlier one, a back-off wait included; a probe that fires while
-data frames wait does nothing, and waiting control frames never hold it
-back.  A node keeps one hop record per neighbour for both directions of the
-link and drops it when its view says the link went down, so a neighbour that
-restarts with fresh link seqs is heard from seq 0.
+sender, as a cumulative ack in the wrapper's deadline field (TCP's piggybacked
+ACK), and cancels the ack timer; a gap fill is a replay, and its ack is
+ignored.  When the timer fires with nothing missing and the confirm still
+owed, the receiver confirms the high-water seq it holds in a frame of its own.
+A confirm that covers the sender's last frame cancels the probe.  A lossless
+quiet hop thus costs one control frame, and none when data flows back before
+the ack timer fires.  A probe that fires unanswered sends an announce of the
+high-water seq, which the receiver confirms or answers with a nack; unanswered
+announces repeat, spaced by the re-nack interval and doubling,
+ANNOUNCE_RETRIES at most.  A later arming of either timer supersedes an
+earlier one, a back-off wait included; a probe that fires while data frames
+wait does nothing, and waiting control frames never hold it back.  A node
+keeps one hop record per neighbour for both directions of the link and drops
+it when its view says the link went down, so a neighbour that restarts with
+fresh link seqs is heard from seq 0.
 
 End-to-end seqs are numbered per (destination, service) from the node's
 incarnation: the engine counts each spawn of a node (0, 1, ...), and the
@@ -319,6 +321,7 @@ class _Hop:
         self.probe = SetTimer(("ann", nbr), ACK_DELAY_MS + renack_ms)
         self.unprobe = CancelTimer(("ann", nbr))
         self.ack = SetTimer(("ack", nbr), ACK_DELAY_MS)
+        self.unack = CancelTimer(("ack", nbr))
 
     def store(self, frame: Frame, now: float) -> None:
         """Cache the frame carrying seq next_seq - 1."""
@@ -677,7 +680,9 @@ class NodeState:
         if not self._first_copy(from_nbr, frame, now, out):
             return
         if frame.dst == self.id:
+            # no other node consumes the frame, so a copy sent on is wasted
             self._consume(frame, from_nbr, now, out)
+            return
         for nbr in self.view.up_neighbors(self.id):
             if nbr != from_nbr:
                 self._enqueue_data(nbr, frame, out)
@@ -804,11 +809,13 @@ class NodeState:
         hop.next_seq += 1
         hop.announce_round = 0
         # a confirm owed to the neighbour rides this frame as the cumulative
-        # ack, the next seq due; 0 means none is owed
+        # ack, the next seq due, and the ack timer has nothing left to send;
+        # 0 means none is owed
         ack = 0
         if hop.acked < hop.expected - 1 and not hop.missing:
             ack = hop.expected
             hop.acked = ack - 1
+            out.append(hop.unack)
         if self._data_waiting(neighbor):
             wire = Frame.hop_data(self.id, neighbor, seq, frame, hop.header_size,
                                   0, ack)
@@ -862,8 +869,9 @@ class NodeState:
             self._count("rel_retransmit")
             return
         if originally_flooded:
-            # the first flood marked every window, so a second flood cannot
-            # help, and with no route pool nothing else can
+            # the first flood marked the window of each of the source's
+            # neighbours, which drop a second flood as a duplicate, and with
+            # no route pool nothing else can help
             return
         try:
             frame = pending.frame.restamp(FLOODING)
@@ -892,8 +900,8 @@ class NodeState:
 
     def _ack_timer(self, nbr: NodeId, out: Effects) -> None:
         """Confirm the frames a flagged frame closed, unless the neighbour
-        was already told, most often by the ack on reverse data; over a gap
-        the nack timer, armed when the gap opened, answers instead."""
+        was already told (an ack on reverse data cancels this timer); over a
+        gap the nack timer, armed when the gap opened, answers instead."""
         hop = self.hops.get(nbr)
         if hop is not None and hop.acked < hop.expected - 1 \
                 and not hop.missing:

@@ -23,7 +23,7 @@ GOLDEN = {
     "chain-ping-loss": (
         dict(loss=5.0, pings=30, reps=1,
              variants=("baseline", "pri-fld", "rel-1p")),
-        "3f3a481d92df15a6c54e7154fc5a58b03a11b6a0d2242532c35e4e2aa7e99d36"),
+        "dbc0ce021ff758e203947622da485b2e32e142fbe9b4477452481307afd4b5b5"),
     "chain-stream-loss": (
         dict(loss=5.0, payments=2, total=2_000, packet=100, reps=1,
              variants=("baseline", "pri-2p", "rel-2p")),

@@ -43,6 +43,7 @@ from spon.topology import Change, Topology, parse_topology, load_topology
 
 CHAIN = data_file("chain.topo")
 BGP = data_file("bgp.topo")
+GLOBAL = data_file("global.topo")
 
 
 def two_node(loss=0.0, latency=5.0, bw=100.0) -> Topology:
@@ -682,8 +683,9 @@ def test_relay_restarts_on_lossless_links_cost_no_hop_recovery():
 # --- one counter table per run -----------------------------------------------------
 
 def flooded_lossy_chain(faults=(), trace=False):
-    """50 flooded PRI messages over a 30%-loss hop: copies that come back round
-    leave relays with drops of their own, and the run is quiet by 300 ms."""
+    """50 flooded PRI messages over a 30%-loss hop: a flood stops at node 5,
+    so node 5 alone drops copies that reach it a second way, and the run is
+    quiet by 300 ms."""
     loss = FaultEvent(0.0, change=Change.loss_override("12", "13", 0.3))
     eng = Engine(load_topology(CHAIN),
                  [Burst("c1", "c5", 50, ServiceClass(PRI, 0)), Collector("c5")],
@@ -692,12 +694,26 @@ def flooded_lossy_chain(faults=(), trace=False):
     return eng
 
 
+def flooded_global(faults=()):
+    """50 flooded PRI messages FRA to HKG: relays NYC and WAS, four
+    neighbours each, and JHU drop copies that reach them a second way, and
+    the run is quiet by 300 ms."""
+    eng = Engine(load_topology(GLOBAL),
+                 [Burst("cFRA", "cHKG", 50, ServiceClass(PRI, 0)),
+                  Collector("cHKG")],
+                 seed=4, faults=list(faults), trace=True)
+    eng.run(horizon_ms=2000.0)
+    return eng
+
+
 def test_counts_survive_a_relay_that_goes_down():
-    kept = flooded_lossy_chain()
-    retired = flooded_lossy_chain([FaultEvent(1000.0,
-                                              change=Change.node_down("7"))])
-    assert "7" not in retired.nodes
-    assert kept.counters["duplicate"] > 0
+    kept = flooded_global()
+    retired = flooded_global([FaultEvent(1000.0,
+                                         change=Change.node_down("NYC"))])
+    assert "NYC" not in retired.nodes
+    # the relay counted into the run's table before it went down
+    assert ("NYC", "duplicate") in {(row[2], row[3]) for row in
+                                    retired.trace_rows if row[1] == "drop"}
     assert retired.counters == kept.counters
 
 
@@ -808,7 +824,7 @@ def congested_world():
 
 @pytest.mark.parametrize("world, expected", [
     (lambda: flooded_lossy_chain(trace=True),
-     {("12>13", "wire_lost"), ("13>12", "wire_lost"), ("13", "duplicate")}),
+     {("12>13", "wire_lost"), ("13>12", "wire_lost"), ("5", "duplicate")}),
     (inflight_loss_world, {("A>B", "inflight_lost")}),
     (raw_loss_world, {("c1>c5", "raw_lost"), ("c1>c5", "raw_down_drop")}),
     (congested_world, {("A", "buffer_full"), ("A", "deadline_expired")}),

@@ -242,6 +242,28 @@ def test_flood_total_transmissions_bounded():
     assert sends <= 2 * len(topo.links)
 
 
+@pytest.mark.parametrize("kind", [PRI, REL])
+def test_a_flood_crosses_each_link_once_and_stops_at_its_destination(kind):
+    view = chain_view()
+    nodes = {n: node(n, view) for n in view.base.nodes}
+    fx = nodes["1"].client_send("5", b"x", ServiceClass(kind, 0), now=0.0)
+    pending = [("1", t) for t in transmits(fx)]
+    # flooded copies of each frame kind, by the link they crossed
+    crossed = {KIND_DATA: [], KIND_ACK: []}
+    while pending:
+        frm, t = pending.pop(0)
+        if t.frame.k == FLOODING:
+            crossed[t.frame.kind].append(tuple(sorted((frm, t.neighbor))))
+        fx = nodes[t.neighbor].handle_frame(frm, t.frame, now=1.0)
+        pending += [(t.neighbor, e) for e in transmits(fx)]
+    links = sorted(tuple(sorted((spec.a, spec.b))) for spec in view.base.links)
+    assert len(links) == 14
+    # the data flood: node 5 consumes it and sends no copy on
+    assert sorted(crossed[KIND_DATA]) == links
+    # the ack of a REL flood floods back the same way and stops at node 1
+    assert sorted(crossed[KIND_ACK]) == (links if kind == REL else [])
+
+
 # --- scheduler -------------------------------------------------------------------
 
 def pri_frame(src, seq, priority=0, deadline_us=0):
@@ -967,3 +989,20 @@ def test_a_wrapper_with_nothing_owed_carries_zero():
     assert transmits(b.handle_timer(("ack", "A"), None, 8.0))
     assert b.hops["A"].acked == 2
     assert reverse(b, 9.0)[0].deadline_us == 0
+
+
+def test_a_wrapper_that_carries_the_confirm_cancels_the_ack_timer():
+    a, b = pair()
+    wires = wire_frames(a, "B", 2)
+    assert acks(b.handle_frame("A", wires[0], 2.0))
+    inner = Frame(kind=KIND_DATA, service=SERVICE_PRI, k=1, src="B", dst="A",
+                  seq=1, routes=(("B", "A"),), payload=b"r")
+    fx = []
+    assert b.wrap_for_link(inner, "A", 3.0, fx).deadline_us == 1
+    assert CancelTimer(("ack", "A")) in fx
+    # nothing is owed now, so the next wrapper leaves the timer alone
+    fx = []
+    assert b.wrap_for_link(replace(inner, seq=2), "A", 3.5, fx).deadline_us == 0
+    assert CancelTimer(("ack", "A")) not in fx
+    # a later flagged frame owes a confirm again, and the timer is armed anew
+    assert acks(b.handle_frame("A", wires[1], 4.0))
