@@ -739,7 +739,10 @@ def load_raw_reports(in_dir: str) -> List[MetricReport]:
         reports.append(MetricReport(
             scenario, kind, meta.get("variant", fname[4:-4]),
             int(meta.get("reps", 1)), rows,
-            extract_samples(kind, rows, ramp_end)))
+            extract_samples(kind, rows, ramp_end),
+            # a stream that did not finish left a payment row that says so
+            completed=all(row[7] == "complete" for row in rows
+                          if row[2] == "payment")))
     if not reports:
         raise ScenarioError(f"no raw_*.csv files in {in_dir}")
     return reports

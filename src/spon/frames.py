@@ -144,7 +144,7 @@ class Frame:
                     k: int = 0, seq: int = 0, payload: bytes = b"") -> "Frame":
         """A hop-layer frame with no inner frame (confirm, announce, nack or
         tombstone), sized from `header_size` like a hop-data wrapper."""
-        frame = cls(kind=kind, k=k, src=src, dst=dst, seq=seq, payload=payload)
+        frame = cls(kind, SERVICE_NONE, k, src, dst, seq, 0, 0, (), payload)
         frame._size = header_size + len(payload)
         return frame
 

@@ -61,7 +61,6 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .frames import Frame
 from .overlay import (
     DEFAULT_CONFIG,
     DEFAULT_RTT_MS,
@@ -369,9 +368,12 @@ class Engine:
         self.api = EngineApi(self)
 
         self.link_dirs: Dict[Tuple[NodeId, NodeId], _LinkDir] = {}
+        # per node, built once: its timer owner and its outgoing directions
+        self._owners = {n: ("n", n) for n in topology.nodes}
+        self._out_dirs = {n: {} for n in topology.nodes}
         for spec in topology.links:
             for a, b in ((spec.a, spec.b), (spec.b, spec.a)):
-                self.link_dirs[(a, b)] = _LinkDir(
+                self.link_dirs[(a, b)] = self._out_dirs[a][b] = _LinkDir(
                     a, b, spec.latency_ms, spec.bw_mbps * 1000.0,
                     self._derive_rng(f"{a}>{b}"))
         self.raw_dirs: Dict[Tuple[str, str], _RawDir] = {}
@@ -555,16 +557,17 @@ class Engine:
 
     def _process_effects(self, node_id: NodeId, effects: List[object]) -> None:
         # by exact type, the most frequent first
+        owner = self._owners[node_id]
         for eff in effects:
             kind = type(eff)
             if kind is Transmit:
-                self._kick(node_id, eff.neighbor)
+                self._kick(self._out_dirs[node_id][eff.neighbor])
             elif kind is SetTimer:
-                self.set_timer(("n", node_id), eff.timer_id, eff.delay_ms, eff.data)
+                self.set_timer(owner, eff.timer_id, eff.delay_ms, eff.data)
             elif kind is Deliver:
                 self._deliver(node_id, eff)
             elif kind is CancelTimer:
-                self.cancel_timer(("n", node_id), eff.timer_id)
+                self._timer_gen.pop((owner, eff.timer_id), None)
 
     def _deliver(self, node_id: NodeId, eff: Deliver) -> None:
         try:
@@ -585,19 +588,16 @@ class Engine:
 
     # -- overlay link service --
 
-    def _kick(self, a: NodeId, b: NodeId) -> None:
-        """Start serializing the next frame on direction a->b if idle; if
-        busy, make sure the port is served when the wire frees up."""
-        dirn = self.link_dirs.get((a, b))
-        if dirn is None:
-            return
+    def _kick(self, dirn: _LinkDir) -> None:
+        """Start serializing the next frame on `dirn` if idle; if busy, make
+        sure the port is served when the wire frees up."""
         now = self.now
         if now < dirn.busy_until or (now == dirn.busy_until
                                      and self.now_seq < dirn.done_seq):
             if not dirn.done_live:
                 dirn.done_live = True
                 heapq.heappush(self._heap, (dirn.busy_until, dirn.done_seq,
-                                            _EV_TX_DONE, (a, b, dirn)))
+                                            _EV_TX_DONE, (dirn.a, dirn.b, dirn)))
             return
         self._send_next(dirn)
 
@@ -618,21 +618,21 @@ class Engine:
         if wire is None:
             return
         ser = wire.wire_size() * 8.0 / dirn.bits_per_ms
-        self._count("wire_tx")
+        self.counters["wire_tx"] = self.counters.get("wire_tx", 0) + 1
         # the TX_DONE's seq is taken now even if the event is pushed later
         dirn.busy_until = done = now + ser
-        self._seq += 1
-        dirn.done_seq = self._seq
+        self._seq = seq = self._seq + 1
+        dirn.done_seq = seq
         if state.ports[b].queued:
             dirn.done_live = True
-            heapq.heappush(self._heap,
-                           (done, self._seq, _EV_TX_DONE, (a, b, dirn)))
+            heapq.heappush(self._heap, (done, seq, _EV_TX_DONE, (a, b, dirn)))
         loss = dirn.loss
         if loss > 0.0 and dirn.rng.random() < loss:
             self._drop("wire_lost", f"{a}>{b}")
             return
-        arrive = done + dirn.latency_ms + HOP_PROCESSING_MS
-        self._push(arrive, _EV_ARRIVAL, (dirn, wire, dirn.epoch))
+        self._seq = seq = seq + 1
+        heapq.heappush(self._heap, (done + dirn.latency_ms + HOP_PROCESSING_MS,
+                                    seq, _EV_ARRIVAL, (dirn, wire, dirn.epoch)))
 
     # -- faults --
 
@@ -684,10 +684,13 @@ class Engine:
     def run(self, horizon_ms: float) -> None:
         cap = EVENT_CAP
         timers = self._timer_gen
-        while self._heap:
-            if self._heap[0][0] > horizon_ms:
+        heap = self._heap
+        heappop = heapq.heappop
+        nodes = self.nodes
+        while heap:
+            if heap[0][0] > horizon_ms:
                 break
-            time_ms, seq, kind, data = heapq.heappop(self._heap)
+            time_ms, seq, kind, data = heappop(heap)
             self.pops += 1
             if self.pops > cap:
                 raise EngineOverrun(f"exceeded {cap} events")
@@ -702,16 +705,33 @@ class Engine:
                     # re-armed later: move the entry to that arming's reserved key
                     armed[3] = due
                     armed[4] = armed_seq
-                    heapq.heappush(self._heap, (due, armed_seq, _EV_TIMER, data))
+                    heapq.heappush(heap, (due, armed_seq, _EV_TIMER, data))
                     continue
                 self.now = time_ms
                 self.now_seq = seq
-                self._on_timer(data, armed[2])
+                # fire the timer at its last arming, with that arming's data
+                del timers[data]
+                (scope, name), timer_id = data
+                if scope == "n":
+                    state = nodes.get(name)
+                    if state is not None:
+                        self._process_effects(name, state.handle_timer(
+                            timer_id, armed[2], time_ms))
+                else:
+                    client = self.clients.get(name)
+                    if client is not None:
+                        client.on_timer(timer_id, armed[2], self.api)
                 continue
             self.now = time_ms
             self.now_seq = seq
             if kind == _EV_ARRIVAL:
-                self._on_arrival(*data)
+                dirn, wire, epoch = data
+                state = nodes.get(dirn.b)
+                if epoch != dirn.epoch or state is None:
+                    self._drop("inflight_lost", f"{dirn.a}>{dirn.b}")
+                else:
+                    self._process_effects(dirn.b, state.handle_frame(
+                        dirn.a, wire, time_ms))
             elif kind == _EV_TX_DONE:
                 dirn = data[2]
                 dirn.done_live = False
@@ -724,30 +744,6 @@ class Engine:
                 self._adopt_view(*data)
             elif kind == _EV_RAW_ARRIVAL:
                 self._on_raw_arrival(*data)
-
-    def _on_arrival(self, dirn: _LinkDir, wire: Frame, epoch: int) -> None:
-        state = self.nodes.get(dirn.b)
-        if epoch != dirn.epoch or state is None:
-            self._drop("inflight_lost", f"{dirn.a}>{dirn.b}")
-            return
-        fx = state.handle_frame(dirn.a, wire, self.now)
-        self._process_effects(dirn.b, fx)
-
-    def _on_timer(self, key: Tuple[tuple, tuple], data: object) -> None:
-        """Fire timer `key` at its last arming, which carried `data`."""
-        del self._timer_gen[key]
-        owner, timer_id = key
-        scope, name = owner
-        if scope == "n":
-            state = self.nodes.get(name)
-            if state is None:
-                return
-            fx = state.handle_timer(timer_id, data, self.now)
-            self._process_effects(name, fx)
-        else:
-            client = self.clients.get(name)
-            if client is not None:
-                client.on_timer(timer_id, data, self.api)
 
     def _on_raw_arrival(self, dirn: _RawDir, body: bytes, epoch: int) -> None:
         if epoch != dirn.epoch:

@@ -174,10 +174,6 @@ class Behavior:
     delay_ms: float = 0.0
 
     @classmethod
-    def honest(cls) -> "Behavior":
-        return cls()
-
-    @classmethod
     def drop_all(cls) -> "Behavior":
         return cls("drop_all")
 
@@ -188,6 +184,10 @@ class Behavior:
     @classmethod
     def delay(cls, delay_ms: float) -> "Behavior":
         return cls("delay", delay_ms=delay_ms)
+
+
+# every relay's behaviour unless it is compromised; `_process` tests identity
+HONEST = Behavior()
 
 
 # --- scheduler ----------------------------------------------------------------
@@ -211,14 +211,16 @@ class OutPort:
             key = ("r", frame.src, frame.dst)
         else:
             key = ("p", frame.src)
-        if key not in self.queues:
-            self.queues[key] = defaultdict(deque)
+        levels = self.queues.get(key)
+        if levels is None:
+            levels = self.queues[key] = defaultdict(deque)
             self.sizes[key] = 0
             self.ring.append(key)
-        if self.sizes[key] >= self.capacity:
+        size = self.sizes[key]
+        if size >= self.capacity:
             return False
-        self.queues[key][frame.priority].append(frame)
-        self.sizes[key] += 1
+        levels[frame.priority].append(frame)
+        self.sizes[key] = size + 1
         self.queued += 1
         return True
 
@@ -329,7 +331,8 @@ class _Hop:
         if len(self.cache) > HOP_CACHE_FRAMES:
             self.cache.popleft()
             self.first_seq += 1
-        self._expire(now)
+        if self.cache[0][1] < now - HOP_CACHE_EXPIRY_MS:
+            self._expire(now)
 
     def lookup(self, seq: int, now: float) -> Optional[Frame]:
         self._expire(now)
@@ -408,7 +411,7 @@ class NodeState:
         self.incarnation = incarnation
         self.view = view
         self.config = config
-        self.behavior = Behavior.honest()
+        self.behavior = HONEST
         self.ports: Dict[NodeId, OutPort] = {}
         self.hops: Dict[NodeId, _Hop] = _Hops(node_id, view.base)
         self.seq_counters: Dict[Tuple[NodeId, str], int] = {}
@@ -500,9 +503,8 @@ class NodeState:
             if deadline_ms is not None:
                 deadline_us = int((now + deadline_ms) * 1000.0)
 
-        frame = Frame(kind=KIND_DATA, service=_SERVICE_CODE[service.kind],
-                      k=service.k, src=self.id, dst=dst, seq=seq,
-                      priority=priority, deadline_us=deadline_us, payload=payload)
+        frame = Frame(KIND_DATA, _SERVICE_CODE[service.kind], service.k,
+                      self.id, dst, seq, priority, deadline_us, (), payload)
 
         self._launch(frame, service.k, out)
         # registered only once the first transmission is actually queued
@@ -646,14 +648,16 @@ class NodeState:
         if frame.kind not in (KIND_DATA, KIND_ACK):
             self._drop("unhandled_kind")
             return
-        if self._adversarial(frame):
-            self._drop("adversarial")
-            return
-        if self.behavior.kind == "delay" and not delayed:
-            self._delay_counter += 1
-            out.append(SetTimer(("delay", self._delay_counter),
-                                self.behavior.delay_ms, data=(from_nbr, frame)))
-            return
+        b = self.behavior
+        if b is not HONEST:
+            if self._adversarial(frame):
+                self._drop("adversarial")
+                return
+            if b.kind == "delay" and not delayed:
+                self._delay_counter += 1
+                out.append(SetTimer(("delay", self._delay_counter), b.delay_ms,
+                                    data=(from_nbr, frame)))
+                return
 
         if frame.k == FLOODING:
             self._process_flood(from_nbr, frame, now, out)
@@ -743,8 +747,7 @@ class NodeState:
 
     def _send_ack(self, data: Frame, from_nbr: NodeId, now: float, out: Effects,
                   duplicate: bool) -> None:
-        ack = Frame(kind=KIND_ACK, service=SERVICE_REL, src=self.id, dst=data.src,
-                    seq=data.seq)
+        ack = Frame(KIND_ACK, SERVICE_REL, 0, self.id, data.src, data.seq)
         key = (data.src, data.seq)
         attempt = self.ack_rotation.get(key, 0)
         _remember(self.ack_rotation, key, attempt + 1)
@@ -816,7 +819,9 @@ class NodeState:
             ack = hop.expected
             hop.acked = ack - 1
             out.append(hop.unack)
-        if self._data_waiting(neighbor):
+        port = self.ports.get(neighbor)
+        if port is not None and port.queued > len(port.control):
+            # a data frame waits behind this one
             wire = Frame.hop_data(self.id, neighbor, seq, frame, hop.header_size,
                                   0, ack)
         else:
@@ -834,12 +839,13 @@ class NodeState:
     def handle_timer(self, timer_id: tuple, data: object, now: float) -> Effects:
         out: Effects = []
         kind = timer_id[0]
-        if kind == "rel":
+        # ack timers are nearly all of a relay's timer fires
+        if kind == "ack":
+            self._ack_timer(timer_id[1], out)
+        elif kind == "rel":
             self._rel_timeout(timer_id, now, out)
         elif kind == "nack":
             self._nack_timer(timer_id[1], now, out)
-        elif kind == "ack":
-            self._ack_timer(timer_id[1], out)
         elif kind == "ann":
             self._announce_timer(timer_id[1], now, out)
         elif kind == "delay":

@@ -302,6 +302,7 @@ def test_cli_summarize_roundtrips_run_output(tmp_path, capsys):
     rc = cli.main(["run", "--scenario", "bgp", "--out", str(tmp_path)])
     assert rc == 0
     first = capsys.readouterr().out
+    written = (tmp_path / "summary.txt").read_bytes()
     rc = cli.main(["summarize", "--in", str(tmp_path)])
     assert rc == 0
     second = capsys.readouterr().out
@@ -309,3 +310,7 @@ def test_cli_summarize_roundtrips_run_output(tmp_path, capsys):
     # the regenerated table carries the same aggregate rows
     assert [l for l in first.splitlines() if "payment_ms" in l] \
         == [l for l in second.splitlines() if "payment_ms" in l]
+    # and the whole summary, byte for byte: bgp's baseline never completes,
+    # and only its raw payment row says so
+    assert first.splitlines()[-1] == "baseline: INCOMPLETE"
+    assert (tmp_path / "summary.txt").read_bytes() == written

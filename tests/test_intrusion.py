@@ -1,0 +1,55 @@
+"""Intrusion tolerance end to end: a compromised relay on the chain's
+fastest route, run through the engine.
+
+Relay 12 sits on the 16 ms route from node 1 to node 5, the route PRI k = 1
+takes.  The single-route PRI case is the negative control: it must lose
+every message, so an engine or relay that ignored `behaviors` fails here.
+Two disjoint routes, flooding, and REL's retransmit route pool each get
+every message through exactly once.
+"""
+
+from collections import Counter
+
+import pytest
+
+from helpers import _Pump, _Sink, data_file
+from spon.netsim import Engine
+from spon.overlay import PRI, REL, Behavior, ServiceClass
+from spon.topology import load_topology
+
+CHAIN = data_file("chain.topo")
+MESSAGES = 200
+SERVICES = {"pri-1p": ServiceClass(PRI, 1), "pri-2p": ServiceClass(PRI, 2),
+            "pri-fld": ServiceClass(PRI, 0), "rel-1p": ServiceClass(REL, 1)}
+# held longer than the 160 ms PRI deadline (10 x the 16 ms best route)
+BEHAVIORS = {"drop_all": Behavior.drop_all(),
+             "drop_flow": Behavior.drop_flow("1", "5"),
+             "delay": Behavior.delay(200.0)}
+
+
+def run_with_compromised_relay(behavior, service):
+    bodies = [f"m{i}".encode() for i in range(MESSAGES)]
+    pump = _Pump("c1", "c5", bodies, service)
+    sink = _Sink("c5")
+    eng = Engine(load_topology(CHAIN), [pump, sink], seed=1,
+                 behaviors={"12": behavior})
+    eng.run(5000.0)
+    assert len(pump.sent) == MESSAGES
+    return eng, sink
+
+
+@pytest.mark.parametrize("behavior", sorted(BEHAVIORS))
+@pytest.mark.parametrize("variant", sorted(SERVICES))
+def test_a_compromised_relay_stops_only_the_route_through_it(behavior,
+                                                             variant):
+    eng, sink = run_with_compromised_relay(BEHAVIORS[behavior],
+                                           SERVICES[variant])
+    if variant == "pri-1p":
+        assert sink.got == []
+        # relay 12 drops each message, or holds it past its deadline
+        reason = "deadline_expired" if behavior == "delay" else "adversarial"
+        assert eng.counters[reason] == MESSAGES
+        return
+    counts = Counter(sink.got)
+    assert len(counts) == MESSAGES
+    assert set(counts.values()) == {1}
