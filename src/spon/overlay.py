@@ -34,9 +34,10 @@ announces repeat, spaced by the re-nack interval and doubling,
 ANNOUNCE_RETRIES at most.  A later arming of either timer supersedes an
 earlier one, a back-off wait included; a probe that fires while data frames
 wait does nothing, and waiting control frames never hold it back.  A node
-keeps one hop record per neighbour for both directions of the link and drops
-it when its view says the link went down, so a neighbour that restarts with
-fresh link seqs is heard from seq 0.
+keeps one hop record (`_Hop`) per neighbour for both directions of the link,
+which owns this protocol, and drops it when its view says the link went down,
+so a neighbour that restarts with fresh link seqs is heard from seq 0.  The
+node owns the ports and the entry points, which hand hop work to the record.
 
 End-to-end seqs are numbered per (destination, service) from the node's
 incarnation: the engine counts each spawn of a node (0, 1, ...), and the
@@ -51,6 +52,7 @@ and the PRIORITY deadline factor.
 from __future__ import annotations
 
 import struct
+import weakref
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
@@ -71,7 +73,6 @@ from .topology import (
     NoPath,
     NodeId,
     Path,
-    Topology,
     TopologyError,
     TopologyView,
     k_disjoint_paths,
@@ -288,6 +289,10 @@ class OutPort:
 
 class _Hop:
     """Hop-by-hop recovery on the link to one neighbour, both directions.
+    The record owns the link protocol: it builds every hop-layer frame its
+    node sends on the link and handles the link's timers.  The node owns the
+    ports and the entry points; `node` refers back to it weakly, so that no
+    cycle keeps a retired node alive until the cycle collector runs.
 
     Sending: the replay cache holds (wire frame, time stored) for the
     contiguous seqs first_seq .. next_seq - 1, oldest on the left, so a seq
@@ -299,10 +304,12 @@ class _Hop:
     is made on first use and dropped when the link goes down in the node's
     view, so the two directions reset together.  The re-nack interval, the
     header size and the timer effects are built once per record; every
-    hop-layer frame the record's node sends is sized from that header.
+    hop-layer frame the record sends is sized from that header.
     """
 
-    def __init__(self, node_id: NodeId, nbr: NodeId, base: Topology):
+    def __init__(self, node: "NodeState", nbr: NodeId):
+        self.node = node
+        self.nbr = nbr
         self.next_seq = 0
         self.cache: Deque[Tuple[Frame, float]] = deque()
         self.first_seq = 0
@@ -314,25 +321,54 @@ class _Hop:
         self.nack_armed = False
         # how long a request on the link waits for its answer
         try:
-            link_lat = base.link(node_id, nbr).latency_ms
+            link_lat = node.view.base.link(node.id, nbr).latency_ms
         except TopologyError:
             link_lat = 1.0
         self.renack_ms = renack_ms = max(RENACK_MIN_MS, 2.5 * link_lat)
-        self.header_size = Frame(kind=KIND_HOP_DATA, src=node_id,
+        self.header_size = Frame(kind=KIND_HOP_DATA, src=node.id,
                                  dst=nbr).wire_size()
         self.probe = SetTimer(("ann", nbr), ACK_DELAY_MS + renack_ms)
+        # the unanswered announces re-arm the probe, doubling from renack_ms
+        self.backoff = tuple(SetTimer(("ann", nbr), renack_ms * 2 ** i)
+                             for i in range(ANNOUNCE_RETRIES - 1))
         self.unprobe = CancelTimer(("ann", nbr))
         self.ack = SetTimer(("ack", nbr), ACK_DELAY_MS)
         self.unack = CancelTimer(("ack", nbr))
+        self.nack = SetTimer(("nack", nbr), NACK_DELAY_MS)
+        self.renack = SetTimer(("nack", nbr), renack_ms)
+        self.unnack = CancelTimer(("nack", nbr))
 
-    def store(self, frame: Frame, now: float) -> None:
-        """Cache the frame carrying seq next_seq - 1."""
-        self.cache.append((frame, now))
-        if len(self.cache) > HOP_CACHE_FRAMES:
-            self.cache.popleft()
+    def wrap(self, frame: Frame, now: float, out: Effects) -> Frame:
+        seq = self.next_seq
+        self.next_seq += 1
+        self.announce_round = 0
+        # a confirm owed to the neighbour rides this frame as the cumulative
+        # ack, the next seq due, and the ack timer has nothing left to send;
+        # 0 means none is owed
+        ack = 0
+        if self.acked < self.expected - 1 and not self.missing:
+            ack = self.expected
+            self.acked = ack - 1
+            out.append(self.unack)
+        port = self.node.ports.get(self.nbr)
+        if port is not None and port.queued > len(port.control):
+            k = 0      # a data frame waits behind this one
+        else:
+            # the wrap that empties the port asks for a confirm and arms the
+            # tail probe, superseding any earlier arming, a back-off wait
+            # included
+            k = HOP_ACK_REQ
+            out.append(self.probe)
+        wire = Frame.hop_data(self.node.id, self.nbr, seq, frame,
+                              self.header_size, k, ack)
+        cache = self.cache
+        cache.append((wire, now))
+        if len(cache) > HOP_CACHE_FRAMES:
+            cache.popleft()
             self.first_seq += 1
-        if self.cache[0][1] < now - HOP_CACHE_EXPIRY_MS:
+        if cache[0][1] < now - HOP_CACHE_EXPIRY_MS:
             self._expire(now)
+        return wire
 
     def lookup(self, seq: int, now: float) -> Optional[Frame]:
         self._expire(now)
@@ -347,17 +383,128 @@ class _Hop:
             cache.popleft()
             self.first_seq += 1
 
+    def resend(self, payload: bytes, now: float, out: Effects) -> None:
+        for seq in _unpack_seqs(payload):
+            wire = self.lookup(seq, now)
+            if wire is None:
+                # evicted or expired: send an empty fill so the neighbour
+                # stops asking; the data is gone at this layer
+                self.node._drop("hop_unrecoverable")
+                wire = Frame.hop_control(KIND_HOP_DATA, self.node.id, self.nbr,
+                                         self.header_size, seq=seq)
+            self.node._enqueue_control(self.nbr, wire, out)
+
+    def on_confirm(self, high: int, out: Effects) -> None:
+        """The neighbour holds every frame up to `high`, by a confirm or by
+        the ack on its data; a seq not sent yet predates a reset of this
+        link and says nothing."""
+        if self.confirmed < high < self.next_seq:
+            self.confirmed = high
+            if high == self.next_seq - 1:
+                out.append(self.unprobe)     # nothing left to probe for
+
+    def on_probe_timer(self, out: Effects) -> None:
+        """The tail probe: no confirm covered the last frame in time."""
+        port = self.node.ports.get(self.nbr)
+        if port is not None and port.queued > len(port.control):
+            return     # data waits; the wrap that empties the port re-arms
+        if self.confirmed >= self.next_seq - 1:
+            return
+        announce = Frame.hop_control(KIND_HOP_NACK, self.node.id, self.nbr,
+                                     self.header_size, k=HOP_ANNOUNCE,
+                                     seq=self.next_seq - 1)
+        self.node._enqueue_control(self.nbr, announce, out)
+        self.announce_round += 1
+        if self.announce_round < ANNOUNCE_RETRIES:
+            out.append(self.backoff[self.announce_round - 1])
+
+    def receive(self, wire: Frame, now: float,
+                out: Effects) -> Optional[Frame]:
+        seq = wire.seq
+        if seq >= self.expected:
+            if seq > self.expected:
+                self._mark_missing(seq, now)
+                self._arm_nack(out)
+            self.expected = seq + 1
+            if wire.deadline_us:
+                # the neighbour's confirm rode its data; a gap fill is a
+                # replay whose ack may predate a reset of the link, and
+                # confirms nothing
+                self.on_confirm(wire.deadline_us - 1, out)
+        elif seq in self.missing:
+            del self.missing[seq]
+        else:
+            self.node._drop("hop_duplicate")
+            return None
+        if wire.k == HOP_ACK_REQ:
+            # a later flagged frame supersedes this arming
+            out.append(self.ack)
+        return wire.inner
+
+    def on_announce(self, high: int, now: float, out: Effects) -> None:
+        """Anything up to the announced `high` never seen is lost; with
+        nothing missing, confirm so the announces stop."""
+        if high >= self.expected:
+            self._mark_missing(high + 1, now)
+        if self.missing:
+            self._arm_nack(out)
+        else:
+            self._confirm(high, out)
+
+    def _confirm(self, high: int, out: Effects) -> None:
+        """Tell the neighbour this node holds every frame up to `high`."""
+        if high > self.acked:
+            self.acked = high
+        confirm = Frame.hop_control(KIND_HOP_NACK, self.node.id, self.nbr,
+                                    self.header_size, k=HOP_CONFIRM, seq=high)
+        self.node._enqueue_control(self.nbr, confirm, out)
+
+    def _mark_missing(self, end: int, now: float) -> None:
+        """Every seq from `expected` below `end` never arrived; remember at
+        most HOP_CACHE_FRAMES of them, the sender caches no more."""
+        for s in range(max(self.expected, end - HOP_CACHE_FRAMES), end):
+            self.missing[s] = now
+        self.expected = end
+
+    def _arm_nack(self, out: Effects) -> None:
+        if not self.nack_armed:
+            self.nack_armed = True
+            out.append(self.nack)
+
+    def on_nack_timer(self, now: float, out: Effects) -> None:
+        """Give up the seqs missing for longer than the sender caches them;
+        nack the rest, NACK_BATCH at most, lowest first."""
+        self.nack_armed = False
+        horizon = now - HOP_CACHE_EXPIRY_MS
+        for seq in [s for s, t in self.missing.items() if t < horizon]:
+            del self.missing[seq]
+            self.node._count("hop_gave_up")
+        if not self.missing:
+            return
+        want = sorted(self.missing)[:NACK_BATCH]
+        nack = Frame.hop_control(KIND_HOP_NACK, self.node.id, self.nbr,
+                                 self.header_size, payload=_pack_seqs(want))
+        self.node._enqueue_control(self.nbr, nack, out)
+        self.nack_armed = True
+        out.append(self.renack)
+
+    def on_ack_timer(self, out: Effects) -> None:
+        """Confirm the frames a flagged frame closed, unless the neighbour
+        was already told (an ack on reverse data cancels this timer); over a
+        gap the nack timer, armed when the gap opened, answers instead."""
+        if self.acked < self.expected - 1 and not self.missing:
+            self._confirm(self.expected - 1, out)
+
 
 class _Hops(dict):
     """A node's hop records by neighbour, each made on first use."""
 
-    def __init__(self, node_id: NodeId, base: Topology):
+    def __init__(self, node: "NodeState"):
         super().__init__()
-        self.node_id = node_id
-        self.base = base
+        self.node = node
 
     def __missing__(self, nbr: NodeId) -> _Hop:
-        hop = self[nbr] = _Hop(self.node_id, nbr, self.base)
+        hop = self[nbr] = _Hop(self.node, nbr)
         return hop
 
 
@@ -413,7 +560,7 @@ class NodeState:
         self.config = config
         self.behavior = HONEST
         self.ports: Dict[NodeId, OutPort] = {}
-        self.hops: Dict[NodeId, _Hop] = _Hops(node_id, view.base)
+        self.hops: Dict[NodeId, _Hop] = _Hops(weakref.proxy(self))
         self.seq_counters: Dict[Tuple[NodeId, str], int] = {}
         # (src, service code) -> the (dst, seq, kind) of frames already seen
         self.dedup_window: Dict[Tuple[NodeId, int], _Window] = \
@@ -437,12 +584,6 @@ class NodeState:
         self._count(reason)
         if self.trace is not None:
             self.trace("drop", self.id, reason)
-
-    def _data_waiting(self, neighbor: NodeId) -> bool:
-        """A data frame waits in the port toward `neighbor`; control frames
-        never count, and a missing port is empty."""
-        port = self.ports.get(neighbor)
-        return port is not None and port.queued > len(port.control)
 
     def _port(self, neighbor: NodeId) -> OutPort:
         if neighbor not in self.ports:
@@ -536,102 +677,22 @@ class NodeState:
 
     def handle_frame(self, from_nbr: NodeId, wire: Frame, now: float) -> Effects:
         out: Effects = []
-        if wire.kind == KIND_HOP_NACK:
-            self._handle_hop_nack(from_nbr, wire, now, out)
-            return out
         if wire.kind == KIND_HOP_DATA:
-            inner = self._hop_receive(from_nbr, wire, now, out)
+            inner = self.hops[from_nbr].receive(wire, now, out)
             if inner is not None:
                 self._process(from_nbr, inner, now, out)
-            return out
-        # unwrapped frames only occur in unit tests; process directly
-        self._process(from_nbr, wire, now, out)
-        return out
-
-    def _hop_receive(self, from_nbr: NodeId, wire: Frame, now: float,
-                     out: Effects) -> Optional[Frame]:
-        hop = self.hops[from_nbr]
-        seq = wire.seq
-        if seq >= hop.expected:
-            if seq > hop.expected:
-                self._mark_missing(hop, seq, now)
-                self._arm_nack(from_nbr, hop, out, NACK_DELAY_MS)
-            hop.expected = seq + 1
-            if wire.deadline_us:
-                # the neighbour's confirm rode its data; a gap fill is a
-                # replay whose ack may predate a reset of the link, and
-                # confirms nothing
-                self._on_confirm(hop, wire.deadline_us - 1, out)
-        elif seq in hop.missing:
-            del hop.missing[seq]
-        else:
-            self._drop("hop_duplicate")
-            return None
-        if wire.k == HOP_ACK_REQ:
-            # a later flagged frame supersedes this arming
-            out.append(hop.ack)
-        return wire.inner
-
-    def _handle_hop_nack(self, from_nbr: NodeId, wire: Frame, now: float,
-                         out: Effects) -> None:
-        if wire.payload:
-            # neighbor requests retransmission of the listed link seqs
-            hop = self.hops[from_nbr]
-            for seq in _unpack_seqs(wire.payload):
-                cached = hop.lookup(seq, now)
-                if cached is None:
-                    # evicted or expired: send an empty fill so the neighbor
-                    # stops asking; the data is gone at this layer
-                    self._drop("hop_unrecoverable")
-                    tomb = Frame.hop_control(KIND_HOP_DATA, self.id, from_nbr,
-                                             hop.header_size, seq=seq)
-                    self._enqueue_control(from_nbr, tomb, out)
-                else:
-                    self._enqueue_control(from_nbr, cached, out)
+        elif wire.kind != KIND_HOP_NACK:
+            # unwrapped frames only occur in unit tests; process directly
+            self._process(from_nbr, wire, now, out)
+        elif wire.payload:
+            self.hops[from_nbr].resend(wire.payload, now, out)
         elif wire.k == HOP_CONFIRM:
             hop = self.hops.get(from_nbr)
             if hop is not None:
-                self._on_confirm(hop, wire.seq, out)
+                hop.on_confirm(wire.seq, out)
         else:
-            # high-water announce: anything up to wire.seq we never saw is
-            # lost; with nothing missing, confirm so the announces stop
-            hop = self.hops[from_nbr]
-            high = wire.seq
-            if high >= hop.expected:
-                self._mark_missing(hop, high + 1, now)
-            if hop.missing:
-                self._arm_nack(from_nbr, hop, out, NACK_DELAY_MS)
-            else:
-                self._confirm(from_nbr, hop, high, out)
-
-    def _on_confirm(self, hop: _Hop, high: int, out: Effects) -> None:
-        """The neighbour holds every frame up to `high`, by a confirm or by
-        the ack on its data; a seq not sent yet predates a reset of this
-        link and says nothing."""
-        if hop.confirmed < high < hop.next_seq:
-            hop.confirmed = high
-            if high == hop.next_seq - 1:
-                out.append(hop.unprobe)     # nothing left to probe for
-
-    def _confirm(self, nbr: NodeId, hop: _Hop, high: int, out: Effects) -> None:
-        """Tell the neighbour this node holds every frame up to `high`."""
-        if high > hop.acked:
-            hop.acked = high
-        confirm = Frame.hop_control(KIND_HOP_NACK, self.id, nbr,
-                                    hop.header_size, k=HOP_CONFIRM, seq=high)
-        self._enqueue_control(nbr, confirm, out)
-
-    def _mark_missing(self, hop: _Hop, end: int, now: float) -> None:
-        """Every seq from hop.expected below `end` never arrived; remember at
-        most HOP_CACHE_FRAMES of them, the sender caches no more."""
-        for s in range(max(hop.expected, end - HOP_CACHE_FRAMES), end):
-            hop.missing[s] = now
-        hop.expected = end
-
-    def _arm_nack(self, nbr: NodeId, hop: _Hop, out: Effects, delay: float) -> None:
-        if not hop.nack_armed:
-            hop.nack_armed = True
-            out.append(SetTimer(("nack", nbr), delay))
+            self.hops[from_nbr].on_announce(wire.seq, now, out)
+        return out
 
     # -- data plane --
 
@@ -807,50 +868,28 @@ class NodeState:
         nack-driven retransmission.  Recovery frames pass through as-is."""
         if frame.kind in (KIND_HOP_DATA, KIND_HOP_NACK):
             return frame
-        hop = self.hops[neighbor]
-        seq = hop.next_seq
-        hop.next_seq += 1
-        hop.announce_round = 0
-        # a confirm owed to the neighbour rides this frame as the cumulative
-        # ack, the next seq due, and the ack timer has nothing left to send;
-        # 0 means none is owed
-        ack = 0
-        if hop.acked < hop.expected - 1 and not hop.missing:
-            ack = hop.expected
-            hop.acked = ack - 1
-            out.append(hop.unack)
-        port = self.ports.get(neighbor)
-        if port is not None and port.queued > len(port.control):
-            # a data frame waits behind this one
-            wire = Frame.hop_data(self.id, neighbor, seq, frame, hop.header_size,
-                                  0, ack)
-        else:
-            # the wrap that empties the port asks for a confirm and arms the
-            # tail probe, superseding any earlier arming, a back-off wait
-            # included
-            wire = Frame.hop_data(self.id, neighbor, seq, frame, hop.header_size,
-                                  HOP_ACK_REQ, ack)
-            out.append(hop.probe)
-        hop.store(wire, now)
-        return wire
+        return self.hops[neighbor].wrap(frame, now, out)
 
     # -- timers --
 
     def handle_timer(self, timer_id: tuple, data: object, now: float) -> Effects:
         out: Effects = []
         kind = timer_id[0]
-        # ack timers are nearly all of a relay's timer fires
-        if kind == "ack":
-            self._ack_timer(timer_id[1], out)
-        elif kind == "rel":
+        if kind == "rel":
             self._rel_timeout(timer_id, now, out)
-        elif kind == "nack":
-            self._nack_timer(timer_id[1], now, out)
-        elif kind == "ann":
-            self._announce_timer(timer_id[1], now, out)
         elif kind == "delay":
             from_nbr, frame = data
             self._process(from_nbr, frame, now, out, delayed=True)
+        else:
+            # a hop timer of the link to timer_id[1]
+            hop = self.hops.get(timer_id[1])
+            if hop is not None:
+                if kind == "ack":     # nearly all of a relay's timer fires
+                    hop.on_ack_timer(out)
+                elif kind == "nack":
+                    hop.on_nack_timer(now, out)
+                else:
+                    hop.on_probe_timer(out)
         return out
 
     def _rel_timeout(self, timer_id: tuple, now: float, out: Effects) -> None:
@@ -886,49 +925,6 @@ class NodeState:
         except NoPath:
             self._count("rel_stranded")
 
-    def _nack_timer(self, nbr: NodeId, now: float, out: Effects) -> None:
-        hop = self.hops.get(nbr)
-        if hop is None:
-            return
-        hop.nack_armed = False
-        horizon = now - HOP_CACHE_EXPIRY_MS
-        for seq in [s for s, t in hop.missing.items() if t < horizon]:
-            del hop.missing[seq]
-            self._count("hop_gave_up")
-        if not hop.missing:
-            return
-        want = sorted(hop.missing)[:NACK_BATCH]
-        nack = Frame.hop_control(KIND_HOP_NACK, self.id, nbr, hop.header_size,
-                                 payload=_pack_seqs(want))
-        self._enqueue_control(nbr, nack, out)
-        hop.nack_armed = True
-        out.append(SetTimer(("nack", nbr), hop.renack_ms))
-
-    def _ack_timer(self, nbr: NodeId, out: Effects) -> None:
-        """Confirm the frames a flagged frame closed, unless the neighbour
-        was already told (an ack on reverse data cancels this timer); over a
-        gap the nack timer, armed when the gap opened, answers instead."""
-        hop = self.hops.get(nbr)
-        if hop is not None and hop.acked < hop.expected - 1 \
-                and not hop.missing:
-            self._confirm(nbr, hop, hop.expected - 1, out)
-
-    def _announce_timer(self, nbr: NodeId, now: float, out: Effects) -> None:
-        """The tail probe: no confirm covered the last frame in time."""
-        hop = self.hops.get(nbr)
-        if hop is None or self._data_waiting(nbr):
-            return     # the link is busy; its last wrap arms the timer again
-        if hop.confirmed >= hop.next_seq - 1:
-            return
-        announce = Frame.hop_control(KIND_HOP_NACK, self.id, nbr,
-                                     hop.header_size, k=HOP_ANNOUNCE,
-                                     seq=hop.next_seq - 1)
-        self._enqueue_control(nbr, announce, out)
-        hop.announce_round += 1
-        if hop.announce_round < ANNOUNCE_RETRIES:
-            delay = hop.renack_ms * 2 ** (hop.announce_round - 1)
-            out.append(SetTimer(("ann", nbr), delay))
-
     # -- topology updates --
 
     def recompute_routes(self, new_view: TopologyView, now: float) -> Effects:
@@ -943,10 +939,10 @@ class NodeState:
         for nbr in new_view.base.neighbors(self.id):
             if self.view.link_is_up(self.id, nbr) \
                     and not new_view.link_is_up(self.id, nbr):
-                self.hops.pop(nbr, None)
-                out.append(CancelTimer(("ann", nbr)))
-                out.append(CancelTimer(("nack", nbr)))
-                out.append(CancelTimer(("ack", nbr)))
+                hop = self.hops.pop(nbr, None)
+                if hop is not None:
+                    # no hop timer is armed without a record
+                    out += (hop.unprobe, hop.unnack, hop.unack)
         self.view = new_view
         # rerouting may open ports toward new neighbors; iterate a snapshot
         for nbr, port in list(self.ports.items()):

@@ -5,7 +5,8 @@ Relay 12 sits on the 16 ms route from node 1 to node 5, the route PRI k = 1
 takes.  The single-route PRI case is the negative control: it must lose
 every message, so an engine or relay that ignored `behaviors` fails here.
 Two disjoint routes, flooding, and REL's retransmit route pool each get
-every message through exactly once.
+every message through exactly once.  A compromised relay that restarts comes
+back compromised.
 """
 
 from collections import Counter
@@ -13,9 +14,9 @@ from collections import Counter
 import pytest
 
 from helpers import _Pump, _Sink, data_file
-from spon.netsim import Engine
+from spon.netsim import Engine, FaultEvent
 from spon.overlay import PRI, REL, Behavior, ServiceClass
-from spon.topology import load_topology
+from spon.topology import Change, load_topology
 
 CHAIN = data_file("chain.topo")
 MESSAGES = 200
@@ -27,12 +28,12 @@ BEHAVIORS = {"drop_all": Behavior.drop_all(),
              "delay": Behavior.delay(200.0)}
 
 
-def run_with_compromised_relay(behavior, service):
+def run_with_compromised_relay(behavior, service, faults=()):
     bodies = [f"m{i}".encode() for i in range(MESSAGES)]
     pump = _Pump("c1", "c5", bodies, service)
     sink = _Sink("c5")
     eng = Engine(load_topology(CHAIN), [pump, sink], seed=1,
-                 behaviors={"12": behavior})
+                 behaviors={"12": behavior}, faults=faults)
     eng.run(5000.0)
     assert len(pump.sent) == MESSAGES
     return eng, sink
@@ -49,6 +50,27 @@ def test_a_compromised_relay_stops_only_the_route_through_it(behavior,
         # relay 12 drops each message, or holds it past its deadline
         reason = "deadline_expired" if behavior == "delay" else "adversarial"
         assert eng.counters[reason] == MESSAGES
+        return
+    counts = Counter(sink.got)
+    assert len(counts) == MESSAGES
+    assert set(counts.values()) == {1}
+
+
+@pytest.mark.parametrize("variant", ["pri-1p", "pri-2p"])
+def test_a_compromised_relay_that_restarts_is_still_compromised(variant):
+    # one message leaves every 5 ms; relay 12 is down from 300 to 500 ms,
+    # and node 1 routes through it again once the view reaches it at 600 ms
+    restart = [FaultEvent(300.0, change=Change.node_down("12")),
+               FaultEvent(500.0, change=Change.node_up("12"))]
+    eng, sink = run_with_compromised_relay(Behavior.drop_all(),
+                                           SERVICES[variant], restart)
+    assert eng.spawns["12"] == 2
+    if variant == "pri-1p":
+        # only what was routed around the outage arrives; every message sent
+        # after 600 ms is dropped by the restarted relay
+        sent_late = {f"m{i}".encode() for i in range(600 // 5, MESSAGES)}
+        assert sink.got and not sent_late & set(sink.got)
+        assert eng.counters["adversarial"] == MESSAGES - len(sink.got)
         return
     counts = Counter(sink.got)
     assert len(counts) == MESSAGES

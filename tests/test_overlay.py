@@ -21,6 +21,8 @@ from spon.overlay import (
     ANNOUNCE_RETRIES,
     HOP_CACHE_EXPIRY_MS,
     MAX_PAYLOAD_BYTES,
+    NACK_BATCH,
+    NACK_DELAY_MS,
     PRI,
     REL,
     REL_MAX_RETRIES,
@@ -562,6 +564,79 @@ def test_evicted_cache_entry_yields_empty_fill(monkeypatch):
     fx = b.handle_frame("A", tomb, 10.5)
     assert not [e for e in fx if isinstance(e, Deliver)]
     assert set(b.hops["A"].missing) == {1, 2}
+
+
+# Two bare nodes over a scripted pipe: the tests below drive the hop records'
+# methods directly, and `pipe` carries what they send, losing chosen frames.
+
+def pipe(sender, receiver, effects, now, lost=lambda frame: False):
+    """Hand `receiver` each frame that `effects` sends, except those `lost`
+    picks; return the receiver's effects."""
+    out = []
+    for t in transmits(effects):
+        if not lost(t.frame):
+            out += receiver.handle_frame(sender.id, t.frame, now)
+    return out
+
+
+def sent_data(hop, count, now):
+    """Wrap `count` data frames on the hop record; return them as sent."""
+    fx = []
+    return [Transmit(hop.nbr, hop.wrap(
+        Frame(kind=KIND_DATA, service=SERVICE_PRI, k=1, src=hop.node.id,
+              dst=hop.nbr, seq=i + 1, routes=((hop.node.id, hop.nbr),)),
+        now, fx)) for i in range(count)]
+
+
+def test_a_gap_no_nack_recovers_is_given_up_once_per_seq():
+    a, b = pair()
+    rx = b.hops["A"]
+    # wires 1 and 2 are lost; wire 3 opens the gap at 1 ms
+    fx = pipe(a, b, sent_data(a.hops["B"], 4, 0.0), 1.0,
+              lost=lambda f: f.seq in (1, 2))
+    assert rx.nack in fx and sorted(rx.missing) == [1, 2]
+    # every nack is lost, and the timer fires at each re-nack interval
+    now = 1.0 + NACK_DELAY_MS
+    while now - 1.0 <= HOP_CACHE_EXPIRY_MS:
+        out = []
+        rx.on_nack_timer(now, out)
+        assert [e for e in out if not isinstance(e, Transmit)] == [rx.renack]
+        assert overlay._unpack_seqs(transmits(out)[0].frame.payload) == [1, 2]
+        assert not pipe(b, a, out, now, lost=lambda f: True)
+        now += rx.renack_ms
+    # the gap is older than the sender's cache: given up, with no nack and
+    # no timer
+    out = []
+    rx.on_nack_timer(now, out)
+    assert out == [] and not rx.missing and not rx.nack_armed
+    assert b.counters == {"hop_gave_up": 2}
+    rx.on_nack_timer(now + rx.renack_ms, out)
+    assert out == [] and b.counters == {"hop_gave_up": 2}
+
+
+def test_a_wide_gap_is_nacked_a_batch_at_a_time_lowest_first():
+    a, b = pair()
+    rx = b.hops["A"]
+    width = 2 * NACK_BATCH + 100
+    # every frame between the first and the last is lost
+    fx = pipe(a, b, sent_data(a.hops["B"], width + 2, 0.0), 1.0,
+              lost=lambda f: 0 < f.seq <= width)
+    assert len([e for e in fx if isinstance(e, Deliver)]) == 2
+    now, batches, delivered = 1.0 + NACK_DELAY_MS, [], 0
+    while rx.missing:
+        out = []
+        rx.on_nack_timer(now, out)
+        [nack] = transmits(out)
+        batches.append(overlay._unpack_seqs(nack.frame.payload))
+        # the sender replays what was asked, and none of it is lost
+        replays = pipe(b, a, out, now + 1.0)
+        fx = pipe(a, b, replays, now + 2.0)
+        delivered += len([e for e in fx if isinstance(e, Deliver)])
+        now += rx.renack_ms
+    assert batches == [list(range(1, NACK_BATCH + 1)),
+                       list(range(NACK_BATCH + 1, 2 * NACK_BATCH + 1)),
+                       list(range(2 * NACK_BATCH + 1, width + 1))]
+    assert delivered == width and not b.counters
 
 
 def test_remember_keeps_the_newest_distinct_keys(monkeypatch):

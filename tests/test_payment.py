@@ -5,7 +5,7 @@ import pytest
 
 from helpers import data_file
 from spon.netsim import Client, Engine, FaultEvent, RawLink
-from spon.overlay import PRI, REL, ServiceClass
+from spon.overlay import PRI, REL, Behavior, ServiceClass
 from spon.payment import (
     ARQ_MAX_TRIES,
     DirectTransport,
@@ -593,7 +593,7 @@ def test_a_persistent_reject_waits_for_the_session_timer():
 # --- engine integration -----------------------------------------------------------------
 
 def overlay_world(service, loss=None, count=1, total=200, packet=200,
-                  seed=21, horizon=120_000.0, faults=()):
+                  seed=21, horizon=120_000.0, faults=(), behaviors=None):
     """Chain topology with the connector homed at relay 13."""
     text = open(CHAIN).read() + "attach cs 1\nattach cc 13\nattach cr 5\n"
     topo = parse_topology(text)
@@ -622,7 +622,8 @@ def overlay_world(service, loss=None, count=1, total=200, packet=200,
     if loss:
         all_faults.append(FaultEvent(0.0, change=Change.loss_override(
             "12", "13", loss)))
-    eng = Engine(topo, [s, c, r], seed=seed, faults=all_faults)
+    eng = Engine(topo, [s, c, r], seed=seed, faults=all_faults,
+                 behaviors=behaviors)
     eng.run(horizon)
     return s, c, r, l1, l2, txlog, eng
 
@@ -676,6 +677,26 @@ def test_connector_stream_survives_relay_restarts(service):
         service, loss=0.05, total=200 * 200, packet=200, faults=faults)
     sess = s.sessions[s.sid]
     assert sess.state == STREAM_COMPLETE and sess.next_seq == 200
+    report = settle_check([l1, l2], eng.now, txlog)
+    assert report.ok, report.problems
+    for ledger in (l1, l2):
+        assert all(sum(h.state == HOLD_EXECUTED for h in holds) <= 1
+                   for holds in ledger.groups.values())
+    assert not c.relays
+    assert "late_fulfill_loss" not in c.counters
+
+
+def test_connector_stream_survives_a_compromised_relay():
+    # relay 12 drops everything; it lies on the 1-12-13 route of the leg
+    # from the sender to the connector, and on the 13-12-1-9-10-11-5 route
+    # of the leg from the connector to the receiver, so each leg has one
+    # clean route of its two
+    s, c, r, l1, l2, txlog, eng = overlay_world(
+        ServiceClass(PRI, 2), total=200 * 50, packet=200,
+        behaviors={"12": Behavior.drop_all()})
+    assert eng.counters["adversarial"] > 0
+    sess = s.sessions[s.sid]
+    assert sess.state == STREAM_COMPLETE and sess.next_seq == 50
     report = settle_check([l1, l2], eng.now, txlog)
     assert report.ok, report.problems
     for ledger in (l1, l2):
