@@ -8,9 +8,10 @@ in its own Engine with a seed derived from the scenario seed, so runs are
 independent and byte-reproducible.
 
 Artifacts: `raw_<variant>.csv` (one row per packet / payment / throughput
-bucket), `summary.csv` and `summary.txt` (per-variant aggregates with percent
+bucket), `settle_<variant>.txt` (a failed settlement audit and its problem
+lines), `summary.csv` and `summary.txt` (per-variant aggregates with percent
 gain against the baseline).  Summaries are always recomputed from the raw
-rows, so the files stay self-consistent.
+files, so the files stay self-consistent.
 """
 
 import csv
@@ -602,14 +603,14 @@ def run_scenario(sc: Scenario,
             rows.append((-1, 0, "FAILED", 0, 0.0, 0.0, 0.0,
                          f"{type(exc).__name__}: {exc}"[:120]))
             if out_dir is not None:
-                _write_raw(sc, variant, rows, out_dir)
+                _write_raw(sc, variant, rows, out_dir, settle_ok, problems)
             raise
         report = MetricReport(sc.name, sc.kind, variant, sc.reps, rows,
                               extract_samples(sc.kind, rows, ramp_end),
                               counters, settle_ok, completed, problems)
         reports.append(report)
         if out_dir is not None:
-            _write_raw(sc, variant, rows, out_dir)
+            _write_raw(sc, variant, rows, out_dir, settle_ok, problems)
     if out_dir is not None:
         write_summary(reports, out_dir)
     return reports
@@ -628,8 +629,8 @@ def _q(value: float) -> float:
     return round(value, 6)
 
 
-def _write_raw(sc: Scenario, variant: str, rows: List[tuple],
-               out_dir: str) -> None:
+def _write_raw(sc: Scenario, variant: str, rows: List[tuple], out_dir: str,
+               settle_ok: bool, problems: List[str]) -> None:
     os.makedirs(out_dir, exist_ok=True)
     ramp_end = sc.clients_per_flow * sc.ramp_interval_ms \
         if sc.kind == "fairness" else 0.0
@@ -641,6 +642,13 @@ def _write_raw(sc: Scenario, variant: str, rows: List[tuple],
         writer.writerow(RAW_COLUMNS)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+    settle = os.path.join(out_dir, f"settle_{variant}.txt")
+    if problems or not settle_ok:
+        with open(settle, "w") as fh:
+            fh.writelines(f"{line}\n" for line in
+                          (f"settle_ok={int(settle_ok)}", *problems))
+    elif os.path.exists(settle):
+        os.remove(settle)       # an earlier run's, into the same directory
 
 
 def summarize(reports: Sequence[MetricReport]) -> Tuple[List[tuple], str]:
@@ -736,10 +744,16 @@ def load_raw_reports(in_dir: str) -> List[MetricReport]:
         kind = meta.get("kind", "stream")
         scenario = meta.get("scenario", "unknown")
         ramp_end = float(meta.get("ramp_end", 0.0))
+        settle = os.path.join(in_dir, f"settle_{fname[4:-4]}.txt")
+        settled = ["settle_ok=1"]
+        if os.path.exists(settle):
+            with open(settle) as fh:
+                settled = fh.read().splitlines()
         reports.append(MetricReport(
             scenario, kind, meta.get("variant", fname[4:-4]),
             int(meta.get("reps", 1)), rows,
             extract_samples(kind, rows, ramp_end),
+            settle_ok=settled[0] == "settle_ok=1", problems=settled[1:],
             # a stream that did not finish left a payment row that says so
             completed=all(row[7] == "complete" for row in rows
                           if row[2] == "payment")))

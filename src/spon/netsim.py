@@ -481,14 +481,14 @@ class Engine:
         # than this arming is kept and moved to it when it pops
         due = self.now + delay_ms
         key = (owner, timer_id)
+        self._seq = seq = self._seq + 1
         armed = self._timer_gen.get(key)
         if armed is None or armed[3] > due:
-            self._push(due, _EV_TIMER, key)
-            self._timer_gen[key] = [due, self._seq, data, due, self._seq]
+            heapq.heappush(self._heap, (due, seq, _EV_TIMER, key))
+            self._timer_gen[key] = [due, seq, data, due, seq]
         else:
-            self._seq += 1
             armed[0] = due
-            armed[1] = self._seq
+            armed[1] = seq
             armed[2] = data
 
     def cancel_timer(self, owner: tuple, timer_id: tuple) -> None:
@@ -561,7 +561,17 @@ class Engine:
         for eff in effects:
             kind = type(eff)
             if kind is Transmit:
-                self._kick(self._out_dirs[node_id][eff.neighbor])
+                # serve an idle link now, and a busy one when its wire frees
+                dirn = self._out_dirs[node_id][eff.neighbor]
+                busy_until = dirn.busy_until
+                now = self.now
+                if now > busy_until or (now == busy_until
+                                        and self.now_seq >= dirn.done_seq):
+                    self._send_next(dirn)
+                elif not dirn.done_live:
+                    dirn.done_live = True
+                    heapq.heappush(self._heap, (busy_until, dirn.done_seq,
+                                                _EV_TX_DONE, (dirn.a, dirn.b, dirn)))
             elif kind is SetTimer:
                 self.set_timer(owner, eff.timer_id, eff.delay_ms, eff.data)
             elif kind is Deliver:
@@ -588,27 +598,12 @@ class Engine:
 
     # -- overlay link service --
 
-    def _kick(self, dirn: _LinkDir) -> None:
-        """Start serializing the next frame on `dirn` if idle; if busy, make
-        sure the port is served when the wire frees up."""
-        now = self.now
-        if now < dirn.busy_until or (now == dirn.busy_until
-                                     and self.now_seq < dirn.done_seq):
-            if not dirn.done_live:
-                dirn.done_live = True
-                heapq.heappush(self._heap, (dirn.busy_until, dirn.done_seq,
-                                            _EV_TX_DONE, (dirn.a, dirn.b, dirn)))
-            return
-        self._send_next(dirn)
-
     def _send_next(self, dirn: _LinkDir) -> None:
         """Serialize the next frame queued at a for b; the wire is free."""
         a = dirn.a
         state = self.nodes.get(a)
-        if state is None:
-            return
-        if not dirn.up:
-            return            # queue is purged once the view change propagates
+        if state is None or not dirn.up:
+            return   # a down link's queue is purged once its view propagates
         b = dirn.b
         now = self.now
         frame, fx = state.scheduler_dequeue(b, now)

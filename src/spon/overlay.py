@@ -137,28 +137,28 @@ class ServiceClass:
 
 # --- effects ------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class Transmit:
     """A frame was queued toward `neighbor`; the engine services the port."""
     neighbor: NodeId
     frame: Frame
 
 
-@dataclass
+@dataclass(slots=True)
 class Deliver:
     """A payload reached its destination node, in a frame of `wire_bytes`."""
     payload: bytes
     wire_bytes: int
 
 
-@dataclass
+@dataclass(slots=True)
 class SetTimer:
     timer_id: tuple
     delay_ms: float
     data: object = None
 
 
-@dataclass
+@dataclass(slots=True)
 class CancelTimer:
     timer_id: tuple
 
@@ -232,41 +232,36 @@ class OutPort:
         self.queued += 1
         return True
 
-    def _pop_partition(self, key: tuple,
-                       now_us: int) -> Tuple[Optional[Frame], int]:
-        levels = self.queues[key]
-        expired = 0
-        # every pop on fairness-ramp and meltdown-routed, and 71% on
-        # ping-flood-loss, is from a partition of one level: skip the sort
-        for level in levels if len(levels) == 1 else sorted(levels, reverse=True):
-            q = levels[level]
-            while q:
-                frame = q.popleft()
-                self.sizes[key] -= 1
-                self.queued -= 1
-                if (frame.service == SERVICE_PRI and frame.deadline_us
-                        and now_us > frame.deadline_us):
-                    expired += 1
-                    continue
-                return frame, expired
-        return None, expired
-
     def dequeue(self, now_ms: float) -> Tuple[Optional[Frame], int]:
         """Next frame for the wire plus the number of frames dropped past
-        deadline.  Control first, then round-robin over the data partitions."""
+        deadline.  Control first, then round-robin over the data partitions,
+        each served from its highest priority level down."""
         if self.control:
             self.queued -= 1
             return self.control.popleft(), 0
-        n = len(self.ring)
+        ring = self.ring
+        n = len(ring)
         now_us = int(now_ms * 1000.0)
         expired = 0
         for step in range(n):
             pos = (self.ring_idx + step) % n
-            frame, dropped = self._pop_partition(self.ring[pos], now_us)
-            expired += dropped
-            if frame is not None:
-                self.ring_idx = (pos + 1) % n
-                return frame, expired
+            key = ring[pos]
+            levels = self.queues[key]
+            # every pop on fairness-ramp and meltdown-routed, and 71% on
+            # ping-flood-loss, is from a partition of one level: skip the sort
+            for level in levels if len(levels) == 1 \
+                    else sorted(levels, reverse=True):
+                q = levels[level]
+                while q:
+                    frame = q.popleft()
+                    self.sizes[key] -= 1
+                    self.queued -= 1
+                    if (frame.service == SERVICE_PRI and frame.deadline_us
+                            and now_us > frame.deadline_us):
+                        expired += 1
+                        continue
+                    self.ring_idx = (pos + 1) % n
+                    return frame, expired
         return None, expired
 
     def drain(self) -> List[Frame]:
@@ -292,7 +287,8 @@ class _Hop:
     The record owns the link protocol: it builds every hop-layer frame its
     node sends on the link and handles the link's timers.  The node owns the
     ports and the entry points; `node` refers back to it weakly, so that no
-    cycle keeps a retired node alive until the cycle collector runs.
+    cycle keeps a retired node alive until the cycle collector runs.  Its
+    `src` and `ports` are the node's id and ports, read without the proxy.
 
     Sending: the replay cache holds (wire frame, time stored) for the
     contiguous seqs first_seq .. next_seq - 1, oldest on the left, so a seq
@@ -309,6 +305,8 @@ class _Hop:
 
     def __init__(self, node: "NodeState", nbr: NodeId):
         self.node = node
+        self.src = node.id
+        self.ports = node.ports
         self.nbr = nbr
         self.next_seq = 0
         self.cache: Deque[Tuple[Frame, float]] = deque()
@@ -350,7 +348,7 @@ class _Hop:
             ack = self.expected
             self.acked = ack - 1
             out.append(self.unack)
-        port = self.node.ports.get(self.nbr)
+        port = self.ports.get(self.nbr)
         if port is not None and port.queued > len(port.control):
             k = 0      # a data frame waits behind this one
         else:
@@ -359,29 +357,28 @@ class _Hop:
             # included
             k = HOP_ACK_REQ
             out.append(self.probe)
-        wire = Frame.hop_data(self.node.id, self.nbr, seq, frame,
+        wire = Frame.hop_data(self.src, self.nbr, seq, frame,
                               self.header_size, k, ack)
         cache = self.cache
         cache.append((wire, now))
         if len(cache) > HOP_CACHE_FRAMES:
             cache.popleft()
             self.first_seq += 1
-        if cache[0][1] < now - HOP_CACHE_EXPIRY_MS:
-            self._expire(now)
+        horizon = now - HOP_CACHE_EXPIRY_MS
+        while cache[0][1] < horizon:
+            cache.popleft()
+            self.first_seq += 1
         return wire
 
     def lookup(self, seq: int, now: float) -> Optional[Frame]:
-        self._expire(now)
-        if self.first_seq <= seq < self.next_seq:
-            return self.cache[seq - self.first_seq][0]
-        return None
-
-    def _expire(self, now: float) -> None:
         horizon = now - HOP_CACHE_EXPIRY_MS
         cache = self.cache
         while cache and cache[0][1] < horizon:
             cache.popleft()
             self.first_seq += 1
+        if self.first_seq <= seq < self.next_seq:
+            return cache[seq - self.first_seq][0]
+        return None
 
     def resend(self, payload: bytes, now: float, out: Effects) -> None:
         for seq in _unpack_seqs(payload):
@@ -390,8 +387,8 @@ class _Hop:
                 # evicted or expired: send an empty fill so the neighbour
                 # stops asking; the data is gone at this layer
                 self.node._drop("hop_unrecoverable")
-                wire = Frame.hop_control(KIND_HOP_DATA, self.node.id, self.nbr,
-                                         self.header_size, seq=seq)
+                wire = Frame.hop_control(KIND_HOP_DATA, self.src, self.nbr,
+                                         self.header_size, 0, seq)
             self.node._enqueue_control(self.nbr, wire, out)
 
     def on_confirm(self, high: int, out: Effects) -> None:
@@ -405,14 +402,14 @@ class _Hop:
 
     def on_probe_timer(self, out: Effects) -> None:
         """The tail probe: no confirm covered the last frame in time."""
-        port = self.node.ports.get(self.nbr)
+        port = self.ports.get(self.nbr)
         if port is not None and port.queued > len(port.control):
             return     # data waits; the wrap that empties the port re-arms
         if self.confirmed >= self.next_seq - 1:
             return
-        announce = Frame.hop_control(KIND_HOP_NACK, self.node.id, self.nbr,
-                                     self.header_size, k=HOP_ANNOUNCE,
-                                     seq=self.next_seq - 1)
+        announce = Frame.hop_control(KIND_HOP_NACK, self.src, self.nbr,
+                                     self.header_size, HOP_ANNOUNCE,
+                                     self.next_seq - 1)
         self.node._enqueue_control(self.nbr, announce, out)
         self.announce_round += 1
         if self.announce_round < ANNOUNCE_RETRIES:
@@ -455,8 +452,8 @@ class _Hop:
         """Tell the neighbour this node holds every frame up to `high`."""
         if high > self.acked:
             self.acked = high
-        confirm = Frame.hop_control(KIND_HOP_NACK, self.node.id, self.nbr,
-                                    self.header_size, k=HOP_CONFIRM, seq=high)
+        confirm = Frame.hop_control(KIND_HOP_NACK, self.src, self.nbr,
+                                    self.header_size, HOP_CONFIRM, high)
         self.node._enqueue_control(self.nbr, confirm, out)
 
     def _mark_missing(self, end: int, now: float) -> None:
@@ -482,8 +479,8 @@ class _Hop:
         if not self.missing:
             return
         want = sorted(self.missing)[:NACK_BATCH]
-        nack = Frame.hop_control(KIND_HOP_NACK, self.node.id, self.nbr,
-                                 self.header_size, payload=_pack_seqs(want))
+        nack = Frame.hop_control(KIND_HOP_NACK, self.src, self.nbr,
+                                 self.header_size, 0, 0, _pack_seqs(want))
         self.node._enqueue_control(self.nbr, nack, out)
         self.nack_armed = True
         out.append(self.renack)
@@ -586,9 +583,9 @@ class NodeState:
             self.trace("drop", self.id, reason)
 
     def _port(self, neighbor: NodeId) -> OutPort:
-        if neighbor not in self.ports:
-            self.ports[neighbor] = OutPort(self.config.buffer_capacity)
-        return self.ports[neighbor]
+        """Open the port toward a neighbour that has none yet."""
+        port = self.ports[neighbor] = OutPort(self.config.buffer_capacity)
+        return port
 
     def _next_seq(self, dst: NodeId, kind: str) -> int:
         key = (dst, kind)
@@ -597,13 +594,19 @@ class NodeState:
         return seq
 
     def _enqueue_data(self, neighbor: NodeId, frame: Frame, out: Effects) -> None:
-        if self._port(neighbor).enqueue(frame):
+        port = self.ports.get(neighbor)
+        if port is None:
+            port = self._port(neighbor)
+        if port.enqueue(frame):
             out.append(Transmit(neighbor, frame))
         else:
             self._drop("buffer_full")
 
     def _enqueue_control(self, neighbor: NodeId, frame: Frame, out: Effects) -> None:
-        if self._port(neighbor).enqueue_control(frame):
+        port = self.ports.get(neighbor)
+        if port is None:
+            port = self._port(neighbor)
+        if port.enqueue_control(frame):
             out.append(Transmit(neighbor, frame))
         else:
             self._drop("control_overflow")
@@ -758,26 +761,25 @@ class NodeState:
             if self._first_copy(from_nbr, frame, now, out):
                 self._consume(frame, from_nbr, now, out)
             return
-        nxt = self._next_hop(frame)
-        if nxt is None:
+        # the hop after this node on the first route that has one
+        me = self.id
+        for route in frame.routes:
+            try:
+                idx = route.index(me) + 1
+            except ValueError:
+                continue
+            if idx < len(route):
+                nxt = route[idx]
+                break
+        else:
             self._drop("not_on_route")
             return
-        if nxt in self.view.up_neighbors(self.id):
+        if nxt in self.view.up_neighbors(me):
             self._enqueue_data(nxt, frame, out)
-        elif nxt in self.view.base.neighbors(self.id):
+        elif nxt in self.view.base.neighbors(me):
             self._reroute(frame, now, out)
         else:
             self._drop("bad_route")
-
-    def _next_hop(self, frame: Frame) -> Optional[NodeId]:
-        for route in frame.routes:
-            try:
-                idx = route.index(self.id)
-            except ValueError:
-                continue
-            if idx + 1 < len(route):
-                return route[idx + 1]
-        return None
 
     def _reroute(self, frame: Frame, now: float, out: Effects) -> None:
         """Next hop is down: restamp the tail of the route from here."""

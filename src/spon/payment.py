@@ -472,6 +472,7 @@ class StreamSession:
     attempts_current: int = 0
     rtt_ewma_ms: float = 0.0
     sent_at_ms: float = 0.0
+    preimage: bytes = b""       # of the packet in flight, next_seq
     started_ms: float = 0.0
     finished_ms: float = 0.0
     # (seq, completed_at_ms, rtt_ms) per fulfilled packet
@@ -492,7 +493,8 @@ class PingProbe:
     interval_ms: float
     timeout_ms: float
     sent: int = 0
-    outstanding: Dict[int, float] = field(default_factory=dict)
+    # seq -> (sent_ms, preimage) of each packet still in flight
+    outstanding: Dict[int, Tuple[float, bytes]] = field(default_factory=dict)
     # (seq, sent_ms, rtt_ms or -1, "ok" | "timeout") in completion order
     outcomes: List[Tuple[int, float, float, str]] = field(default_factory=list)
 
@@ -578,7 +580,8 @@ class IlpNode(Client):
     def _stream_send_current(self, api: EngineApi, sess: StreamSession) -> None:
         peer = self._route(sess.dst_addr)
         amount = sess.current_amount()
-        preimage = derive_preimage(sess.secret, sess.payment_id, sess.next_seq)
+        sess.preimage = preimage = derive_preimage(sess.secret, sess.payment_id,
+                                                   sess.next_seq)
         pkt = IlpPacket(PREPARE, sess.payment_id, sess.next_seq, amount,
                         int((api.now + INITIAL_EXPIRY_MS) * 1000),
                         condition=condition_of(preimage),
@@ -634,8 +637,7 @@ class IlpNode(Client):
                            pkt: IlpPacket) -> None:
         if sess.state != STREAM_RUNNING or pkt.seq != sess.next_seq:
             return
-        expect = derive_preimage(sess.secret, sess.payment_id, pkt.seq)
-        if pkt.fulfillment != expect:
+        if pkt.fulfillment != sess.preimage:
             self._count("fulfill_mismatch")
             return
         # a retry's hold, placed after the connector had claimed the first
@@ -703,7 +705,7 @@ class IlpNode(Client):
                         condition=condition_of(preimage),
                         address=probe.dst_addr)
         peer = self._route(probe.dst_addr)
-        probe.outstanding[seq] = api.now
+        probe.outstanding[seq] = (api.now, preimage)
         if peer is None:
             self._ping_done(api, probe, seq)
         else:
@@ -718,11 +720,10 @@ class IlpNode(Client):
                    fulfillment: Optional[bytes] = None) -> None:
         """Record the outcome of an outstanding probe packet, once: ok if it
         came back with the right preimage, a timeout otherwise."""
-        sent = probe.outstanding.pop(seq, None)
+        sent, preimage = probe.outstanding.pop(seq, (None, None))
         if sent is None:
             return
-        if fulfillment is not None and fulfillment == derive_preimage(
-                probe.secret, probe.payment_id, seq):
+        if fulfillment == preimage:
             probe.outcomes.append((seq, sent, api.now - sent, "ok"))
         else:
             probe.outcomes.append((seq, sent, -1.0, "timeout"))

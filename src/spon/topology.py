@@ -235,7 +235,7 @@ class TopologyView:
     # Routes computed on this view, keyed ("sp", src, dst) or ("kd", src, dst,
     # k), and up neighbours keyed ("nb", node).  A view never changes, so an
     # entry never goes stale; it is dropped with the view.  A value is a Path,
-    # a tuple of Paths or of node ids, or the detail string of a NoPath.
+    # a list of Paths, a tuple of node ids, or the detail string of a NoPath.
     _routes: Dict[tuple, object] = field(
         init=False, repr=False, compare=False, default_factory=dict)
 
@@ -337,8 +337,9 @@ def path_from_hops(view: TopologyView, hops: Tuple[NodeId, ...]) -> Path:
     return Path(tuple(hops), total)
 
 
-def _memo(view: TopologyView, key: tuple, compute: Callable[[], object]) -> object:
-    """The route stored under key in the view's memo; compute() on a miss.
+def _memo(view: TopologyView, key: tuple, compute: Callable[..., object]) -> object:
+    """The route stored under key in the view's memo; on a miss,
+    compute(view, *key[1:]), so a hit builds nothing.
 
     key[1:3] is (src, dst).  A NoPath is stored as its detail string and
     raised afresh on every call, so the memo pins no traceback.  Any other
@@ -349,7 +350,7 @@ def _memo(view: TopologyView, key: tuple, compute: Callable[[], object]) -> obje
     found = routes.get(key)
     if found is None:
         try:
-            found = compute()
+            found = compute(view, *key[1:])
         except NoPath as exc:
             found = exc.detail
         routes[key] = found
@@ -363,8 +364,7 @@ def shortest_path(view: TopologyView, src: NodeId, dst: NodeId) -> Path:
 
     Computed once per view and pair, then served from the view's memo.
     """
-    return _memo(view, ("sp", src, dst),
-                 lambda: _shortest_path(view, src, dst))
+    return _memo(view, ("sp", src, dst), _shortest_path)
 
 
 def k_disjoint_paths(view: TopologyView, src: NodeId, dst: NodeId, k: int) -> List[Path]:
@@ -376,8 +376,7 @@ def k_disjoint_paths(view: TopologyView, src: NodeId, dst: NodeId, k: int) -> Li
     ascending individual latency, then hop sequence.  Computed once per
     view, pair and k; each call gets its own list.
     """
-    return list(_memo(view, ("kd", src, dst, k),
-                      lambda: tuple(_k_disjoint_paths(view, src, dst, k))))
+    return list(_memo(view, ("kd", src, dst, k), _k_disjoint_paths))
 
 
 def _shortest_path(view: TopologyView, src: NodeId, dst: NodeId) -> Path:

@@ -314,3 +314,37 @@ def test_cli_summarize_roundtrips_run_output(tmp_path, capsys):
     # and only its raw payment row says so
     assert first.splitlines()[-1] == "baseline: INCOMPLETE"
     assert (tmp_path / "summary.txt").read_bytes() == written
+
+
+def test_cli_summarize_roundtrips_a_settle_failure(tmp_path, capsys,
+                                                   monkeypatch):
+    audit = experiments.settle_check
+
+    def failing_audit(ledgers, now, txlog=None):
+        report = audit(ledgers, now, txlog)
+        return replace(report, ok=False,
+                       problems=[*report.problems, "ledger book: injected"])
+
+    monkeypatch.setattr(experiments, "settle_check", failing_audit)
+    args = ["run", "--scenario", "chain-ping-loss", "--service", "pri",
+            "--k", "1", "--pings", "5", "--reps", "2", "--out", str(tmp_path)]
+    assert cli.main(args) == 2
+    first = capsys.readouterr().out
+    written = (tmp_path / "summary.txt").read_bytes()
+    assert (tmp_path / "settle_pri-1p.txt").read_text() == \
+        "settle_ok=0\nrep 0: ledger book: injected\n" \
+        "rep 1: ledger book: injected\n"
+    assert "pri-1p: SETTLE-FAILED" in first.splitlines()
+    assert "pri-1p: rep 1: ledger book: injected" in first.splitlines()
+    rc = cli.main(["summarize", "--in", str(tmp_path)])
+    assert rc == 0
+    assert capsys.readouterr().out == first
+    assert (tmp_path / "summary.txt").read_bytes() == written
+
+    # a clean run into the same directory leaves no settle file behind
+    monkeypatch.undo()
+    assert cli.main(args) == 0
+    assert sorted(os.listdir(tmp_path)) == ["raw_baseline.csv",
+                                            "raw_pri-1p.csv", "summary.csv",
+                                            "summary.txt"]
+    assert "SETTLE-FAILED" not in capsys.readouterr().out

@@ -6,17 +6,19 @@ takes.  The single-route PRI case is the negative control: it must lose
 every message, so an engine or relay that ignored `behaviors` fails here.
 Two disjoint routes, flooding, and REL's retransmit route pool each get
 every message through exactly once.  A compromised relay that restarts comes
-back compromised.
+back compromised.  In random lossy worlds, flooding, REL's route pool and two
+disjoint routes each deliver every message once around a compromised relay.
 """
 
+import random
 from collections import Counter
 
 import pytest
 
-from helpers import _Pump, _Sink, data_file
+from helpers import _Pump, _Sink, _random_lossy_world, data_file
 from spon.netsim import Engine, FaultEvent
 from spon.overlay import PRI, REL, Behavior, ServiceClass
-from spon.topology import Change, load_topology
+from spon.topology import Change, TopologyView, k_disjoint_paths, load_topology
 
 CHAIN = data_file("chain.topo")
 MESSAGES = 200
@@ -75,3 +77,46 @@ def test_a_compromised_relay_that_restarts_is_still_compromised(variant):
     counts = Counter(sink.got)
     assert len(counts) == MESSAGES
     assert set(counts.values()) == {1}
+
+
+# --- random lossy worlds ----------------------------------------------------------
+
+def random_world_cases(worlds=8):
+    """(world, topology, victim, behaviour, variant) for the first worlds of
+    `_random_lossy_world(random.Random(4242))`: the victim relay drops
+    everything in even worlds and only the cs -> cr flow in odd ones.  Two
+    disjoint routes are tried only where the world has them."""
+    rng = random.Random(4242)
+    cases = []
+    for world in range(worlds):
+        topo, victim = _random_lossy_world(rng)
+        behavior = Behavior.drop_all() if world % 2 == 0 \
+            else Behavior.drop_flow("n0", "n1")
+        variants = ["pri-fld", "rel-fld", "rel-1p"]
+        if len(k_disjoint_paths(TopologyView.all_up(topo), "n0", "n1", 2)) == 2:
+            variants += ["pri-2p", "rel-2p"]
+        cases += [(world, topo, victim, behavior, v) for v in variants]
+    return cases
+
+
+RANDOM_SERVICES = {"pri-fld": ServiceClass(PRI, 0),
+                   "rel-fld": ServiceClass(REL, 0),
+                   "rel-1p": ServiceClass(REL, 1),
+                   "pri-2p": ServiceClass(PRI, 2),
+                   "rel-2p": ServiceClass(REL, 2)}
+RANDOM_CASES = random_world_cases()
+
+
+@pytest.mark.parametrize(
+    "world, topo, victim, behavior, variant", RANDOM_CASES,
+    ids=[f"world{c[0]}-{c[4]}" for c in RANDOM_CASES])
+def test_a_compromised_relay_in_a_random_lossy_world_loses_nothing(
+        world, topo, victim, behavior, variant):
+    bodies = [f"w{world}:m{i}".encode() for i in range(100)]
+    pump = _Pump("cs", "cr", bodies, RANDOM_SERVICES[variant])
+    sink = _Sink("cr")
+    eng = Engine(topo, [pump, sink], seed=world + 1,
+                 behaviors={victim: behavior})
+    eng.run(5000.0)
+    assert len(pump.sent) == 100
+    assert Counter(sink.got) == Counter(bodies)

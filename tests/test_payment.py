@@ -595,7 +595,8 @@ def test_a_persistent_reject_waits_for_the_session_timer():
 def overlay_world(service, loss=None, count=1, total=200, packet=200,
                   seed=21, horizon=120_000.0, faults=(), behaviors=None):
     """Chain topology with the connector homed at relay 13."""
-    text = open(CHAIN).read() + "attach cs 1\nattach cc 13\nattach cr 5\n"
+    with open(CHAIN) as fh:
+        text = fh.read() + "attach cs 1\nattach cc 13\nattach cr 5\n"
     topo = parse_topology(text)
     txlog = TxLog()
     l1 = Ledger("L1", {"cs": 1_000_000, "cc": 1_000_000})
@@ -707,7 +708,8 @@ def test_connector_stream_survives_a_compromised_relay():
 
 
 def test_ping_latency_over_chain():
-    text = open(CHAIN).read() + "attach cs 1\nattach cr 5\n"
+    with open(CHAIN) as fh:
+        text = fh.read() + "attach cs 1\nattach cr 5\n"
     topo = parse_topology(text)
 
     class Pinger(IlpNode):
@@ -749,7 +751,8 @@ def test_direct_transport_remembers_seen_seqs_in_a_bounded_window():
 
 
 def test_direct_transport_stalls_through_outage():
-    text = open(CHAIN).read() + "attach cs 1\nattach cr 5\n"
+    with open(CHAIN) as fh:
+        text = fh.read() + "attach cs 1\nattach cr 5\n"
     topo = parse_topology(text)
 
     class Pinger(IlpNode):
