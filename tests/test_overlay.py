@@ -698,6 +698,51 @@ def test_rel_duplicate_data_reacked_via_rotation():
     assert re_acks       # sender clearly missed the first ack
 
 
+def test_rel_ack_with_no_route_pool_floods_to_the_up_neighbours():
+    # the source is down, so neither the arrival route nor a pool route leads
+    # back to it: the ack floods
+    n5 = node("5", apply_fault(chain_view(), Change.node_down("1")))
+    data = routed_frame("1", "5", ("1", "12", "13", "14", "5"),
+                        service=SERVICE_REL)
+    fx = n5.handle_frame("14", data, 0.0)
+    assert [e for e in fx if isinstance(e, Deliver)]
+    acks = transmits(fx)
+    assert sorted(t.neighbor for t in acks) == ["11", "14", "3", "7"]
+    assert all(t.frame.kind == KIND_ACK and t.frame.k == FLOODING
+               for t in acks)
+    assert not n5.counters
+
+
+def test_rel_ack_at_a_node_with_no_up_neighbour_counts_ack_no_route():
+    view = chain_view()
+    for nbr in ["14", "11", "7", "3"]:
+        view = apply_fault(view, Change.link_down(nbr, "5"))
+    n5 = node("5", view)
+    routed = routed_frame("1", "5", ("1", "12", "13", "14", "5"),
+                          service=SERVICE_REL, seq=1)
+    flooded = replace(routed, k=FLOODING, routes=(), seq=2)
+    for data in (routed, flooded):
+        fx = n5.handle_frame("14", data, 0.0)
+        assert [e for e in fx if isinstance(e, Deliver)]
+        assert not transmits(fx)
+    assert n5.counters == {"ack_no_route": 2}
+
+
+def test_rel_source_with_no_neighbour_left_counts_rel_stranded():
+    n1 = node("1")
+    n1.client_send("5", b"m", ServiceClass(REL, 1), now=0.0)
+    view = chain_view()
+    for nbr in ["12", "9", "6", "2"]:
+        view = apply_fault(view, Change.link_down("1", nbr))
+    n1.recompute_routes(view, now=50.0)
+    fx = n1.handle_timer(("rel", "5", 1), None, 64.0)
+    assert not transmits(fx)
+    assert [e.timer_id for e in fx if isinstance(e, SetTimer)] == [
+        ("rel", "5", 1)]
+    assert n1.counters.get("rel_stranded") == 1
+    assert "rel_retransmit" not in n1.counters
+
+
 def test_rel_retransmit_rotates_routes_then_floods():
     n1 = node("1")
     n1.client_send("5", b"m", ServiceClass(REL, 1), now=0.0)
