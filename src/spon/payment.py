@@ -1038,7 +1038,7 @@ def settle_check(ledgers: List[Ledger], now: float,
 
     fees: Dict[str, int] = {}
     losses: Dict[str, int] = {}
-    for party in set(inflow) & set(outflow):
+    for party in sorted(set(inflow) & set(outflow)):
         margin = inflow.get(party, 0) - outflow.get(party, 0)
         if margin >= 0:
             fees[party] = margin

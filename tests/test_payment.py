@@ -1,9 +1,13 @@
 import hashlib
+import os
 import struct
+import subprocess
+import sys
 
 import pytest
 
 from helpers import data_file
+from spon import payment
 from spon.netsim import Client, Engine, FaultEvent, RawLink
 from spon.overlay import PRI, REL, Behavior, ServiceClass
 from spon.payment import (
@@ -419,6 +423,35 @@ def test_settle_check_flags_tampered_log():
     report = settle_check([l1, l2], api.now, txlog)
     assert not report.ok
     assert any("logged" in p for p in report.problems)
+
+
+# a six-party chain on one book: each connector pays on 50 more than it was
+# paid (losses), or 50 less (fees); prints both reports' connector orders
+_CHAIN_BOOK_ORDERS = """
+from spon.payment import Ledger, condition_of, settle_check
+parties = ["alice", "bob", "carol", "dave", "erin", "frank"]
+for step in (50, -50):
+    book = Ledger("L", {p: 1000 for p in parties})
+    for i, (payer, payee) in enumerate(zip(parties, parties[1:])):
+        hold = book.place_hold((b"p", 0, payer, payee), payer, payee,
+                               300 + step * i, condition_of(b"x"), 1000.0)
+        assert book.execute_hold(hold, b"x", 0.0)
+    report = settle_check([book], 0.0)
+    print(report.problems, list(report.fees_by_connector))
+"""
+
+
+def test_settle_check_lists_connectors_in_name_order_under_any_hash_seed():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(payment.__file__)))
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", _CHAIN_BOOK_ORDERS], env=env, check=True,
+            capture_output=True, text=True).stdout)
+    connectors = ["bob", "carol", "dave", "erin"]
+    losses = [f"connector {name} lost 50" for name in connectors]
+    assert outputs == [f"{losses} []\n[] {connectors}\n"] * 2
 
 
 def test_settle_check_flags_a_paid_group_with_a_hold_still_active():
