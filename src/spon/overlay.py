@@ -13,6 +13,13 @@ that many node-disjoint source routes.  A flood goes no further than its
 destination: each relay forwards the first copy it sees to every other up
 neighbour, and the destination consumes it and forwards nothing.
 
+A node drops a copy it has seen before: one window per (source, service)
+remembers the last DEDUP_WINDOW frames.  A REL destination acks the first copy
+back the way it came: a flooded message's ack floods, a routed one's takes the
+arrival route, or a pool route if that is down.  It acks a repeated copy over
+the next route of the pool.  The message's entry in the window counts its
+acks, so one window holds both the duplicates and the ack counts.
+
 Each link direction additionally runs a small negative-ack recovery protocol:
 frames carry per-link sequence numbers, receivers nack gaps, and senders keep
 a bounded replay cache, indexed by link sequence number.  Trailing losses are
@@ -79,9 +86,8 @@ from .topology import (
     shortest_path,
 )
 
-PRI = "PRI"
-REL = "REL"
-_SERVICE_CODE = {PRI: SERVICE_PRI, REL: SERVICE_REL}
+PRI = SERVICE_PRI
+REL = SERVICE_REL
 
 FLOODING = 0
 
@@ -125,7 +131,7 @@ class PayloadTooLarge(ValueError):
 
 @dataclass(frozen=True)
 class ServiceClass:
-    kind: str            # PRI | REL
+    kind: int            # PRI | REL, the frame's service code
     k: int = FLOODING    # 0 = flooding, otherwise disjoint path count
 
     def __post_init__(self):
@@ -558,14 +564,14 @@ class NodeState:
         self.behavior = HONEST
         self.ports: Dict[NodeId, OutPort] = {}
         self.hops: Dict[NodeId, _Hop] = _Hops(weakref.proxy(self))
-        self.seq_counters: Dict[Tuple[NodeId, str], int] = {}
-        # (src, service code) -> the (dst, seq, kind) of frames already seen
+        self.seq_counters: Dict[Tuple[NodeId, int], int] = {}
+        # (src, service) -> the (dst, seq, kind) of frames already seen; the
+        # entry of a REL data frame for this node counts the acks sent for it
         self.dedup_window: Dict[Tuple[NodeId, int], _Window] = \
             defaultdict(_Window)
         self.rel_pending: Dict[Tuple[NodeId, int], _RelPending] = {}
         # REL transit frames awaiting a route, CONTROL_CAPACITY at most
         self.parked: Deque[Frame] = deque()
-        self.ack_rotation: Dict[Tuple[NodeId, int], int] = _Window()
         self._delay_counter = 0
         # the engine hands every relay it spawns its run's one table, and
         # its trace writer when it traces
@@ -587,7 +593,7 @@ class NodeState:
         port = self.ports[neighbor] = OutPort(self.config.buffer_capacity)
         return port
 
-    def _next_seq(self, dst: NodeId, kind: str) -> int:
+    def _next_seq(self, dst: NodeId, kind: int) -> int:
         key = (dst, kind)
         seq = self.seq_counters.get(key, self.incarnation << 32) + 1
         self.seq_counters[key] = seq
@@ -617,12 +623,6 @@ class NodeState:
         except NoPath:
             return []
 
-    def _best_rtt_ms(self, dst: NodeId) -> float:
-        try:
-            return 2.0 * shortest_path(self.view, self.id, dst).total_latency_ms
-        except NoPath:
-            return DEFAULT_RTT_MS
-
     # -- client entry point --
 
     def client_send(self, dst: NodeId, payload: bytes, service: ServiceClass,
@@ -635,43 +635,47 @@ class NodeState:
             out.append(Deliver(payload, len(payload)))
             return out
 
-        seq = self._next_seq(dst, service.kind)
-        deadline_us = 0
-        if service.kind == PRI:
-            if deadline_ms is None:
-                try:
-                    deadline_ms = (self.config.deadline_factor *
-                                   shortest_path(self.view, self.id, dst).total_latency_ms)
-                except NoPath:
-                    deadline_ms = None
-            if deadline_ms is not None:
-                deadline_us = int((now + deadline_ms) * 1000.0)
+        kind = service.kind
+        seq = self._next_seq(dst, kind)
+        # the best path sets a PRIORITY deadline and seeds a REL RTO
+        best_ms = None
+        if kind == REL or deadline_ms is None:
+            try:
+                best_ms = shortest_path(self.view, self.id, dst).total_latency_ms
+            except NoPath:
+                pass
+        if kind == REL:
+            deadline_ms = None        # a REL frame never expires
+        elif deadline_ms is None and best_ms is not None:
+            deadline_ms = self.config.deadline_factor * best_ms
+        deadline_us = 0 if deadline_ms is None \
+            else int((now + deadline_ms) * 1000.0)
 
-        frame = Frame(KIND_DATA, _SERVICE_CODE[service.kind], service.k,
-                      self.id, dst, seq, priority, deadline_us, (), payload)
+        frame = Frame(KIND_DATA, kind, service.k, self.id, dst, seq, priority,
+                      deadline_us, (), payload)
 
-        self._launch(frame, service.k, out)
+        self._launch(frame, out)
         # registered only once the first transmission is actually queued
-        if service.kind == REL:
-            pending = _RelPending(frame, rto_ms=2.0 * self._best_rtt_ms(dst))
+        if kind == REL:
+            rtt_ms = DEFAULT_RTT_MS if best_ms is None else 2.0 * best_ms
+            pending = _RelPending(frame, rto_ms=2.0 * rtt_ms)
             self.rel_pending[(dst, seq)] = pending
             out.append(SetTimer(("rel", dst, seq), pending.rto_ms))
         return out
 
-    def _launch(self, frame: Frame, k: int, out: Effects) -> None:
-        """First transmission: flood or stamp disjoint routes."""
-        if k == FLOODING:
+    def _launch(self, frame: Frame, out: Effects) -> None:
+        """First transmission: flood, or stamp `frame.k` disjoint routes."""
+        if frame.k == FLOODING:
             neighbors = self.view.up_neighbors(self.id)
             if not neighbors:
                 raise NoPath(self.id, frame.dst, "no up neighbor")
             # suppress copies echoed back to us
             _remember(self.dedup_window[(frame.src, frame.service)],
                       (frame.dst, frame.seq, frame.kind))
-            flooded = frame.restamp(FLOODING)
             for nbr in neighbors:
-                self._enqueue_data(nbr, flooded, out)
+                self._enqueue_data(nbr, frame, out)
         else:
-            paths = k_disjoint_paths(self.view, self.id, frame.dst, k)
+            paths = k_disjoint_paths(self.view, self.id, frame.dst, frame.k)
             routed = frame.restamp(len(paths), paths)
             for path in paths:
                 self._enqueue_data(path.hops[1], routed, out)
@@ -683,10 +687,10 @@ class NodeState:
         if wire.kind == KIND_HOP_DATA:
             inner = self.hops[from_nbr].receive(wire, now, out)
             if inner is not None:
-                self._process(from_nbr, inner, now, out)
+                self._process(from_nbr, inner, out)
         elif wire.kind != KIND_HOP_NACK:
             # unwrapped frames only occur in unit tests; process directly
-            self._process(from_nbr, wire, now, out)
+            self._process(from_nbr, wire, out)
         elif wire.payload:
             self.hops[from_nbr].resend(wire.payload, now, out)
         elif wire.k == HOP_CONFIRM:
@@ -707,7 +711,7 @@ class NodeState:
             return True
         return False
 
-    def _process(self, from_nbr: NodeId, frame: Frame, now: float, out: Effects,
+    def _process(self, from_nbr: NodeId, frame: Frame, out: Effects,
                  delayed: bool = False) -> None:
         if frame.kind not in (KIND_DATA, KIND_ACK):
             self._drop("unhandled_kind")
@@ -724,42 +728,44 @@ class NodeState:
                 return
 
         if frame.k == FLOODING:
-            self._process_flood(from_nbr, frame, now, out)
+            self._process_flood(from_nbr, frame, out)
         else:
-            self._process_routed(from_nbr, frame, now, out)
+            self._process_routed(from_nbr, frame, out)
 
-    def _first_copy(self, from_nbr: NodeId, frame: Frame, now: float,
-                    out: Effects) -> bool:
-        """Remember the frame in its source's window.  A copy seen before is
-        dropped, and a repeated REL data frame for this node is acked again."""
+    def _first_copy(self, from_nbr: NodeId, frame: Frame, out: Effects) -> bool:
+        """Remember the frame in its source's window; for REL data for this
+        node the value counts the acks sent, the first one included.  A copy
+        seen before is dropped, and such REL data is acked again."""
         window = self.dedup_window[(frame.src, frame.service)]
         entry = (frame.dst, frame.seq, frame.kind)
         if entry in window:
             self._drop("duplicate")
             if frame.dst == self.id and frame.kind == KIND_DATA \
                     and frame.service == SERVICE_REL:
-                self._send_ack(frame, from_nbr, now, out, duplicate=True)
+                acks = window[entry]
+                window[entry] = acks + 1
+                self._send_ack(frame, from_nbr, acks, out)
             return False
-        _remember(window, entry)
+        _remember(window, entry, 1)
         return True
 
-    def _process_flood(self, from_nbr: NodeId, frame: Frame, now: float,
+    def _process_flood(self, from_nbr: NodeId, frame: Frame,
                        out: Effects) -> None:
-        if not self._first_copy(from_nbr, frame, now, out):
+        if not self._first_copy(from_nbr, frame, out):
             return
         if frame.dst == self.id:
             # no other node consumes the frame, so a copy sent on is wasted
-            self._consume(frame, from_nbr, now, out)
+            self._consume(frame, from_nbr, out)
             return
         for nbr in self.view.up_neighbors(self.id):
             if nbr != from_nbr:
                 self._enqueue_data(nbr, frame, out)
 
-    def _process_routed(self, from_nbr: NodeId, frame: Frame, now: float,
+    def _process_routed(self, from_nbr: NodeId, frame: Frame,
                         out: Effects) -> None:
         if frame.dst == self.id:
-            if self._first_copy(from_nbr, frame, now, out):
-                self._consume(frame, from_nbr, now, out)
+            if self._first_copy(from_nbr, frame, out):
+                self._consume(frame, from_nbr, out)
             return
         # the hop after this node on the first route that has one
         me = self.id
@@ -777,11 +783,11 @@ class NodeState:
         if nxt in self.view.up_neighbors(me):
             self._enqueue_data(nxt, frame, out)
         elif nxt in self.view.base.neighbors(me):
-            self._reroute(frame, now, out)
+            self._reroute(frame, out)
         else:
             self._drop("bad_route")
 
-    def _reroute(self, frame: Frame, now: float, out: Effects) -> None:
+    def _reroute(self, frame: Frame, out: Effects) -> None:
         """Next hop is down: restamp the tail of the route from here."""
         try:
             path = shortest_path(self.view, self.id, frame.dst)
@@ -797,8 +803,7 @@ class NodeState:
         restamped = frame.restamp(frame.k, (path,))
         self._enqueue_data(path.hops[1], restamped, out)
 
-    def _consume(self, frame: Frame, from_nbr: NodeId, now: float,
-                 out: Effects) -> None:
+    def _consume(self, frame: Frame, from_nbr: NodeId, out: Effects) -> None:
         if frame.kind == KIND_ACK:
             pending = self.rel_pending.pop((frame.src, frame.seq), None)
             if pending is not None:
@@ -806,36 +811,29 @@ class NodeState:
             return
         out.append(Deliver(frame.payload, frame.wire_size()))
         if frame.service == SERVICE_REL:
-            self._send_ack(frame, from_nbr, now, out, duplicate=False)
+            self._send_ack(frame, from_nbr, 0, out)
 
-    def _send_ack(self, data: Frame, from_nbr: NodeId, now: float, out: Effects,
-                  duplicate: bool) -> None:
+    def _send_ack(self, data: Frame, from_nbr: NodeId, acks: int,
+                  out: Effects) -> None:
+        """Ack REL data that `acks` acks answered before; the module
+        docstring says which way each ack goes."""
         ack = Frame(KIND_ACK, SERVICE_REL, 0, self.id, data.src, data.seq)
-        key = (data.src, data.seq)
-        attempt = self.ack_rotation.get(key, 0)
-        _remember(self.ack_rotation, key, attempt + 1)
-        if not duplicate and data.k == FLOODING:
-            # first ack for a flooded message floods back
-            try:
-                self._launch(ack, FLOODING, out)
-            except NoPath:
-                self._count("ack_no_route")
-            return
-        arrival = self._arrival_route(data, from_nbr)
-        if arrival is not None and attempt == 0:
-            back = Path(tuple(reversed(arrival)), 0.0)
-            if self.view.usable(back):
-                self._enqueue_data(back.hops[1], ack.restamp(1, (back,)), out)
+        if acks or data.k != FLOODING:
+            arrival = None if acks else self._arrival_route(data, from_nbr)
+            if arrival is not None:
+                back = Path(tuple(reversed(arrival)), 0.0)
+                if self.view.usable(back):
+                    self._enqueue_data(back.hops[1], ack.restamp(1, (back,)), out)
+                    return
+            pool = self._route_pool(data.src)
+            if pool:
+                path = pool[acks % len(pool)]
+                self._enqueue_data(path.hops[1], ack.restamp(1, (path,)), out)
                 return
-        pool = self._route_pool(data.src)
-        if pool:
-            path = pool[attempt % len(pool)]
-            self._enqueue_data(path.hops[1], ack.restamp(1, (path,)), out)
-        else:
-            try:
-                self._launch(ack, FLOODING, out)
-            except NoPath:
-                self._count("ack_no_route")
+        try:
+            self._launch(ack, out)
+        except NoPath:
+            self._count("ack_no_route")
 
     def _arrival_route(self, frame: Frame, from_nbr: NodeId) -> Optional[Tuple[NodeId, ...]]:
         for route in frame.routes:
@@ -878,10 +876,10 @@ class NodeState:
         out: Effects = []
         kind = timer_id[0]
         if kind == "rel":
-            self._rel_timeout(timer_id, now, out)
+            self._rel_timeout(timer_id, out)
         elif kind == "delay":
             from_nbr, frame = data
-            self._process(from_nbr, frame, now, out, delayed=True)
+            self._process(from_nbr, frame, out, delayed=True)
         else:
             # a hop timer of the link to timer_id[1]
             hop = self.hops.get(timer_id[1])
@@ -894,7 +892,7 @@ class NodeState:
                     hop.on_probe_timer(out)
         return out
 
-    def _rel_timeout(self, timer_id: tuple, now: float, out: Effects) -> None:
+    def _rel_timeout(self, timer_id: tuple, out: Effects) -> None:
         _tag, dst, seq = timer_id
         pending = self.rel_pending.get((dst, seq))
         if pending is None:
@@ -921,8 +919,7 @@ class NodeState:
             # no route pool nothing else can help
             return
         try:
-            frame = pending.frame.restamp(FLOODING)
-            self._launch(frame, FLOODING, out)
+            self._launch(pending.frame.restamp(FLOODING), out)
             self._count("rel_reflood")
         except NoPath:
             self._count("rel_stranded")
@@ -955,12 +952,10 @@ class NodeState:
                     continue   # link-layer traffic dies with the link
                 if frame.k == FLOODING:
                     self._drop("link_down")
-                elif frame.dst == self.id:
-                    continue
                 else:
-                    self._reroute(frame, now, out)
+                    self._reroute(frame, out)
         parked = list(self.parked)
         self.parked.clear()
         for frame in parked:
-            self._reroute(frame, now, out)
+            self._reroute(frame, out)
         return out

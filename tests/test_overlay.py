@@ -659,9 +659,10 @@ def test_ack_rotation_window_counts_each_ack(monkeypatch):
         n5.handle_frame("14", routed_frame("1", "5", ("1", "12", "13", "14", "5"),
                                            service=SERVICE_REL, seq=seq), 1.0)
     # seq 2's repeats count on in place; seq 4 pushes out seq 1, the oldest
-    assert dict(n5.ack_rotation) == {("1", 2): 3, ("1", 3): 1, ("1", 4): 1}
-    assert list(n5.ack_rotation.order) == list(n5.ack_rotation)
     window = n5.dedup_window[("1", SERVICE_REL)]
+    assert {seq: acks for (_dst, seq, _kind), acks in window.items()} == {
+        2: 3, 3: 1, 4: 1}
+    assert list(window.order) == list(window)
     assert [entry[1] for entry in window] == [2, 3, 4]
 
 
