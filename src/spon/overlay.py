@@ -16,9 +16,11 @@ neighbour, and the destination consumes it and forwards nothing.
 A node drops a copy it has seen before: one window per (source, service)
 remembers the last DEDUP_WINDOW frames.  A REL destination acks the first copy
 back the way it came: a flooded message's ack floods, a routed one's takes the
-arrival route, or a pool route if that is down.  It acks a repeated copy over
-the next route of the pool.  The message's entry in the window counts its
-acks, so one window holds both the duplicates and the ack counts.
+arrival route, or a pool route if that is down.  It acks a repeated routed
+copy, such as a retransmit, over the next route of the pool; a repeated flood
+copy gets no ack, since the first ack already flooded back.  The message's
+entry in the window counts its acks, so one window holds both the duplicates
+and the ack counts.
 
 Each link direction additionally runs a small negative-ack recovery protocol:
 frames carry per-link sequence numbers, receivers nack gaps, and senders keep
@@ -735,13 +737,13 @@ class NodeState:
     def _first_copy(self, from_nbr: NodeId, frame: Frame, out: Effects) -> bool:
         """Remember the frame in its source's window; for REL data for this
         node the value counts the acks sent, the first one included.  A copy
-        seen before is dropped, and such REL data is acked again."""
+        seen before is dropped, and such REL data is acked again if routed."""
         window = self.dedup_window[(frame.src, frame.service)]
         entry = (frame.dst, frame.seq, frame.kind)
         if entry in window:
             self._drop("duplicate")
             if frame.dst == self.id and frame.kind == KIND_DATA \
-                    and frame.service == SERVICE_REL:
+                    and frame.service == SERVICE_REL and frame.k != FLOODING:
                 acks = window[entry]
                 window[entry] = acks + 1
                 self._send_ack(frame, from_nbr, acks, out)
@@ -818,7 +820,7 @@ class NodeState:
         """Ack REL data that `acks` acks answered before; the module
         docstring says which way each ack goes."""
         ack = Frame(KIND_ACK, SERVICE_REL, 0, self.id, data.src, data.seq)
-        if acks or data.k != FLOODING:
+        if data.k != FLOODING:
             arrival = None if acks else self._arrival_route(data, from_nbr)
             if arrival is not None:
                 back = Path(tuple(reversed(arrival)), 0.0)

@@ -48,8 +48,8 @@ PINNED = {
             "26198e097bbf270e44b2143149c8c3d8dd975b90986dd166fe7e4cf3a0606383"),
     },
     "chain-ping-loss-rel-fld": {
-        "rel-fld": (8615, 4034,
-            "af69e5c108b4322e74cdcea081b37a1f105ac6fad1845d49c34c0ea4dd461898"),
+        "rel-fld": (6333, 2951,
+            "867e89e0f7a8fc51740ee36307f900df4301c9136318c70eef85004226d2a6d3"),
     },
     "chain-stream-loss": {
         "baseline": (282, 0,

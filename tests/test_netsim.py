@@ -680,6 +680,27 @@ def test_relay_restarts_on_lossless_links_cost_no_hop_recovery():
                 assert Counter(sink.got) == Counter(pump.sent), where
 
 
+def test_a_flooded_rel_message_whose_ack_is_cut_is_acked_by_its_retransmit():
+    # node 5 delivers the first copy at 16.6 ms; its links go down while the
+    # flooded ack is on the wire, for long enough that every view says so
+    faults = []
+    for nbr in ["14", "11", "7", "3"]:
+        faults += [FaultEvent(17.0, change=Change.link_down(nbr, "5")),
+                   FaultEvent(300.0, change=Change.link_up(nbr, "5"))]
+    sink = Collector("c5")
+    eng = Engine(load_topology(CHAIN),
+                 [Burst("c1", "c5", 1, ServiceClass(REL, 0)), sink],
+                 seed=1, faults=faults)
+    eng.run(horizon_ms=2000.0)
+    assert sink.bodies == [b"m0"] and sink.times[0] < 17.0
+    assert eng.counters["inflight_lost"] > 0
+    # no flooded ack came back, so the source retransmitted over a route,
+    # and node 5 acked the routed copy
+    assert eng.counters["rel_retransmit"] >= 1
+    assert not eng.nodes["1"].rel_pending
+    assert "rel_failed" not in eng.counters
+
+
 # --- one counter table per run -----------------------------------------------------
 
 def flooded_lossy_chain(faults=(), trace=False):

@@ -699,6 +699,32 @@ def test_rel_duplicate_data_reacked_via_rotation():
     assert re_acks       # sender clearly missed the first ack
 
 
+def test_rel_flood_copies_are_acked_once_and_a_routed_retransmit_again():
+    n5 = node("5")
+    flood = Frame(kind=KIND_DATA, service=SERVICE_REL, k=FLOODING, src="1",
+                  dst="5", seq=1, payload=b"p")
+    # the first copy is delivered, and its ack floods back
+    fx = n5.handle_frame("14", flood, 0.0)
+    assert [e for e in fx if isinstance(e, Deliver)]
+    acks = transmits(fx)
+    assert sorted(t.neighbor for t in acks) == ["11", "14", "3", "7"]
+    assert all(t.frame.kind == KIND_ACK and t.frame.k == FLOODING
+               for t in acks)
+    # a later flood copy answers nothing that ack did not
+    assert n5.handle_frame("11", flood, 4.0) == []
+    # a routed retransmit means the flooded ack was lost: ack it over the
+    # pool's next route
+    retransmit = routed_frame("1", "5", ("1", "12", "13", "14", "5"),
+                              service=SERVICE_REL)
+    fx = n5.handle_frame("14", retransmit, 100.0)
+    [ack] = transmits(fx)
+    assert ack.neighbor == "11" and ack.frame.kind == KIND_ACK
+    assert ack.frame.routes == (("5", "11", "10", "9", "1"),)
+    assert not [e for e in fx if isinstance(e, Deliver)]
+    assert n5.counters == {"duplicate": 2}
+    assert n5.dedup_window[("1", SERVICE_REL)][("5", 1, KIND_DATA)] == 2
+
+
 def test_rel_ack_with_no_route_pool_floods_to_the_up_neighbours():
     # the source is down, so neither the arrival route nor a pool route leads
     # back to it: the ack floods
