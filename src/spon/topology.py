@@ -326,9 +326,6 @@ class Path:
     def __post_init__(self):
         object.__setattr__(self, "route_size", route_size(self.hops))
 
-    def __len__(self) -> int:
-        return len(self.hops)
-
 
 def path_from_hops(view: TopologyView, hops: Tuple[NodeId, ...]) -> Path:
     total = 0.0
@@ -505,20 +502,16 @@ def _k_disjoint_paths(view: TopologyView, src: NodeId, dst: NodeId, k: int) -> L
     for _ in range(found):
         hops: List[NodeId] = [src]
         vert = index[(src, "o")]
-        # consume the src internal arc once per path
+        # an out-vertex's flow arcs lead only to in-vertices
         while True:
             arcs = used.get(vert)
             assert arcs, "flow decomposition ran dry"
             ai = arcs.pop()
-            nxt = graph[vert][ai][0]
-            node, side = rev_vert[nxt]
-            if side == "i":
-                vert = index[(node, "o")]
-                hops.append(node)
-                if node == dst:
-                    break
-            else:
-                vert = nxt
+            node = rev_vert[graph[vert][ai][0]][0]
+            vert = index[(node, "o")]
+            hops.append(node)
+            if node == dst:
+                break
         paths.append(path_from_hops(view, tuple(hops)))
 
     paths.sort(key=lambda p: (p.total_latency_ms, p.hops))
