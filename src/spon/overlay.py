@@ -817,7 +817,7 @@ class NodeState:
 
     def _send_ack(self, data: Frame, from_nbr: NodeId, acks: int,
                   out: Effects) -> None:
-        """Ack REL data that `acks` acks answered before; the module
+        """Ack REL data after `acks` earlier acks for it; the module
         docstring says which way each ack goes."""
         ack = Frame(KIND_ACK, SERVICE_REL, 0, self.id, data.src, data.seq)
         if data.k != FLOODING:

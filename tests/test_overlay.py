@@ -244,7 +244,7 @@ def test_flood_total_transmissions_bounded():
     assert sends <= 2 * len(topo.links)
 
 
-@pytest.mark.parametrize("kind", [PRI, REL])
+@pytest.mark.parametrize("kind", [PRI, REL], ids=["PRI", "REL"])
 def test_a_flood_crosses_each_link_once_and_stops_at_its_destination(kind):
     view = chain_view()
     nodes = {n: node(n, view) for n in view.base.nodes}
