@@ -366,6 +366,8 @@ class Engine:
                 raise TopologyError(f"client {c.client_id} has no attachment")
             self.clients[c.client_id] = c
         self.api = EngineApi(self)
+        # (dst client, src client) -> the envelope header of its sends
+        self._envelopes: Dict[Tuple[str, str], bytes] = {}
 
         self.link_dirs: Dict[Tuple[NodeId, NodeId], _LinkDir] = {}
         # per node, built once: its timer owner and its outgoing directions
@@ -512,7 +514,12 @@ class Engine:
         if state is None:
             self._count("send_node_down")
             return False
-        payload = pack_client(dst_client, src_client, body)
+        key = (dst_client, src_client)
+        header = self._envelopes.get(key)
+        if header is None:
+            header = self._envelopes[key] = pack_client(dst_client,
+                                                        src_client, b"")
+        payload = header + body
         try:
             fx = state.client_send(dst_node, payload, service, self.now,
                                    deadline_ms=deadline_ms, priority=priority)

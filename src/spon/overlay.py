@@ -13,6 +13,11 @@ that many node-disjoint source routes.  A flood goes no further than its
 destination: each relay forwards the first copy it sees to every other up
 neighbour, and the destination consumes it and forwards nothing.
 
+A node adopts each view together with its up neighbours and its send plans,
+one per (destination, k).  The first send toward a destination in a view
+works out the best-path latency, the routes or why there are none, and the
+frame's size besides its payload; every send builds one frame from its plan.
+
 A node drops a copy it has seen before: one window per (source, service)
 remembers the last DEDUP_WINDOW frames.  A REL destination acks the first copy
 back the way it came: a flooded message's ack floods, a routed one's takes the
@@ -561,7 +566,7 @@ class NodeState:
                  config: Config = DEFAULT_CONFIG, incarnation: int = 0):
         self.id = node_id
         self.incarnation = incarnation
-        self.view = view
+        self._adopt(view)
         self.config = config
         self.behavior = HONEST
         self.ports: Dict[NodeId, OutPort] = {}
@@ -581,6 +586,15 @@ class NodeState:
         self.trace: Optional[Callable[[str, NodeId, str], None]] = None
 
     # -- helpers --
+
+    def _adopt(self, view: TopologyView) -> None:
+        """Take `view` with the node's up neighbours in it, and plan every
+        send afresh in it."""
+        self.view = view
+        self.up = view.up_neighbors(self.id)
+        # (dst, k) -> (best-path latency or None, first hops or the NoPath
+        # detail, routes, frame bytes besides the payload); see _plan
+        self.plans: Dict[Tuple[NodeId, int], tuple] = {}
 
     def _count(self, reason: str) -> None:
         self.counters[reason] = self.counters.get(reason, 0) + 1
@@ -619,6 +633,31 @@ class NodeState:
         else:
             self._drop("control_overflow")
 
+    def _plan(self, dst: NodeId, k: int) -> tuple:
+        """What every send toward `dst` over `k` routes needs in this view,
+        worked out on the first such send.  The best path sets a PRIORITY
+        deadline and seeds a REL RTO.  A routed send gets the k disjoint
+        paths' first hops, or the NoPath detail, which is raised afresh on
+        every send; a flood gets no hops.  The routes and the frame's bytes
+        besides its payload are those Frame.restamp gives over the paths."""
+        try:
+            best_ms = shortest_path(self.view, self.id, dst).total_latency_ms
+        except NoPath:
+            best_ms = None
+        paths: List[Path] = []
+        first_hops: object = ()
+        if k != FLOODING:
+            try:
+                paths = k_disjoint_paths(self.view, self.id, dst, k)
+            except NoPath as exc:
+                first_hops = exc.detail
+            else:
+                first_hops = tuple(path.hops[1] for path in paths)
+        shell = Frame(KIND_DATA, src=self.id, dst=dst).restamp(0, paths)
+        plan = self.plans[(dst, k)] = (best_ms, first_hops, shell.routes,
+                                       shell._size)
+        return plan
+
     def _route_pool(self, dst: NodeId) -> List[Path]:
         try:
             return k_disjoint_paths(self.view, self.id, dst, REL_ROUTE_POOL)
@@ -638,14 +677,12 @@ class NodeState:
             return out
 
         kind = service.kind
+        k = service.k
         seq = self._next_seq(dst, kind)
-        # the best path sets a PRIORITY deadline and seeds a REL RTO
-        best_ms = None
-        if kind == REL or deadline_ms is None:
-            try:
-                best_ms = shortest_path(self.view, self.id, dst).total_latency_ms
-            except NoPath:
-                pass
+        plan = self.plans.get((dst, k))
+        if plan is None:
+            plan = self._plan(dst, k)
+        best_ms, first_hops, routes, size = plan
         if kind == REL:
             deadline_ms = None        # a REL frame never expires
         elif deadline_ms is None and best_ms is not None:
@@ -653,10 +690,18 @@ class NodeState:
         deadline_us = 0 if deadline_ms is None \
             else int((now + deadline_ms) * 1000.0)
 
-        frame = Frame(KIND_DATA, kind, service.k, self.id, dst, seq, priority,
-                      deadline_us, (), payload)
-
-        self._launch(frame, out)
+        if first_hops.__class__ is str:
+            raise NoPath(self.id, dst, first_hops)
+        # one frame, k = 0 for a flood and the number of routes otherwise,
+        # sized as Frame.restamp sizes it
+        frame = Frame(KIND_DATA, kind, len(routes), self.id, dst, seq,
+                      priority, deadline_us, routes, payload)
+        frame._size = size + len(payload)
+        if k == FLOODING:
+            self._launch(frame, out)
+        else:
+            for nbr in first_hops:
+                self._enqueue_data(nbr, frame, out)
         # registered only once the first transmission is actually queued
         if kind == REL:
             rtt_ms = DEFAULT_RTT_MS if best_ms is None else 2.0 * best_ms
@@ -666,21 +711,15 @@ class NodeState:
         return out
 
     def _launch(self, frame: Frame, out: Effects) -> None:
-        """First transmission: flood, or stamp `frame.k` disjoint routes."""
-        if frame.k == FLOODING:
-            neighbors = self.view.up_neighbors(self.id)
-            if not neighbors:
-                raise NoPath(self.id, frame.dst, "no up neighbor")
-            # suppress copies echoed back to us
-            _remember(self.dedup_window[(frame.src, frame.service)],
-                      (frame.dst, frame.seq, frame.kind))
-            for nbr in neighbors:
-                self._enqueue_data(nbr, frame, out)
-        else:
-            paths = k_disjoint_paths(self.view, self.id, frame.dst, frame.k)
-            routed = frame.restamp(len(paths), paths)
-            for path in paths:
-                self._enqueue_data(path.hops[1], routed, out)
+        """First transmission of a flood, to every up neighbour."""
+        neighbors = self.up
+        if not neighbors:
+            raise NoPath(self.id, frame.dst, "no up neighbor")
+        # suppress copies echoed back to us
+        _remember(self.dedup_window[(frame.src, frame.service)],
+                  (frame.dst, frame.seq, frame.kind))
+        for nbr in neighbors:
+            self._enqueue_data(nbr, frame, out)
 
     # -- frame arrival --
 
@@ -759,7 +798,7 @@ class NodeState:
             # no other node consumes the frame, so a copy sent on is wasted
             self._consume(frame, from_nbr, out)
             return
-        for nbr in self.view.up_neighbors(self.id):
+        for nbr in self.up:
             if nbr != from_nbr:
                 self._enqueue_data(nbr, frame, out)
 
@@ -782,7 +821,7 @@ class NodeState:
         else:
             self._drop("not_on_route")
             return
-        if nxt in self.view.up_neighbors(me):
+        if nxt in self.up:
             self._enqueue_data(nxt, frame, out)
         elif nxt in self.view.base.neighbors(me):
             self._reroute(frame, out)
@@ -944,7 +983,7 @@ class NodeState:
                 if hop is not None:
                     # no hop timer is armed without a record
                     out += (hop.unprobe, hop.unnack, hop.unack)
-        self.view = new_view
+        self._adopt(new_view)
         # rerouting may open ports toward new neighbors; iterate a snapshot
         for nbr, port in list(self.ports.items()):
             if new_view.link_is_up(self.id, nbr):

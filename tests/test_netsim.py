@@ -113,6 +113,20 @@ class Burst(Client):
 
 # --- envelope -----------------------------------------------------------------
 
+def test_an_over_long_client_id_is_refused_on_every_send():
+    long_id = "c" * 256
+    topo = parse_topology(
+        "node A\nnode B\nlink A B latency_ms=5 loss=0 bw_mbps=100\n"
+        f"attach ca A\nattach {long_id} B\n")
+    eng = Engine(topo, [], seed=1)
+    for src, dst in (("ca", long_id), ("ca", long_id), (long_id, "ca")):
+        with pytest.raises(ValueError, match="client id too long"):
+            eng.client_send(src, dst, b"x", ServiceClass(PRI, 1))
+    # refused before the relay numbered or queued anything
+    assert not eng.nodes["A"].seq_counters and not eng.nodes["A"].ports
+    assert not eng.nodes["B"].seq_counters
+
+
 def test_envelope_roundtrip():
     packed = pack_client("dst", "src", b"body")
     assert unpack_client(packed) == ("dst", "src", b"body")

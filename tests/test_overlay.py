@@ -38,7 +38,8 @@ from spon.overlay import (
     SetTimer,
     Transmit,
 )
-from spon.topology import Change, NoPath, TopologyView, apply_fault, load_topology
+from spon.topology import (Change, NoPath, TopologyView, apply_fault,
+                           k_disjoint_paths, load_topology)
 
 CHAIN = data_file("chain.topo")
 
@@ -118,6 +119,87 @@ def test_pri_deadline_defaults_to_path_multiple():
     fx = n1.client_send("5", b"x", ServiceClass(PRI, 1), now=100.0)
     frame = transmits(fx)[0].frame
     assert frame.deadline_us == int((100.0 + 10 * 16.0) * 1000)
+
+
+# --- send plans ------------------------------------------------------------------
+
+def test_sends_after_a_view_change_take_the_new_views_routes():
+    n1 = node("1")
+    for k in (1, 2):
+        fx = n1.client_send("5", b"x", ServiceClass(PRI, k), now=0.0)
+        assert any("12" in route for route in transmits(fx)[0].frame.routes)
+    # relay 12, on the first route, goes down
+    down = apply_fault(chain_view(), Change.node_down("12"))
+    n1.recompute_routes(down, now=1.0)
+    for k in (1, 2):
+        fx = n1.client_send("5", b"x", ServiceClass(PRI, k), now=2.0)
+        paths = k_disjoint_paths(down, "1", "5", k)
+        assert [t.frame.routes for t in transmits(fx)] == \
+            [tuple(p.hops for p in paths)] * len(paths)
+        assert [t.neighbor for t in transmits(fx)] == \
+            [p.hops[1] for p in paths]
+        assert not any("12" in route for route in transmits(fx)[0].frame.routes)
+    fx = n1.client_send("5", b"x", ServiceClass(PRI, FLOODING), now=2.0)
+    assert sorted(t.neighbor for t in transmits(fx)) == ["2", "6", "9"]
+
+
+@pytest.mark.parametrize("kind", [PRI, REL])
+def test_an_unreachable_destination_consumes_a_seq_and_no_view_pins_it(kind):
+    n1 = node("1")
+    first = transmits(n1.client_send("5", b"x", ServiceClass(kind, 1), 0.0))
+    assert first[0].frame.seq == 1
+    n1.recompute_routes(apply_fault(chain_view(), Change.node_down("5")), 1.0)
+    for _ in range(2):
+        with pytest.raises(NoPath):
+            n1.client_send("5", b"x", ServiceClass(kind, 1), now=2.0)
+    # no REL message is pending for a send that raised
+    assert sorted(n1.rel_pending) == ([("5", 1)] if kind == REL else [])
+    # a later view brings 5 back, and sends route again
+    n1.recompute_routes(chain_view(), now=3.0)
+    again = transmits(n1.client_send("5", b"x", ServiceClass(kind, 1), 4.0))
+    assert again[0].frame.seq == 4
+    assert again[0].frame.routes == (("1", "12", "13", "14", "5"),)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("kind", [PRI, REL])
+def test_the_queued_frame_is_the_restamped_frame(kind, k):
+    n1 = node("1")
+    paths = k_disjoint_paths(chain_view(), "1", "5", k)
+    # the second send is served from the plan the first one made
+    for seq, now in ((1, 0.0), (2, 7.5)):
+        fx = n1.client_send("5", b"payload", ServiceClass(kind, k), now=now)
+        deadline_us = 0 if kind == REL else int((now + 10 * 16.0) * 1000)
+        expected = Frame(KIND_DATA, kind, k, "1", "5", seq, 0, deadline_us,
+                         (), b"payload").restamp(len(paths), paths)
+        tx = transmits(fx)
+        assert [t.neighbor for t in tx] == [p.hops[1] for p in paths]
+        for t in tx:
+            assert t.frame == expected
+            assert t.frame.wire_size() == expected.wire_size() \
+                == len(expected.encode())
+
+
+def test_routes_are_looked_up_once_per_destination_and_k(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(view, src, dst, *k):
+            calls.append((fn.__name__, dst) + k)
+            return fn(view, src, dst, *k)
+        return wrapper
+
+    monkeypatch.setattr(overlay, "shortest_path",
+                        counted(overlay.shortest_path))
+    monkeypatch.setattr(overlay, "k_disjoint_paths",
+                        counted(overlay.k_disjoint_paths))
+    n1 = node("1")
+    for k in (1, 2):
+        for i in range(100):
+            n1.client_send("5", b"x", ServiceClass(PRI, k), now=float(i))
+    assert sorted(calls) == [("k_disjoint_paths", "5", 1),
+                             ("k_disjoint_paths", "5", 2),
+                             ("shortest_path", "5"), ("shortest_path", "5")]
 
 
 # --- forwarding ------------------------------------------------------------------
