@@ -45,7 +45,10 @@ quiet hop thus costs one control frame, and none when data flows back before
 the ack timer fires.  A probe that fires unanswered sends an announce of the
 high-water seq, which the receiver confirms or answers with a nack; unanswered
 announces repeat, spaced by the re-nack interval and doubling,
-ANNOUNCE_RETRIES at most.  A later arming of either timer supersedes an
+ANNOUNCE_RETRIES at most.  Unanswered nacks repeat RENACK_ROUNDS times at the
+re-nack interval, then at doubling waits capped at the announces' longest,
+until a gap fill answers one or the gap outlives the sender's cache and is
+given up.  A later arming of either timer supersedes an
 earlier one, a back-off wait included; a probe that fires while data frames
 wait does nothing, and waiting control frames never hold it back.  A node
 keeps one hop record (`_Hop`) per neighbour for both directions of the link,
@@ -109,6 +112,8 @@ HOP_CACHE_FRAMES = 16384     # per-neighbor retransmission cache; must cover
 HOP_CACHE_EXPIRY_MS = 2000.0
 NACK_DELAY_MS = 1.0          # gap detection -> first nack
 RENACK_MIN_MS = 4.0          # floor for the re-nack interval
+RENACK_ROUNDS = 3            # unanswered nacks re-sent at the re-nack
+                             # interval before it doubles like the announces
 ACK_DELAY_MS = 2.0           # flagged frame -> delayed confirm; the sender
                              # probes this plus the re-nack interval after it
 ANNOUNCE_RETRIES = 6         # announces per idle period at most; each asks
@@ -330,6 +335,7 @@ class _Hop:
         self.missing: Dict[int, float] = {}
         self.acked = -1
         self.nack_armed = False
+        self.nack_round = 0
         # how long a request on the link waits for its answer
         try:
             link_lat = node.view.base.link(node.id, nbr).latency_ms
@@ -346,7 +352,12 @@ class _Hop:
         self.ack = SetTimer(("ack", nbr), ACK_DELAY_MS)
         self.unack = CancelTimer(("ack", nbr))
         self.nack = SetTimer(("nack", nbr), NACK_DELAY_MS)
-        self.renack = SetTimer(("nack", nbr), renack_ms)
+        # unanswered nacks re-arm at renack_ms for RENACK_ROUNDS rounds, then
+        # double up to the announces' longest wait; nack_round indexes this
+        self.renacks = tuple(
+            SetTimer(("nack", nbr),
+                     renack_ms * 2 ** max(0, i - RENACK_ROUNDS + 1))
+            for i in range(RENACK_ROUNDS + ANNOUNCE_RETRIES - 1))
         self.unnack = CancelTimer(("nack", nbr))
 
     def wrap(self, frame: Frame, now: float, out: Effects) -> Frame:
@@ -443,6 +454,7 @@ class _Hop:
                 self.on_confirm(wire.deadline_us - 1, out)
         elif seq in self.missing:
             del self.missing[seq]
+            self.nack_round = 0      # the nacks are answered again
         else:
             self.node._drop("hop_duplicate")
             return None
@@ -496,7 +508,9 @@ class _Hop:
                                  self.header_size, 0, 0, _pack_seqs(want))
         self.node._enqueue_control(self.nbr, nack, out)
         self.nack_armed = True
-        out.append(self.renack)
+        renacks = self.renacks
+        out.append(renacks[min(self.nack_round, len(renacks) - 1)])
+        self.nack_round += 1
 
     def on_ack_timer(self, out: Effects) -> None:
         """Confirm the frames a flagged frame closed, unless the neighbour

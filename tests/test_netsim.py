@@ -31,9 +31,12 @@ from spon.frames import (
 )
 from spon.overlay import (
     ACK_DELAY_MS,
+    ANNOUNCE_RETRIES,
     DEFAULT_RTT_MS,
+    HOP_CACHE_EXPIRY_MS,
     PRI,
     REL,
+    RENACK_ROUNDS,
     Config,
     NodeState,
     ServiceClass,
@@ -1203,3 +1206,43 @@ def test_link_down_blocks_sending_and_link_up_resumes_it():
     assert eng.link_dirs[("A", "B")].up
     # the nodes adopt the restored link at 700 ms; the later sends arrive
     assert {b"m%d" % i for i in range(71, 90)} <= set(sink.bodies)
+
+
+def test_unanswered_nacks_back_off_while_the_reverse_direction_drops_all(
+        monkeypatch):
+    # A streams to B over a 2 ms link that loses 5% of frames, and for
+    # HOP_CACHE_EXPIRY_MS every frame B sends back is lost, so none of B's
+    # nacks is answered in that time: they back off instead of repeating
+    # every re-nack interval (5 ms here) until each gap is given up
+    nacks = []
+    wrap = NodeState.wrap_for_link
+
+    def record(self, frame, neighbor, now, out):
+        if self.id == "B" and frame.kind == KIND_HOP_NACK and frame.payload:
+            nacks.append(now)
+        return wrap(self, frame, neighbor, now, out)
+
+    monkeypatch.setattr(NodeState, "wrap_for_link", record)
+    # the fault refreshes both directions to the link's 5%
+    faults = [FaultEvent(HOP_CACHE_EXPIRY_MS,
+                         change=Change.loss_override("A", "B", 0.05))]
+    sender = PacedSender("ca", "cb", 300, per_tick=1, tick_ms=10.0,
+                         service=ServiceClass(PRI, 1), deadline_ms=60_000)
+    sink = Collector("cb")
+    eng = Engine(two_node(loss=0.05, latency=2.0), [sender, sink], seed=1,
+                 faults=faults)
+    eng.link_dirs[("B", "A")].loss = 1.0
+    eng.run(horizon_ms=2 * HOP_CACHE_EXPIRY_MS)
+    renack_ms = eng.nodes["B"].hops["A"].renack_ms
+    assert renack_ms == 5.0
+    # RENACK_ROUNDS at 5 ms, doublings up to 160 ms, then one per 160 ms
+    cap = renack_ms * 2 ** (ANNOUNCE_RETRIES - 1)
+    unanswered = [t for t in nacks if t < HOP_CACHE_EXPIRY_MS]
+    assert len(unanswered) <= RENACK_ROUNDS + ANNOUNCE_RETRIES \
+        + HOP_CACHE_EXPIRY_MS / cap
+    # once the reverse direction is back, a nack gets through within one
+    # longest wait and the gaps still cached are filled
+    assert [t for t in nacks if t >= HOP_CACHE_EXPIRY_MS][0] \
+        < HOP_CACHE_EXPIRY_MS + cap
+    late = {b"m%d" % i for i in range(200, 300)}
+    assert late <= set(sink.bodies)

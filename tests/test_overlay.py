@@ -677,15 +677,23 @@ def test_a_gap_no_nack_recovers_is_given_up_once_per_seq():
     fx = pipe(a, b, sent_data(a.hops["B"], 4, 0.0), 1.0,
               lost=lambda f: f.seq in (1, 2))
     assert rx.nack in fx and sorted(rx.missing) == [1, 2]
-    # every nack is lost, and the timer fires at each re-nack interval
-    now = 1.0 + NACK_DELAY_MS
+    # every nack is lost, and the timer fires at each re-arming: three times
+    # at the re-nack interval, then doubling up to 32 times it
+    ladder = [1, 1, 1, 2, 4, 8, 16, 32]
+    now, rnd = 1.0 + NACK_DELAY_MS, 0
     while now - 1.0 <= HOP_CACHE_EXPIRY_MS:
         out = []
         rx.on_nack_timer(now, out)
-        assert [e for e in out if not isinstance(e, Transmit)] == [rx.renack]
+        [rearm] = [e for e in out if not isinstance(e, Transmit)]
+        assert rearm == SetTimer(("nack", "A"),
+                                 rx.renack_ms * ladder[min(rnd, 7)])
         assert overlay._unpack_seqs(transmits(out)[0].frame.payload) == [1, 2]
         assert not pipe(b, a, out, now, lost=lambda f: True)
-        now += rx.renack_ms
+        now += rearm.delay_ms
+        rnd += 1
+    # eight nacks by 167 ms, then one every 32 x 5 ms while the gap is
+    # younger than the sender's cache
+    assert rnd == 8 + 11
     # the gap is older than the sender's cache: given up, with no nack and
     # no timer
     out = []
