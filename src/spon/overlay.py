@@ -48,13 +48,13 @@ announces repeat, spaced by the re-nack interval and doubling,
 ANNOUNCE_RETRIES at most.  Unanswered nacks repeat RENACK_ROUNDS times at the
 re-nack interval, then at doubling waits capped at the announces' longest,
 until a gap fill answers one or the gap outlives the sender's cache and is
-given up.  A later arming of either timer supersedes an
-earlier one, a back-off wait included; a probe that fires while data frames
-wait does nothing, and waiting control frames never hold it back.  A node
-keeps one hop record (`_Hop`) per neighbour for both directions of the link,
-which owns this protocol, and drops it when its view says the link went down,
-so a neighbour that restarts with fresh link seqs is heard from seq 0.  The
-node owns the ports and the entry points, which hand hop work to the record.
+given up.  A later arming of either timer supersedes an earlier one, a
+back-off wait included; a probe that fires while data frames wait does
+nothing, and waiting control frames never hold it back.  A node keeps one
+hop record (`_Hop`) per neighbour for both directions of the link, which owns
+this protocol, and drops it when its view says the link went down, so a
+neighbour that restarts with fresh link seqs is heard from seq 0.  The node
+owns the ports and the entry points, which hand hop work to the record.
 
 End-to-end seqs are numbered per (destination, service) from the node's
 incarnation: the engine counts each spawn of a node (0, 1, ...), and the
