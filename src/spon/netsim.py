@@ -472,10 +472,13 @@ class Engine:
         if self.trace_enabled:
             self.trace_rows.append((self.now, event, node, detail))
 
-    def _drop(self, reason: str, where: str) -> None:
-        """Count and trace a frame, packet or delivery the engine discards."""
+    def _drop(self, reason: str, where: str, to: Optional[str] = None) -> None:
+        """Count and trace a frame, packet or delivery the engine discards at
+        node `where`, or on the link direction `where`>`to`; the trace row's
+        name is built only when the engine traces."""
         self._count(reason)
-        self.trace("drop", where, reason)
+        if self.trace_enabled:
+            self.trace("drop", where if to is None else f"{where}>{to}", reason)
 
     def set_timer(self, owner: tuple, timer_id: tuple, delay_ms: float,
                   data: object = None) -> None:
@@ -538,10 +541,10 @@ class Engine:
         dirn.busy_until = depart + ser
         self._count("raw_tx")
         if not dirn.up:
-            self._drop("raw_down_drop", f"{src_client}>{dst_client}")
+            self._drop("raw_down_drop", src_client, dst_client)
             return
         if dirn.rng.random() < dirn.loss:
-            self._drop("raw_lost", f"{src_client}>{dst_client}")
+            self._drop("raw_lost", src_client, dst_client)
             return
         self._push(depart + ser + dirn.latency_ms, _EV_RAW_ARRIVAL,
                    (dirn, body, dirn.epoch))
@@ -600,7 +603,8 @@ class Engine:
             self._drop("deliver_no_client", node_id)
             return
         self._count("delivered")
-        self.trace("deliver", node_id, f"{src_client}->{dst_client}")
+        if self.trace_enabled:
+            self.trace("deliver", node_id, f"{src_client}->{dst_client}")
         client.on_deliver(src_client, body, eff.wire_bytes, self.api)
 
     # -- overlay link service --
@@ -615,11 +619,19 @@ class Engine:
         now = self.now
         frame, fx = state.scheduler_dequeue(b, now)
         wire = None if frame is None else state.wrap_for_link(frame, b, now, fx)
+        # the two return only hop timers: the tail probe's arming, and the
+        # ack timer's cancel when a wrapper carries the confirm owed
         if fx:
-            self._process_effects(a, fx)
+            owner = self._owners[a]
+            for eff in fx:
+                if eff.__class__ is SetTimer:
+                    self.set_timer(owner, eff.timer_id, eff.delay_ms, eff.data)
+                else:
+                    self._timer_gen.pop((owner, eff.timer_id), None)
         if wire is None:
             return
-        ser = wire.wire_size() * 8.0 / dirn.bits_per_ms
+        # every frame a port holds was sized when it was built
+        ser = wire._size * 8.0 / dirn.bits_per_ms
         self.counters["wire_tx"] = self.counters.get("wire_tx", 0) + 1
         # the TX_DONE's seq is taken now even if the event is pushed later
         dirn.busy_until = done = now + ser
@@ -630,7 +642,7 @@ class Engine:
             heapq.heappush(self._heap, (done, seq, _EV_TX_DONE, (a, b, dirn)))
         loss = dirn.loss
         if loss > 0.0 and dirn.rng.random() < loss:
-            self._drop("wire_lost", f"{a}>{b}")
+            self._drop("wire_lost", a, b)
             return
         self._seq = seq = seq + 1
         heapq.heappush(self._heap, (done + dirn.latency_ms + HOP_PROCESSING_MS,
@@ -730,7 +742,7 @@ class Engine:
                 dirn, wire, epoch = data
                 state = nodes.get(dirn.b)
                 if epoch != dirn.epoch or state is None:
-                    self._drop("inflight_lost", f"{dirn.a}>{dirn.b}")
+                    self._drop("inflight_lost", dirn.a, dirn.b)
                 else:
                     self._process_effects(dirn.b, state.handle_frame(
                         dirn.a, wire, time_ms))
@@ -749,11 +761,11 @@ class Engine:
 
     def _on_raw_arrival(self, dirn: _RawDir, body: bytes, epoch: int) -> None:
         if epoch != dirn.epoch:
-            self._drop("raw_inflight_lost", f"{dirn.a}>{dirn.b}")
+            self._drop("raw_inflight_lost", dirn.a, dirn.b)
             return
         client = self.clients.get(dirn.b)
         if client is None:
-            self._drop("raw_no_client", f"{dirn.a}>{dirn.b}")
+            self._drop("raw_no_client", dirn.a, dirn.b)
             return
         self._count("raw_delivered")
         client.on_raw(dirn.a, body, self.api)

@@ -83,8 +83,10 @@ from .frames import (
     KIND_DATA,
     KIND_HOP_DATA,
     KIND_HOP_NACK,
+    SERVICE_NONE,
     SERVICE_PRI,
     SERVICE_REL,
+    new_frame,
 )
 from .topology import (
     NoPath,
@@ -169,6 +171,26 @@ class Deliver:
     wire_bytes: int
 
 
+# the link path builds a Transmit per queued frame and a Deliver per message
+# consumed; allocating and setting each slot costs less than a call of the
+# class, as new_frame does for frames
+_new = object.__new__
+
+
+def _new_transmit(neighbor: NodeId, frame: Frame) -> Transmit:
+    eff = _new(Transmit)
+    eff.neighbor = neighbor
+    eff.frame = frame
+    return eff
+
+
+def _new_deliver(payload: bytes, wire_bytes: int) -> Deliver:
+    eff = _new(Deliver)
+    eff.payload = payload
+    eff.wire_bytes = wire_bytes
+    return eff
+
+
 @dataclass(slots=True)
 class SetTimer:
     timer_id: tuple
@@ -205,41 +227,58 @@ class Behavior:
         return cls("delay", delay_ms=delay_ms)
 
 
-# every relay's behaviour unless it is compromised; `_process` tests identity
+# every relay's behaviour unless it is compromised; `handle_frame` and
+# `_process` test identity
 HONEST = Behavior()
 
 
 # --- scheduler ----------------------------------------------------------------
 
+class _Partition:
+    """One fair-queue partition of a port: its frames by priority level, and
+    how many it holds."""
+
+    __slots__ = ("levels", "size")
+
+    def __init__(self):
+        self.levels: Dict[int, Deque[Frame]] = defaultdict(deque)
+        self.size = 0
+
+
 class OutPort:
     """Per-neighbor output buffers: fair-queued data partitions plus a strict
-    priority control queue for recovery traffic."""
+    priority control queue for recovery traffic.  A PRIORITY frame's partition
+    is found by its source, a RELIABLE frame's by its (source, destination)
+    flow; `ring` lists the partitions in the order they were opened."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self.queues: Dict[tuple, Dict[int, Deque[Frame]]] = {}
-        self.sizes: Dict[tuple, int] = {}
-        self.ring: List[tuple] = []
+        self.partitions: Dict[object, _Partition] = {}
+        self.ring: List[_Partition] = []
         self.ring_idx = 0
         self.control: Deque[Frame] = deque()
         self.queued = 0          # frames held, control included
 
+    @property
+    def queues(self) -> Dict[tuple, Dict[int, Deque[Frame]]]:
+        """Each partition's levels by ("p", src) or ("r", src, dst)."""
+        return {("r",) + key if key.__class__ is tuple else ("p", key):
+                part.levels for key, part in self.partitions.items()}
+
     def enqueue(self, frame: Frame) -> bool:
-        # a partition per source, and per flow for RELIABLE
         if frame.service == SERVICE_REL:
-            key = ("r", frame.src, frame.dst)
+            key = (frame.src, frame.dst)
         else:
-            key = ("p", frame.src)
-        levels = self.queues.get(key)
-        if levels is None:
-            levels = self.queues[key] = defaultdict(deque)
-            self.sizes[key] = 0
-            self.ring.append(key)
-        size = self.sizes[key]
+            key = frame.src
+        part = self.partitions.get(key)
+        if part is None:
+            part = self.partitions[key] = _Partition()
+            self.ring.append(part)
+        size = part.size
         if size >= self.capacity:
             return False
-        levels[frame.priority].append(frame)
-        self.sizes[key] = size + 1
+        part.levels[frame.priority].append(frame)
+        part.size = size + 1
         self.queued += 1
         return True
 
@@ -259,12 +298,15 @@ class OutPort:
             return self.control.popleft(), 0
         ring = self.ring
         n = len(ring)
+        pos = self.ring_idx
         now_us = int(now_ms * 1000.0)
         expired = 0
-        for step in range(n):
-            pos = (self.ring_idx + step) % n
-            key = ring[pos]
-            levels = self.queues[key]
+        for _ in range(n):
+            part = ring[pos]
+            pos += 1
+            if pos == n:
+                pos = 0
+            levels = part.levels
             # every pop on fairness-ramp and meltdown-routed, and 71% on
             # ping-flood-loss, is from a partition of one level: skip the sort
             for level in levels if len(levels) == 1 \
@@ -272,13 +314,13 @@ class OutPort:
                 q = levels[level]
                 while q:
                     frame = q.popleft()
-                    self.sizes[key] -= 1
+                    part.size -= 1
                     self.queued -= 1
                     if (frame.service == SERVICE_PRI and frame.deadline_us
                             and now_us > frame.deadline_us):
                         expired += 1
                         continue
-                    self.ring_idx = (pos + 1) % n
+                    self.ring_idx = pos
                     return frame, expired
         return None, expired
 
@@ -286,11 +328,12 @@ class OutPort:
         """Remove and return every queued data frame (control included)."""
         out: List[Frame] = list(self.control)
         self.control.clear()
-        for key, levels in self.queues.items():
+        for part in self.ring:
+            levels = part.levels
             for level in sorted(levels, reverse=True):
                 out.extend(levels[level])
             levels.clear()
-            self.sizes[key] = 0
+            part.size = 0
         self.queued = 0
         return out
 
@@ -381,8 +424,9 @@ class _Hop:
             # included
             k = HOP_ACK_REQ
             out.append(self.probe)
-        wire = Frame.hop_data(self.src, self.nbr, seq, frame,
-                              self.header_size, k, ack)
+        wire = new_frame(KIND_HOP_DATA, SERVICE_NONE, k, self.src, self.nbr,
+                         seq, 0, ack, (), b"", frame,
+                         self.header_size + frame.wire_size())
         cache = self.cache
         cache.append((wire, now))
         if len(cache) > HOP_CACHE_FRAMES:
@@ -634,7 +678,7 @@ class NodeState:
         if port is None:
             port = self._port(neighbor)
         if port.enqueue(frame):
-            out.append(Transmit(neighbor, frame))
+            out.append(_new_transmit(neighbor, frame))
         else:
             self._drop("buffer_full")
 
@@ -643,7 +687,7 @@ class NodeState:
         if port is None:
             port = self._port(neighbor)
         if port.enqueue_control(frame):
-            out.append(Transmit(neighbor, frame))
+            out.append(_new_transmit(neighbor, frame))
         else:
             self._drop("control_overflow")
 
@@ -708,9 +752,9 @@ class NodeState:
             raise NoPath(self.id, dst, first_hops)
         # one frame, k = 0 for a flood and the number of routes otherwise,
         # sized as Frame.restamp sizes it
-        frame = Frame(KIND_DATA, kind, len(routes), self.id, dst, seq,
-                      priority, deadline_us, routes, payload)
-        frame._size = size + len(payload)
+        frame = new_frame(KIND_DATA, kind, len(routes), self.id, dst, seq,
+                          priority, deadline_us, routes, payload, None,
+                          size + len(payload))
         if k == FLOODING:
             self._launch(frame, out)
         else:
@@ -742,7 +786,15 @@ class NodeState:
         if wire.kind == KIND_HOP_DATA:
             inner = self.hops[from_nbr].receive(wire, now, out)
             if inner is not None:
-                self._process(from_nbr, inner, out)
+                # an honest relay's data and acks, nearly every frame it
+                # handles, skip _process's checks
+                if self.behavior is not HONEST \
+                        or (inner.kind != KIND_DATA and inner.kind != KIND_ACK):
+                    self._process(from_nbr, inner, out)
+                elif inner.k == FLOODING:
+                    self._process_flood(from_nbr, inner, out)
+                else:
+                    self._process_routed(from_nbr, inner, out)
         elif wire.kind != KIND_HOP_NACK:
             # unwrapped frames only occur in unit tests; process directly
             self._process(from_nbr, wire, out)
@@ -864,7 +916,7 @@ class NodeState:
             if pending is not None:
                 out.append(CancelTimer(("rel", frame.src, frame.seq)))
             return
-        out.append(Deliver(frame.payload, frame.wire_size()))
+        out.append(_new_deliver(frame.payload, frame.wire_size()))
         if frame.service == SERVICE_REL:
             self._send_ack(frame, from_nbr, 0, out)
 
@@ -900,7 +952,9 @@ class NodeState:
     # -- wire side, driven by the engine --
 
     def scheduler_dequeue(self, neighbor: NodeId, now: float) -> Tuple[Optional[Frame], Effects]:
-        """Pick the next frame for the neighbor-facing link."""
+        """Pick the next frame for the neighbor-facing link.  The effects are
+        hop timers only, as are wrap_for_link's: the engine applies them
+        without an effect pass."""
         out: Effects = []
         port = self.ports.get(neighbor)
         if port is None:

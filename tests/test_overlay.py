@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import pytest
@@ -433,6 +434,93 @@ def test_port_length_counts_the_frames_it_holds(monkeypatch):
     assert all(length == actual for length, actual in checks), checks
     assert checks[-1] == (0, 0)
     assert [length for length, _ in checks][:8] == [1, 2, 3, 3, 4, 5, 6, 6]
+
+
+class ReferencePort:
+    """A plain fair queue to check OutPort against: one list per partition
+    (a PRIORITY source or a RELIABLE flow) in the order they opened, each
+    served highest priority first and in arrival order within a priority;
+    a turn index walks the partitions round-robin."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.control = []
+        self.partitions = {}
+        self.turn = 0
+
+    def enqueue(self, frame):
+        key = (frame.src, frame.dst) if frame.service == SERVICE_REL \
+            else frame.src
+        part = self.partitions.setdefault(key, [])
+        if len(part) >= self.capacity:
+            return False
+        part.append(frame)
+        return True
+
+    def enqueue_control(self, frame):
+        self.control.append(frame)
+        return True
+
+    def dequeue(self, now_ms):
+        if self.control:
+            return self.control.pop(0), 0
+        parts = list(self.partitions.values())
+        expired = 0
+        for step in range(len(parts)):
+            i = (self.turn + step) % len(parts)
+            part = parts[i]
+            while part:
+                top = max(frame.priority for frame in part)
+                frame = part.pop([f.priority for f in part].index(top))
+                if frame.service == SERVICE_PRI and frame.deadline_us \
+                        and int(now_ms * 1000) > frame.deadline_us:
+                    expired += 1
+                    continue
+                self.turn = (i + 1) % len(parts)
+                return frame, expired
+        return None, expired
+
+    def drain(self):
+        out, self.control = self.control, []
+        for part in self.partitions.values():
+            out += sorted(part, key=lambda frame: -frame.priority)
+            part.clear()
+        return out
+
+    def __len__(self):
+        return len(self.control) + sum(map(len, self.partitions.values()))
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_port_serves_as_a_plain_fair_queue(seed):
+    rng = random.Random(seed)
+    port, ref = OutPort(capacity=5), ReferencePort(capacity=5)
+    now = 0.0
+    for seq in range(400):
+        now += rng.choice((0.0, 0.0, 0.5, 1.0, 2.0))
+        op = rng.random()
+        if op < 0.6:
+            # on the clock's 0.5 ms grid, so that some frames are dequeued
+            # exactly at their deadline
+            deadline_us = rng.choice((0, int(now * 1000)
+                                      + 500 * rng.randint(-1, 10)))
+            frame = Frame(KIND_DATA, rng.choice((SERVICE_PRI, SERVICE_REL)),
+                          1, rng.choice("ABC"), rng.choice("xy"), seq,
+                          rng.randint(0, 2), max(0, deadline_us))
+            if op < 0.55:
+                assert port.enqueue(frame) == ref.enqueue(frame)
+            else:
+                assert port.enqueue_control(frame) == ref.enqueue_control(frame)
+        elif op < 0.97:
+            frame, expired = port.dequeue(now)
+            want, want_expired = ref.dequeue(now)
+            assert (frame, expired) == (want, want_expired)
+            assert frame is want
+        else:
+            got, want = port.drain(), ref.drain()
+            assert len(got) == len(want)
+            assert all(a is b for a, b in zip(got, want))
+        assert len(port) == len(ref)
 
 
 def test_buffer_full_drops_only_own_partition():
