@@ -108,12 +108,13 @@ def test_hop_wrappers_match_the_class():
     sent.append(wrap_next(b, "A", 1.0))
     wanted = [("A", "B", 0, 0, 0), ("A", "B", 1, HOP_ACK_REQ, 0),
               ("B", "A", 0, HOP_ACK_REQ, 2)]
+    nodes = {"A": a, "B": b}
     for (inner, wire), (src, dst, seq, k, ack) in zip(sent, wanted):
         assert_same_fields(wire, Frame(KIND_HOP_DATA, SERVICE_NONE, k, src,
                                        dst, seq, 0, ack, (), b"", inner))
-        assert_same_fields(Frame.hop_data(src, dst, seq, inner,
-                                          a.hops["B"].header_size, k, ack),
-                           wire)
+        header = nodes[src].hops[dst].header_size
+        assert_same_fields(Frame.hop_data(src, dst, seq, inner, header, k,
+                                          ack), wire)
 
 
 @pytest.mark.parametrize("kind, k, seq, payload", [
