@@ -343,13 +343,10 @@ PAYLOAD_BYTES = 1200
 class FlowSource(Client):
     """Paced packet generator; offered rate may ramp as clients attach."""
 
-    def __init__(self, client_id: str, dst_client: str, payload_bytes: int,
-                 peak_mbps: float, clients_max: int = 1,
+    def __init__(self, client_id: str, dst_client: str, clients_max: int = 1,
                  ramp_interval_ms: float = 0.0):
         super().__init__(client_id)
         self.dst = dst_client
-        self.payload = payload_bytes
-        self.peak = peak_mbps
         self.clients_max = clients_max
         self.ramp_interval = ramp_interval_ms
         self.service = ServiceClass(PRI, 1)
@@ -358,19 +355,19 @@ class FlowSource(Client):
 
     def offered_mbps(self, now: float) -> float:
         if self.ramp_interval <= 0:
-            return self.peak
+            return CAPACITY_MBPS
         attached = min(self.clients_max, int(now // self.ramp_interval) + 1)
-        return self.peak * attached / self.clients_max
+        return CAPACITY_MBPS * attached / self.clients_max
 
     def on_start(self, api: EngineApi) -> None:
         api.set_timer(self.client_id, ("tick",), FLOW_TICK_MS)
 
     def on_timer(self, timer_id: tuple, data, api: EngineApi) -> None:
         self.credit += self.offered_mbps(api.now) * 1e6 / 8e3 * FLOW_TICK_MS
-        n = int(self.credit // self.payload)
-        self.credit -= n * self.payload
+        n = int(self.credit // PAYLOAD_BYTES)
+        self.credit -= n * PAYLOAD_BYTES
         for _ in range(n):
-            body = self.seq.to_bytes(8, "big").ljust(self.payload, b"\x00")
+            body = self.seq.to_bytes(8, "big").ljust(PAYLOAD_BYTES, b"\x00")
             api.send(self.client_id, self.dst, body, self.service)
             self.seq += 1
         api.set_timer(self.client_id, ("tick",), FLOW_TICK_MS)
@@ -499,12 +496,11 @@ def _run_payment_once(sc: Scenario, topo: Topology, variant: str, rep: int,
 
 def _run_fairness_once(sc: Scenario, topo: Topology, variant: str, rep: int,
                        rep_seed: int) -> RunResult:
-    honest = FlowSource("c5", "c2", PAYLOAD_BYTES, CAPACITY_MBPS)
+    honest = FlowSource("c5", "c2")
     clients = [honest, FlowSink("c2")]
     flows = {"c5": "honest"}
     if variant == "ramp":
-        clients.append(FlowSource("c6", "c2", PAYLOAD_BYTES, CAPACITY_MBPS,
-                                  clients_max=sc.clients_per_flow,
+        clients.append(FlowSource("c6", "c2", clients_max=sc.clients_per_flow,
                                   ramp_interval_ms=sc.ramp_interval_ms))
         flows["c6"] = "malicious"
     sink = clients[1]
@@ -635,7 +631,7 @@ def _write_raw(sc: Scenario, variant: str, rows: List[tuple], out_dir: str,
     ramp_end = sc.clients_per_flow * sc.ramp_interval_ms \
         if sc.kind == "fairness" else 0.0
     path = os.path.join(out_dir, f"raw_{variant}.csv")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# scenario={sc.name} kind={sc.kind} variant={variant} "
                  f"seed={sc.seed} reps={sc.reps} ramp_end={ramp_end:.6f}\n")
         writer = csv.writer(fh)
@@ -644,7 +640,7 @@ def _write_raw(sc: Scenario, variant: str, rows: List[tuple], out_dir: str,
             writer.writerow([_fmt(v) for v in row])
     settle = os.path.join(out_dir, f"settle_{variant}.txt")
     if problems or not settle_ok:
-        with open(settle, "w") as fh:
+        with open(settle, "w", encoding="utf-8") as fh:
             fh.writelines(f"{line}\n" for line in
                           (f"settle_ok={int(settle_ok)}", *problems))
     elif os.path.exists(settle):
@@ -710,12 +706,14 @@ def summarize(reports: Sequence[MetricReport]) -> Tuple[List[tuple], str]:
 def write_summary(reports: Sequence[MetricReport], out_dir: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     rows, text = summarize(reports)
-    with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as fh:
+    with open(os.path.join(out_dir, "summary.csv"), "w", encoding="utf-8",
+              newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_COLUMNS)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-    with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
+    with open(os.path.join(out_dir, "summary.txt"), "w",
+              encoding="utf-8") as fh:
         fh.write(text)
     return text
 
@@ -728,7 +726,7 @@ def load_raw_reports(in_dir: str) -> List[MetricReport]:
     names.sort(key=lambda f: (not f.startswith("raw_baseline"), f))
     for fname in names:
         path = os.path.join(in_dir, fname)
-        with open(path, newline="") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             first = fh.readline().strip()
             meta = dict(kv.split("=", 1) for kv in
                         first.lstrip("# ").split() if "=" in kv)
@@ -747,7 +745,7 @@ def load_raw_reports(in_dir: str) -> List[MetricReport]:
         settle = os.path.join(in_dir, f"settle_{fname[4:-4]}.txt")
         settled = ["settle_ok=1"]
         if os.path.exists(settle):
-            with open(settle) as fh:
+            with open(settle, encoding="utf-8") as fh:
                 settled = fh.read().splitlines()
         reports.append(MetricReport(
             scenario, kind, meta.get("variant", fname[4:-4]),

@@ -126,24 +126,6 @@ class Frame:
                          self.seq, self.priority, self.deadline_us,
                          tuple(routes), self.payload, self.inner, size)
 
-    @staticmethod
-    def hop_data(src: str, dst: str, seq: int, inner: "Frame",
-                 header_size: int, k: int = 0, ack: int = 0) -> "Frame":
-        """A hop-data wrapper around `inner`, sized without encoding its ids:
-        `header_size` is the size of an empty wrapper from src to dst.  A
-        nonzero `ack` goes in the deadline field (see HOP_ACK_REQ).  The hop
-        layer builds the same wrapper inline, and tests compare the two."""
-        return new_frame(KIND_HOP_DATA, SERVICE_NONE, k, src, dst, seq, 0, ack,
-                         (), b"", inner, header_size + inner.wire_size())
-
-    @staticmethod
-    def hop_control(kind: int, src: str, dst: str, header_size: int,
-                    k: int = 0, seq: int = 0, payload: bytes = b"") -> "Frame":
-        """A hop-layer frame with no inner frame (confirm, announce, nack or
-        tombstone), sized from `header_size` like a hop-data wrapper."""
-        return new_frame(kind, SERVICE_NONE, k, src, dst, seq, 0, 0, (), payload,
-                         None, header_size + len(payload))
-
     def encode(self) -> bytes:
         if self.kind not in KIND_NAMES:
             raise FrameError(f"unknown kind {self.kind}")

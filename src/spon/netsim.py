@@ -47,7 +47,7 @@ its reserved seq, so it pops exactly where an eagerly pushed one would have.
 
 The engine's own parameters (per-hop processing time, view propagation delay,
 event budget, raw-pipe header size) are the module constants below; the
-relays' protocol parameters live in `spon.overlay`.  A node drops its own
+relays' protocol parameters live in `spon.overlay`.  A node resets its own
 hop state when a link goes down (`NodeState.recompute_routes`); the engine
 only hands it the new view.
 """
@@ -637,7 +637,7 @@ class Engine:
         dirn.busy_until = done = now + ser
         self._seq = seq = self._seq + 1
         dirn.done_seq = seq
-        if state.ports[b].queued:
+        if state.hops[b].port.queued:
             dirn.done_live = True
             heapq.heappush(self._heap, (done, seq, _EV_TX_DONE, (a, b, dirn)))
         loss = dirn.loss

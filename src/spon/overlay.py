@@ -51,10 +51,11 @@ until a gap fill answers one or the gap outlives the sender's cache and is
 given up.  A later arming of either timer supersedes an earlier one, a
 back-off wait included; a probe that fires while data frames wait does
 nothing, and waiting control frames never hold it back.  A node keeps one
-hop record (`_Hop`) per neighbour for both directions of the link, which owns
-this protocol, and drops it when its view says the link went down, so a
-neighbour that restarts with fresh link seqs is heard from seq 0.  The node
-owns the ports and the entry points, which hand hop work to the record.
+hop record (`_Hop`) per neighbour: the output port toward it, and this
+protocol for both directions of the link.  The record resets its protocol
+state when the node's view says the link went down, so a neighbour that
+restarts with fresh link seqs is heard from seq 0.  The node owns the entry
+points, which hand port and hop work to the record.
 
 End-to-end seqs are numbered per (destination, service) from the node's
 incarnation: the engine counts each spawn of a node (0, 1, ...), and the
@@ -259,12 +260,6 @@ class OutPort:
         self.control: Deque[Frame] = deque()
         self.queued = 0          # frames held, control included
 
-    @property
-    def queues(self) -> Dict[tuple, Dict[int, Deque[Frame]]]:
-        """Each partition's levels by ("p", src) or ("r", src, dst)."""
-        return {("r",) + key if key.__class__ is tuple else ("p", key):
-                part.levels for key, part in self.partitions.items()}
-
     def enqueue(self, frame: Frame) -> bool:
         if frame.service == SERVICE_REL:
             key = (frame.src, frame.dst)
@@ -344,12 +339,13 @@ class OutPort:
 # --- hop-by-hop recovery --------------------------------------------------------
 
 class _Hop:
-    """Hop-by-hop recovery on the link to one neighbour, both directions.
-    The record owns the link protocol: it builds every hop-layer frame its
-    node sends on the link and handles the link's timers.  The node owns the
-    ports and the entry points; `node` refers back to it weakly, so that no
-    cycle keeps a retired node alive until the cycle collector runs.  Its
-    `src` and `ports` are the node's id and ports, read without the proxy.
+    """A node's record of one neighbour: the output port toward it, and
+    hop-by-hop recovery on the link, both directions.  The record owns the
+    link protocol: it builds every hop-layer frame its node sends on the
+    link, queues its own control frames and handles the link's timers.  The
+    node owns the entry points; `node` refers back to it weakly, so that no
+    cycle keeps a retired node alive until the cycle collector runs, and
+    `src` is the node's id, read without the proxy.
 
     Sending: the replay cache holds (wire frame, time stored) for the
     contiguous seqs first_seq .. next_seq - 1, oldest on the left, so a seq
@@ -358,27 +354,19 @@ class _Hop:
     each seq of an open gap to when the gap was found, and `acked` is the
     highest seq this node has told the neighbour it holds, by a confirm or
     by the ack on a wrapper of reverse data; it never decreases.  The record
-    is made on first use and dropped when the link goes down in the node's
-    view, so the two directions reset together.  The re-nack interval, the
-    header size and the timer effects are built once per record; every
-    hop-layer frame the record sends is sized from that header.
+    is made on first use, and `reset` clears this state when the link goes
+    down in the node's view, so the two directions reset together.  The
+    port, the re-nack interval, the header size and the timer effects are
+    built once per record and survive a reset; every hop-layer frame the
+    record sends is sized from that header.
     """
 
     def __init__(self, node: "NodeState", nbr: NodeId):
         self.node = node
         self.src = node.id
-        self.ports = node.ports
         self.nbr = nbr
-        self.next_seq = 0
-        self.cache: Deque[Tuple[Frame, float]] = deque()
-        self.first_seq = 0
-        self.announce_round = 0
-        self.confirmed = -1
-        self.expected = 0
-        self.missing: Dict[int, float] = {}
-        self.acked = -1
-        self.nack_armed = False
-        self.nack_round = 0
+        self.port = OutPort(node.config.buffer_capacity)
+        self.reset()
         # how long a request on the link waits for its answer
         try:
             link_lat = node.view.base.link(node.id, nbr).latency_ms
@@ -403,6 +391,34 @@ class _Hop:
             for i in range(RENACK_ROUNDS + ANNOUNCE_RETRIES - 1))
         self.unnack = CancelTimer(("nack", nbr))
 
+    def reset(self) -> None:
+        """Start both directions of the link afresh, from seq 0; a reset
+        record answers as one never used does."""
+        self.next_seq = 0
+        self.cache: Deque[Tuple[Frame, float]] = deque()
+        self.first_seq = 0
+        self.announce_round = 0
+        self.confirmed = -1
+        self.expected = 0
+        self.missing: Dict[int, float] = {}
+        self.acked = -1
+        self.nack_armed = False
+        self.nack_round = 0
+
+    def _control(self, kind: int, k: int, seq: int,
+                 payload: bytes = b"") -> Frame:
+        """A hop-layer frame with no inner frame (confirm, announce, nack or
+        tombstone), sized from the header like a hop-data wrapper."""
+        return new_frame(kind, SERVICE_NONE, k, self.src, self.nbr, seq, 0, 0,
+                         (), payload, None, self.header_size + len(payload))
+
+    def _queue(self, frame: Frame, out: Effects) -> None:
+        """Queue a hop-layer frame ahead of the port's data."""
+        if self.port.enqueue_control(frame):
+            out.append(_new_transmit(self.nbr, frame))
+        else:
+            self.node._drop("control_overflow")
+
     def wrap(self, frame: Frame, now: float, out: Effects) -> Frame:
         seq = self.next_seq
         self.next_seq += 1
@@ -415,8 +431,8 @@ class _Hop:
             ack = self.expected
             self.acked = ack - 1
             out.append(self.unack)
-        port = self.ports.get(self.nbr)
-        if port is not None and port.queued > len(port.control):
+        port = self.port
+        if port.queued > len(port.control):
             k = 0      # a data frame waits behind this one
         else:
             # the wrap that empties the port asks for a confirm and arms the
@@ -455,9 +471,8 @@ class _Hop:
                 # evicted or expired: send an empty fill so the neighbour
                 # stops asking; the data is gone at this layer
                 self.node._drop("hop_unrecoverable")
-                wire = Frame.hop_control(KIND_HOP_DATA, self.src, self.nbr,
-                                         self.header_size, 0, seq)
-            self.node._enqueue_control(self.nbr, wire, out)
+                wire = self._control(KIND_HOP_DATA, 0, seq)
+            self._queue(wire, out)
 
     def on_confirm(self, high: int, out: Effects) -> None:
         """The neighbour holds every frame up to `high`, by a confirm or by
@@ -470,15 +485,13 @@ class _Hop:
 
     def on_probe_timer(self, out: Effects) -> None:
         """The tail probe: no confirm covered the last frame in time."""
-        port = self.ports.get(self.nbr)
-        if port is not None and port.queued > len(port.control):
+        port = self.port
+        if port.queued > len(port.control):
             return     # data waits; the wrap that empties the port re-arms
         if self.confirmed >= self.next_seq - 1:
             return
-        announce = Frame.hop_control(KIND_HOP_NACK, self.src, self.nbr,
-                                     self.header_size, HOP_ANNOUNCE,
-                                     self.next_seq - 1)
-        self.node._enqueue_control(self.nbr, announce, out)
+        self._queue(self._control(KIND_HOP_NACK, HOP_ANNOUNCE,
+                                  self.next_seq - 1), out)
         self.announce_round += 1
         if self.announce_round < ANNOUNCE_RETRIES:
             out.append(self.backoff[self.announce_round - 1])
@@ -521,9 +534,7 @@ class _Hop:
         """Tell the neighbour this node holds every frame up to `high`."""
         if high > self.acked:
             self.acked = high
-        confirm = Frame.hop_control(KIND_HOP_NACK, self.src, self.nbr,
-                                    self.header_size, HOP_CONFIRM, high)
-        self.node._enqueue_control(self.nbr, confirm, out)
+        self._queue(self._control(KIND_HOP_NACK, HOP_CONFIRM, high), out)
 
     def _mark_missing(self, end: int, now: float) -> None:
         """Every seq from `expected` below `end` never arrived; remember at
@@ -548,9 +559,7 @@ class _Hop:
         if not self.missing:
             return
         want = sorted(self.missing)[:NACK_BATCH]
-        nack = Frame.hop_control(KIND_HOP_NACK, self.src, self.nbr,
-                                 self.header_size, 0, 0, _pack_seqs(want))
-        self.node._enqueue_control(self.nbr, nack, out)
+        self._queue(self._control(KIND_HOP_NACK, 0, 0, _pack_seqs(want)), out)
         self.nack_armed = True
         renacks = self.renacks
         out.append(renacks[min(self.nack_round, len(renacks) - 1)])
@@ -565,7 +574,7 @@ class _Hop:
 
 
 class _Hops(dict):
-    """A node's hop records by neighbour, each made on first use."""
+    """A node's records by neighbour, each made on first use."""
 
     def __init__(self, node: "NodeState"):
         super().__init__()
@@ -627,7 +636,6 @@ class NodeState:
         self._adopt(view)
         self.config = config
         self.behavior = HONEST
-        self.ports: Dict[NodeId, OutPort] = {}
         self.hops: Dict[NodeId, _Hop] = _Hops(weakref.proxy(self))
         self.seq_counters: Dict[Tuple[NodeId, int], int] = {}
         # (src, service) -> the (dst, seq, kind) of frames already seen; the
@@ -662,11 +670,6 @@ class NodeState:
         if self.trace is not None:
             self.trace("drop", self.id, reason)
 
-    def _port(self, neighbor: NodeId) -> OutPort:
-        """Open the port toward a neighbour that has none yet."""
-        port = self.ports[neighbor] = OutPort(self.config.buffer_capacity)
-        return port
-
     def _next_seq(self, dst: NodeId, kind: int) -> int:
         key = (dst, kind)
         seq = self.seq_counters.get(key, self.incarnation << 32) + 1
@@ -674,22 +677,10 @@ class NodeState:
         return seq
 
     def _enqueue_data(self, neighbor: NodeId, frame: Frame, out: Effects) -> None:
-        port = self.ports.get(neighbor)
-        if port is None:
-            port = self._port(neighbor)
-        if port.enqueue(frame):
+        if self.hops[neighbor].port.enqueue(frame):
             out.append(_new_transmit(neighbor, frame))
         else:
             self._drop("buffer_full")
-
-    def _enqueue_control(self, neighbor: NodeId, frame: Frame, out: Effects) -> None:
-        port = self.ports.get(neighbor)
-        if port is None:
-            port = self._port(neighbor)
-        if port.enqueue_control(frame):
-            out.append(_new_transmit(neighbor, frame))
-        else:
-            self._drop("control_overflow")
 
     def _plan(self, dst: NodeId, k: int) -> tuple:
         """What every send toward `dst` over `k` routes needs in this view,
@@ -956,19 +947,17 @@ class NodeState:
         hop timers only, as are wrap_for_link's: the engine applies them
         without an effect pass."""
         out: Effects = []
-        port = self.ports.get(neighbor)
-        if port is None:
+        hop = self.hops.get(neighbor)
+        if hop is None:
             return None, out
-        frame, expired = port.dequeue(now)
+        frame, expired = hop.port.dequeue(now)
         if expired:
             for _ in range(expired):
                 self._drop("deadline_expired")
-            if frame is None:
-                hop = self.hops.get(neighbor)
-                if hop is not None and hop.next_seq:
-                    # the port emptied without a wrap, so no frame asked
-                    # for a confirm: the tail probe counts from here
-                    out.append(hop.probe)
+            if frame is None and hop.next_seq:
+                # the port emptied without a wrap, so no frame asked for a
+                # confirm: the tail probe counts from here
+                out.append(hop.probe)
         return frame, out
 
     def wrap_for_link(self, frame: Frame, neighbor: NodeId, now: float,
@@ -1038,25 +1027,28 @@ class NodeState:
     def recompute_routes(self, new_view: TopologyView, now: float) -> Effects:
         """Adopt a new view; purge or restamp traffic aimed at dead elements.
 
-        A link that goes down drops its hop state, and the cancels of its
+        A link that goes down resets its hop record, and the cancels of its
         announce, nack and ack timers lead the effects.  A restarted neighbour
         starts its link seqs at 0 as soon as it is up, before this node
-        adopts the view that says so; dropping the state here, not when the
-        link comes back, lets those first frames through."""
+        adopts the view that says so; resetting the record here, not when
+        the link comes back, lets those first frames through.  The port of
+        every link down in the new view is drained."""
         out: Effects = []
+        hops = self.hops
         for nbr in new_view.base.neighbors(self.id):
             if self.view.link_is_up(self.id, nbr) \
                     and not new_view.link_is_up(self.id, nbr):
-                hop = self.hops.pop(nbr, None)
+                hop = hops.get(nbr)
                 if hop is not None:
                     # no hop timer is armed without a record
                     out += (hop.unprobe, hop.unnack, hop.unack)
+                    hop.reset()
         self._adopt(new_view)
-        # rerouting may open ports toward new neighbors; iterate a snapshot
-        for nbr, port in list(self.ports.items()):
+        # rerouting may open records toward new neighbours; iterate a snapshot
+        for nbr, hop in list(hops.items()):
             if new_view.link_is_up(self.id, nbr):
                 continue
-            for frame in port.drain():
+            for frame in hop.port.drain():
                 if frame.kind in (KIND_HOP_DATA, KIND_HOP_NACK):
                     continue   # link-layer traffic dies with the link
                 if frame.k == FLOODING:

@@ -1,9 +1,10 @@
 """The link path builds its frames and effects without calling their classes:
-`frames.new_frame` (behind Frame.restamp, hop_data and hop_control, and the
-frames NodeState.client_send and the hop wrap build) and the effect builders
-of `spon.overlay`.  Each built object must equal the one its class builds on
-every dataclass field, the encoded size included, so a field added to a
-class and left out of its builder fails here."""
+`frames.new_frame` (behind Frame.restamp, the frames NodeState.client_send
+builds, and the hop record's wrappers and control frames: confirm, announce,
+nack and tombstone) and the effect builders of `spon.overlay`.  Each built
+object must equal the one its class builds on every dataclass field, the
+encoded size included, so a field added to a class and left out of its
+builder fails here."""
 
 import dataclasses
 import struct
@@ -108,13 +109,9 @@ def test_hop_wrappers_match_the_class():
     sent.append(wrap_next(b, "A", 1.0))
     wanted = [("A", "B", 0, 0, 0), ("A", "B", 1, HOP_ACK_REQ, 0),
               ("B", "A", 0, HOP_ACK_REQ, 2)]
-    nodes = {"A": a, "B": b}
     for (inner, wire), (src, dst, seq, k, ack) in zip(sent, wanted):
         assert_same_fields(wire, Frame(KIND_HOP_DATA, SERVICE_NONE, k, src,
                                        dst, seq, 0, ack, (), b"", inner))
-        header = nodes[src].hops[dst].header_size
-        assert_same_fields(Frame.hop_data(src, dst, seq, inner, header, k,
-                                          ack), wire)
 
 
 @pytest.mark.parametrize("kind, k, seq, payload", [
@@ -124,8 +121,9 @@ def test_hop_wrappers_match_the_class():
     (KIND_HOP_DATA, 0, 3, b""),                       # tombstone
 ], ids=["confirm", "announce", "nack", "tombstone"])
 def test_hop_control_frames_match_the_class(kind, k, seq, payload):
-    header = Frame(KIND_HOP_DATA, src="é", dst="ü-relay").wire_size()
-    built = Frame.hop_control(kind, "é", "ü-relay", header, k, seq, payload)
+    sender = NodeState("é", build_view(("é", "ü-relay"),
+                                        [("é", "ü-relay", 2.0)]))
+    built = sender.hops["ü-relay"]._control(kind, k, seq, payload)
     assert_same_fields(built, Frame(kind, SERVICE_NONE, k, "é", "ü-relay",
                                     seq, 0, 0, (), payload))
 

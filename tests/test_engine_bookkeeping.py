@@ -39,8 +39,8 @@ def check_bookkeeping(eng):
     assert not tx_done
     # no frame waits toward an up link that is idle and will not be served
     for node_id, state in eng.nodes.items():
-        for nbr, port in state.ports.items():
-            if not port.queued:
+        for nbr, hop in state.hops.items():
+            if not hop.port.queued:
                 continue
             dirn = eng.link_dirs[(node_id, nbr)]
             idle = eng.now > dirn.busy_until or (
@@ -58,22 +58,30 @@ def run_checked(eng, horizon_ms, step_ms):
         check_bookkeeping(eng)
 
 
-def run_lossy_worlds(restart_ms):
-    """Four random lossy worlds, PRI flooding and REL k = 1 in each, with
-    the victim relay down from 150 ms for `restart_ms`."""
+def lossy_worlds(restart_ms, services):
+    """Four random lossy worlds with an engine per service in each: 150
+    messages 2 ms apart, and the victim relay down from 150 ms for
+    `restart_ms`.  Yields each engine with its victim, pump and sink."""
     rng = random.Random(31)
     for trial in range(4):
         topo, victim = _random_lossy_world(rng)
-        for service in (ServiceClass(PRI, 0), ServiceClass(REL, 1)):
+        for service in services:
             bodies = [f"{trial}:{i}".encode() for i in range(150)]
             pump = _Pump("cs", "cr", bodies, service, gap_ms=2.0)
+            sink = _Sink("cr")
             faults = [FaultEvent(150.0, change=Change.node_down(victim)),
                       FaultEvent(150.0 + restart_ms,
                                  change=Change.node_up(victim))]
-            eng = Engine(topo, [pump, _Sink("cr")], seed=trial + 1,
-                         faults=faults)
-            run_checked(eng, 900.0, 7.0)
-            assert eng.spawns[victim] == 2
+            eng = Engine(topo, [pump, sink], seed=trial + 1, faults=faults)
+            yield eng, victim, pump, sink
+
+
+def run_lossy_worlds(restart_ms):
+    """PRI flooding and REL k = 1 in each lossy world, checked to 900 ms."""
+    for eng, victim, _pump, _sink in lossy_worlds(
+            restart_ms, (ServiceClass(PRI, 0), ServiceClass(REL, 1))):
+        run_checked(eng, 900.0, 7.0)
+        assert eng.spawns[victim] == 2
 
 
 def test_bookkeeping_holds_through_lossy_worlds_with_a_relay_restart():
@@ -85,6 +93,26 @@ def test_bookkeeping_holds_through_lossy_worlds_with_a_relay_restart():
     "down view; when the link comes back up first, nothing serves them"))
 def test_no_frame_waits_after_a_restart_shorter_than_the_view_delay():
     run_lossy_worlds(80.0)
+
+
+@pytest.mark.parametrize("restart_ms", [250.0, 80.0])
+def test_a_run_ends_quiescent(restart_ms):
+    # whether or not the relay comes back before the view that took it down
+    # reaches its neighbours, a run that outlasts its traffic ends with no
+    # event due, no frame in any port, nothing awaiting an ack or a route,
+    # and every message delivered once
+    services = (ServiceClass(PRI, 0), ServiceClass(PRI, 2),
+                ServiceClass(REL, 0), ServiceClass(REL, 1))
+    for eng, victim, pump, sink in lossy_worlds(restart_ms, services):
+        eng.run(900.0)
+        assert eng.spawns[victim] == 2
+        assert not eng._heap
+        for node_id, state in eng.nodes.items():
+            assert not [nbr for nbr, hop in state.hops.items() if hop.port], \
+                node_id
+            assert not state.rel_pending and not state.parked, node_id
+        assert not pump.bodies
+        assert sorted(sink.got) == sorted(pump.sent)
 
 
 def test_bookkeeping_holds_through_relay_waves(monkeypatch):

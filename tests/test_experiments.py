@@ -249,7 +249,7 @@ def test_failed_run_flushes_partial_csv_with_marker(tmp_path, monkeypatch):
                        variants=("pri-fld",))
     with pytest.raises(EngineOverrun):
         run_scenario(sc, out_dir=str(tmp_path))
-    text = (tmp_path / "raw_pri-fld.csv").read_text()
+    text = (tmp_path / "raw_pri-fld.csv").read_text(encoding="utf-8")
     assert "FAILED" in text
 
 
@@ -331,7 +331,7 @@ def test_cli_summarize_roundtrips_a_settle_failure(tmp_path, capsys,
     assert cli.main(args) == 2
     first = capsys.readouterr().out
     written = (tmp_path / "summary.txt").read_bytes()
-    assert (tmp_path / "settle_pri-1p.txt").read_text() == \
+    assert (tmp_path / "settle_pri-1p.txt").read_text(encoding="utf-8") == \
         "settle_ok=0\nrep 0: ledger book: injected\n" \
         "rep 1: ledger book: injected\n"
     assert "pri-1p: SETTLE-FAILED" in first.splitlines()

@@ -96,14 +96,27 @@ def test_decoded_hop_data_wire_size_counts_its_inner_frame():
     assert back.inner.wire_size() == len(inner.encode())
 
 
+def wrapped(src, dst, inner, seq, waiting=False, owed=0):
+    """The wrapper of link seq `seq` around `inner` that src's record of dst
+    builds: k is 0 if a data frame waits behind it in the port, and a
+    nonzero `owed` is the next seq due from dst, which the wrapper acks."""
+    node = NodeState(src, build_view((src, dst), [(src, dst, 2.0)]))
+    for _ in range(seq):
+        node.wrap_for_link(inner, dst, 0.0, [])
+    hop = node.hops[dst]
+    if waiting:
+        hop.port.enqueue(inner)
+    hop.expected = owed
+    return node.wrap_for_link(inner, dst, 0.0, [])
+
+
 def test_wrapped_frame_is_sized_as_it_encodes():
     inner = Frame(kind=frames.KIND_DATA, service=frames.SERVICE_PRI, k=1,
                   src="1", dst="5", seq=9, priority=2, deadline_us=160000,
                   routes=(("1", "12", "13", "14", "5"),), payload=b"xyz")
     for src, dst in [("12", "13"), ("FRA", "HKG"), ("é", "ü-relay")]:
-        header = Frame(kind=frames.KIND_HOP_DATA, src=src, dst=dst).wire_size()
-        for k in (0, frames.HOP_ACK_REQ):
-            wrapper = Frame.hop_data(src, dst, 3, inner, header, k)
+        for waiting, k in ((True, 0), (False, frames.HOP_ACK_REQ)):
+            wrapper = wrapped(src, dst, inner, 3, waiting)
             raw = wrapper.encode()
             assert wrapper.wire_size() == len(raw)
             back = decode(raw)
@@ -114,14 +127,12 @@ def test_hop_data_round_trips_a_nonzero_ack():
     inner = Frame(kind=frames.KIND_DATA, service=frames.SERVICE_PRI, k=1,
                   src="13", dst="12", seq=4, routes=(("13", "12"),),
                   payload=b"pong")
-    header = Frame(kind=frames.KIND_HOP_DATA, src="13", dst="12").wire_size()
     ack = (1 << 40) + 7
-    wrapper = Frame.hop_data("13", "12", 5, inner, header, frames.HOP_ACK_REQ,
-                             ack)
+    wrapper = wrapped("13", "12", inner, 5, owed=ack)
     raw = wrapper.encode()
     # the ack rides the deadline field: it costs no byte
     assert len(raw) == wrapper.wire_size() \
-        == Frame.hop_data("13", "12", 5, inner, header).wire_size()
+        == wrapped("13", "12", inner, 5).wire_size()
     back = decode(raw)
     assert (back.k, back.seq, back.deadline_us, back.inner) == \
         (frames.HOP_ACK_REQ, 5, ack, inner)

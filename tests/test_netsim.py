@@ -126,7 +126,7 @@ def test_an_over_long_client_id_is_refused_on_every_send():
         with pytest.raises(ValueError, match="client id too long"):
             eng.client_send(src, dst, b"x", ServiceClass(PRI, 1))
     # refused before the relay numbered or queued anything
-    assert not eng.nodes["A"].seq_counters and not eng.nodes["A"].ports
+    assert not eng.nodes["A"].seq_counters and not eng.nodes["A"].hops
     assert not eng.nodes["B"].seq_counters
 
 
@@ -660,7 +660,7 @@ def test_relay_restart_under_steady_traffic_drains_every_port():
     eng.run(horizon_ms=20_000.0)
     assert sender.sent == 400
     # only the two messages in flight at the fault are lost: the neighbours
-    # drop their hop state for the dead relay's links when they see them go
+    # reset their hop state for the dead relay's links when they see them go
     # down, so its fresh link seqs after the restart are no duplicates
     lost = {b"m%d" % i for i in range(400)} - set(sink.bodies)
     assert lost == {b"m78", b"m79"}
@@ -668,8 +668,8 @@ def test_relay_restart_under_steady_traffic_drains_every_port():
     assert "hop_duplicate" not in counters
     assert "hop_unrecoverable" not in counters
     for node_id, state in eng.nodes.items():
-        for nbr, port in state.ports.items():
-            assert len(port) == 0, (node_id, nbr)
+        for nbr, hop in state.hops.items():
+            assert len(hop.port) == 0, (node_id, nbr)
     assert not live_tx_done(eng)
     assert not any(d.done_live for d in eng.link_dirs.values())
 

@@ -395,8 +395,8 @@ def test_priority_levels_within_partition():
 
 
 def held(port):
-    return len(port.control) + sum(len(q) for levels in port.queues.values()
-                                   for q in levels.values())
+    return len(port.control) + sum(len(q) for part in port.ring
+                                   for q in part.levels.values())
 
 
 def test_port_length_counts_the_frames_it_holds(monkeypatch):
@@ -978,10 +978,10 @@ def test_rel_timeout_of_a_flooded_message_only_sends_routed_copies():
     # with no route to the destination there is nothing left to try
     n1.recompute_routes(apply_fault(chain_view(), Change.node_down("5")),
                         now=150.0)
-    before = sum(held(port) for port in n1.ports.values())
+    before = sum(held(hop.port) for hop in n1.hops.values())
     fx = n1.handle_timer(("rel", "5", 1), None, 300.0)
     assert not transmits(fx)
-    assert sum(held(port) for port in n1.ports.values()) == before
+    assert sum(held(hop.port) for hop in n1.hops.values()) == before
     assert [e.timer_id for e in fx if isinstance(e, SetTimer)] == [
         ("rel", "5", 1)]
     assert n1.counters.get("rel_retransmit") == 1
@@ -1039,17 +1039,17 @@ def test_delay_behavior_defers_processing():
 def test_recompute_purges_flood_copies_on_dead_link():
     n1 = node("1")
     n1.client_send("5", b"x", ServiceClass(PRI, 0), now=0.0)
-    assert len(n1.ports["12"]) > 0
+    assert len(n1.hops["12"].port) > 0
     down = apply_fault(chain_view(), Change.link_down("1", "12"))
     n1.recompute_routes(down, now=1.0)
     assert n1.counters == {"link_down": 1}
-    assert len(n1.ports["12"]) == 0
+    assert len(n1.hops["12"].port) == 0
 
 
 def test_recompute_restamps_routed_frames():
     n1 = node("1")
     n1.client_send("5", b"x", ServiceClass(PRI, 1), now=0.0)
-    assert len(n1.ports["12"]) > 0
+    assert len(n1.hops["12"].port) > 0
     down = apply_fault(chain_view(), Change.link_down("1", "12"))
     fx = n1.recompute_routes(down, now=1.0)
     tx = transmits(fx)
@@ -1067,15 +1067,20 @@ def test_a_link_back_up_starts_with_fresh_hop_state():
     down = chain_view()
     for a, b in [("12", "13"), ("1", "12")]:
         down = apply_fault(down, Change.link_down(a, b))
-    # both links go down: their hop state goes, and the cancels of their
-    # timers lead the effects
+    # both links go down: their records start afresh, and the cancels of
+    # their timers lead the effects
     fx = n12.recompute_routes(down, 4.0)
     assert fx[:6] == [CancelTimer(("ann", "1")), CancelTimer(("nack", "1")),
                       CancelTimer(("ack", "1")),
                       CancelTimer(("ann", "13")), CancelTimer(("nack", "13")),
                       CancelTimer(("ack", "13"))]
     assert not [e for e in fx[6:] if isinstance(e, CancelTimer)]
-    assert "1" not in n12.hops and "13" not in n12.hops
+    for nbr in ("1", "13"):
+        hop = n12.hops[nbr]
+        assert (hop.next_seq, hop.first_seq, hop.announce_round,
+                hop.confirmed, hop.expected, hop.acked, hop.nack_armed,
+                hop.nack_round) == (0, 0, 0, -1, 0, -1, False, 0)
+        assert not hop.cache and not hop.missing and not hop.port
     # a restarted neighbour's first frame, seq 0, arrives before the view
     # that brings its link back, and is no duplicate
     first = Frame(kind=KIND_HOP_DATA, src="1", dst="12", seq=0,
@@ -1118,7 +1123,7 @@ def test_replay_cache_lookup_by_seq(monkeypatch):
 
 def test_wrap_arms_the_announce_timer_once_per_idle_period():
     a, _b = pair()
-    port = a._port("B")
+    port = a.hops["B"].port
     # the tail probe: the ack delay plus the re-nack interval, 2.5 x 2 ms
     probe = SetTimer(("ann", "B"), ACK_DELAY_MS + 5.0)
 
@@ -1176,7 +1181,7 @@ def acks(effects):
 
 def test_unflagged_frames_arm_no_ack_timer():
     a, b = pair()
-    port = a._port("B")
+    port = a.hops["B"].port
     for seq in (1, 2):
         port.enqueue(Frame(kind=KIND_DATA, service=SERVICE_PRI, k=1, src="A",
                            dst="B", seq=seq, routes=(("A", "B"),)))

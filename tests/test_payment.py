@@ -448,7 +448,7 @@ def test_settle_check_lists_connectors_in_name_order_under_any_hash_seed():
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
         outputs.append(subprocess.run(
             [sys.executable, "-c", _CHAIN_BOOK_ORDERS], env=env, check=True,
-            capture_output=True, text=True).stdout)
+            capture_output=True, encoding="utf-8").stdout)
     connectors = ["bob", "carol", "dave", "erin"]
     losses = [f"connector {name} lost 50" for name in connectors]
     assert outputs == [f"{losses} []\n[] {connectors}\n"] * 2
@@ -628,7 +628,7 @@ def test_a_persistent_reject_waits_for_the_session_timer():
 def overlay_world(service, loss=None, count=1, total=200, packet=200,
                   seed=21, horizon=120_000.0, faults=(), behaviors=None):
     """Chain topology with the connector homed at relay 13."""
-    with open(CHAIN) as fh:
+    with open(CHAIN, encoding="utf-8") as fh:
         text = fh.read() + "attach cs 1\nattach cc 13\nattach cr 5\n"
     topo = parse_topology(text)
     txlog = TxLog()
@@ -741,7 +741,7 @@ def test_connector_stream_survives_a_compromised_relay():
 
 
 def test_ping_latency_over_chain():
-    with open(CHAIN) as fh:
+    with open(CHAIN, encoding="utf-8") as fh:
         text = fh.read() + "attach cs 1\nattach cr 5\n"
     topo = parse_topology(text)
 
@@ -784,7 +784,7 @@ def test_direct_transport_remembers_seen_seqs_in_a_bounded_window():
 
 
 def test_direct_transport_stalls_through_outage():
-    with open(CHAIN) as fh:
+    with open(CHAIN, encoding="utf-8") as fh:
         text = fh.read() + "attach cs 1\nattach cr 5\n"
     topo = parse_topology(text)
 
