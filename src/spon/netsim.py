@@ -20,16 +20,19 @@ directions cache their path's facts and follow the epoch rule the same way.
 
 A timer keeps at most one entry on the heap, as a timing wheel restarts a
 timer without a queue insertion.  Every arming takes an insertion seq and is
-recorded, with its due time and data, under the timer's key; a heap entry is
-pushed only when the key has none, or has one due later than the new arming.
-When an entry pops and its key was re-armed later, it is pushed again under
-that arming's reserved (due, seq) and takes no new seq, so a timer fires
-exactly where an entry pushed at its last arming would have.  An entry that no
-longer matches its key's record (the timer fired, was cancelled, or was
-re-armed earlier) is dead and costs one dict lookup when it pops.  Neither a
-dead entry nor a moved one sets the clock: when `run` returns, `Engine.now` is
-the time of the last event that acted, and a stream row still running at the
-end, and the settle sweep, read that time whatever the heap held past it.
+written, with its due time and data, to the timer's `TimerRecord`: a hop
+holds the record of each of its timers and hands it over in their effects,
+and any other timer's is found by its (owner, timer id) key.  A heap entry
+carries the record, and is pushed only when the timer has none, or has one
+due later than the new arming.  When an entry pops and its timer was re-armed
+later, it is pushed again under that arming's reserved (due, seq) and takes
+no new seq, so a timer fires exactly where an entry pushed at its last arming
+would have.  An entry that no longer matches its record (the timer fired, was
+cancelled, or was re-armed earlier) is dead; a pop of any kind reads the
+record and looks nothing up.  Neither a dead entry nor a moved one sets the
+clock: when `run` returns, `Engine.now` is the time of the last event that
+acted, and a stream row still running at the end, and the settle sweep, read
+that time whatever the heap held past it.
 
 A run keeps one counter table, `Engine.counters`.  Every relay the engine
 spawns counts its drops and recoveries straight into it, so a relay that goes
@@ -70,6 +73,7 @@ from .overlay import (
     NodeState,
     ServiceClass,
     SetTimer,
+    TimerRecord,
     Transmit,
 )
 from .topology import (
@@ -395,9 +399,9 @@ class Engine:
 
         self._heap: List[tuple] = []
         self._seq = 0
-        # (owner, timer id) of each armed timer -> [due, seq, data, entry due,
-        # entry seq]: its last arming and its one live heap entry
-        self._timer_gen: Dict[Tuple[tuple, tuple], list] = {}
+        # the record of each armed timer, under its (owner, timer id) key or,
+        # for a timer a hop holds the record of, under the record itself
+        self._timer_gen: Dict[object, TimerRecord] = {}
         self._view_serial = 0
         self._node_view_serial: Dict[NodeId, int] = {n: 0 for n in topology.nodes}
         self.pops = 0
@@ -481,30 +485,42 @@ class Engine:
             self.trace("drop", where if to is None else f"{where}>{to}", reason)
 
     def set_timer(self, owner: tuple, timer_id: tuple, delay_ms: float,
-                  data: object = None) -> None:
+                  data: object = None,
+                  timer: Optional[TimerRecord] = None) -> None:
         # re-arming supersedes the earlier arming; a live entry due no later
-        # than this arming is kept and moved to it when it pops
+        # than this arming is kept and moved to it when it pops.  A timer
+        # given without its record is found by its key, or given one
         due = self.now + delay_ms
-        key = (owner, timer_id)
         self._seq = seq = self._seq + 1
-        armed = self._timer_gen.get(key)
-        if armed is None or armed[3] > due:
-            heapq.heappush(self._heap, (due, seq, _EV_TIMER, key))
-            self._timer_gen[key] = [due, seq, data, due, seq]
-        else:
-            armed[0] = due
-            armed[1] = seq
-            armed[2] = data
+        if timer is None:
+            key = (owner, timer_id)
+            timer = self._timer_gen.get(key) or TimerRecord(timer_id, key)
+        if not timer.entry_seq or timer.entry_due > due:
+            if not timer.entry_seq:
+                self._timer_gen[timer.key or timer] = timer
+                timer.owner = owner
+            heapq.heappush(self._heap, (due, seq, _EV_TIMER, timer))
+            timer.entry_due = due
+            timer.entry_seq = seq
+        timer.due = due
+        timer.seq = seq
+        timer.data = data
 
-    def cancel_timer(self, owner: tuple, timer_id: tuple) -> None:
-        self._timer_gen.pop((owner, timer_id), None)
+    def cancel_timer(self, owner: tuple, timer_id: tuple,
+                     timer: Optional[TimerRecord] = None) -> None:
+        # its heap entry, if any, pops dead
+        if timer is None:
+            timer = self._timer_gen.get((owner, timer_id))
+        if timer is not None and timer.entry_seq:
+            timer.entry_seq = 0
+            del self._timer_gen[timer.key or timer]
 
     def _retire_node(self, node_id: NodeId) -> None:
         self.nodes.pop(node_id, None)
-        # orphan every timer the dead process owned
+        # disarm every timer the dead process owned, its hops' included
         owner = ("n", node_id)
-        for key in [key for key in self._timer_gen if key[0] == owner]:
-            del self._timer_gen[key]
+        for timer in [t for t in self._timer_gen.values() if t.owner == owner]:
+            self.cancel_timer(owner, timer.timer_id, timer)
 
     # -- client operations --
 
@@ -583,11 +599,12 @@ class Engine:
                     heapq.heappush(self._heap, (busy_until, dirn.done_seq,
                                                 _EV_TX_DONE, (dirn.a, dirn.b, dirn)))
             elif kind is SetTimer:
-                self.set_timer(owner, eff.timer_id, eff.delay_ms, eff.data)
+                self.set_timer(owner, eff.timer_id, eff.delay_ms, eff.data,
+                               eff.timer)
             elif kind is Deliver:
                 self._deliver(node_id, eff)
             elif kind is CancelTimer:
-                self._timer_gen.pop((owner, eff.timer_id), None)
+                self.cancel_timer(owner, eff.timer_id, eff.timer)
 
     def _deliver(self, node_id: NodeId, eff: Deliver) -> None:
         try:
@@ -619,15 +636,17 @@ class Engine:
         now = self.now
         frame, fx = state.scheduler_dequeue(b, now)
         wire = None if frame is None else state.wrap_for_link(frame, b, now, fx)
-        # the two return only hop timers: the tail probe's arming, and the
-        # ack timer's cancel when a wrapper carries the confirm owed
+        # the two return only hop timers, each with its record: the tail
+        # probe's arming, and the ack timer's cancel when a wrapper carries
+        # the confirm owed
         if fx:
             owner = self._owners[a]
             for eff in fx:
                 if eff.__class__ is SetTimer:
-                    self.set_timer(owner, eff.timer_id, eff.delay_ms, eff.data)
+                    self.set_timer(owner, eff.timer_id, eff.delay_ms,
+                                   eff.data, eff.timer)
                 else:
-                    self._timer_gen.pop((owner, eff.timer_id), None)
+                    self.cancel_timer(owner, eff.timer_id, eff.timer)
         if wire is None:
             return
         # every frame a port holds was sized when it was built
@@ -701,63 +720,67 @@ class Engine:
         heap = self._heap
         heappop = heapq.heappop
         nodes = self.nodes
-        while heap:
-            if heap[0][0] > horizon_ms:
-                break
-            time_ms, seq, kind, data = heappop(heap)
-            self.pops += 1
-            if self.pops > cap:
-                raise EngineOverrun(f"exceeded {cap} events")
-            if kind == _EV_TIMER:
-                # an entry its key no longer names is dead; neither it nor an
-                # entry moved to a later arming sets the clock
-                armed = timers.get(data)
-                if armed is None or armed[4] != seq:
-                    continue
-                due, armed_seq = armed[0], armed[1]
-                if armed_seq != seq:
-                    # re-armed later: move the entry to that arming's reserved key
-                    armed[3] = due
-                    armed[4] = armed_seq
-                    heapq.heappush(heap, (due, armed_seq, _EV_TIMER, data))
+        pops = self.pops
+        try:
+            while heap:
+                if heap[0][0] > horizon_ms:
+                    break
+                time_ms, seq, kind, data = heappop(heap)
+                pops += 1
+                if pops > cap:
+                    raise EngineOverrun(f"exceeded {cap} events")
+                if kind == _EV_TIMER:
+                    # an entry its record no longer names is dead; neither
+                    # it nor an entry moved to a later arming sets the clock
+                    if data.entry_seq != seq:
+                        continue
+                    due, armed_seq = data.due, data.seq
+                    if armed_seq != seq:
+                        # re-armed later: move to that arming's reserved key
+                        data.entry_due = due
+                        data.entry_seq = armed_seq
+                        heapq.heappush(heap, (due, armed_seq, _EV_TIMER, data))
+                        continue
+                    self.now = time_ms
+                    self.now_seq = seq
+                    # fire the timer at its last arming, with that arming's data
+                    data.entry_seq = 0
+                    del timers[data.key or data]
+                    scope, name = data.owner
+                    if scope == "n":
+                        state = nodes.get(name)
+                        if state is not None:
+                            self._process_effects(name, state.handle_timer(
+                                data.timer_id, data.data, time_ms))
+                    else:
+                        client = self.clients.get(name)
+                        if client is not None:
+                            client.on_timer(data.timer_id, data.data, self.api)
                     continue
                 self.now = time_ms
                 self.now_seq = seq
-                # fire the timer at its last arming, with that arming's data
-                del timers[data]
-                (scope, name), timer_id = data
-                if scope == "n":
-                    state = nodes.get(name)
-                    if state is not None:
-                        self._process_effects(name, state.handle_timer(
-                            timer_id, armed[2], time_ms))
-                else:
-                    client = self.clients.get(name)
-                    if client is not None:
-                        client.on_timer(timer_id, armed[2], self.api)
-                continue
-            self.now = time_ms
-            self.now_seq = seq
-            if kind == _EV_ARRIVAL:
-                dirn, wire, epoch = data
-                state = nodes.get(dirn.b)
-                if epoch != dirn.epoch or state is None:
-                    self._drop("inflight_lost", dirn.a, dirn.b)
-                else:
-                    self._process_effects(dirn.b, state.handle_frame(
-                        dirn.a, wire, time_ms))
-            elif kind == _EV_TX_DONE:
-                dirn = data[2]
-                dirn.done_live = False
-                self._send_next(dirn)
-            elif kind == _EV_CLIENT_START:
-                self.clients[data].on_start(self.api)
-            elif kind == _EV_FAULT:
-                self._apply_fault(data)
-            elif kind == _EV_VIEW:
-                self._adopt_view(*data)
-            elif kind == _EV_RAW_ARRIVAL:
-                self._on_raw_arrival(*data)
+                if kind == _EV_ARRIVAL:
+                    dirn, wire, epoch = data
+                    state = nodes.get(dirn.b)
+                    if epoch != dirn.epoch or state is None:
+                        self._drop("inflight_lost", dirn.a, dirn.b)
+                    else:
+                        self._process_effects(dirn.b, state.handle_frame(
+                            dirn.a, wire, time_ms))
+                elif kind == _EV_TX_DONE:
+                    dirn = data[2]
+                    dirn.done_live = False
+                    self._send_next(dirn)
+                elif kind == _EV_CLIENT_START:
+                    self.clients[data].on_start(self.api)
+                elif kind == _EV_FAULT:
+                    self._apply_fault(data)
+                elif kind == _EV_VIEW:
+                    self._adopt_view(*data)
+                elif kind == _EV_RAW_ARRIVAL:
+                    self._on_raw_arrival(*data)
+        finally:
+            self.pops = pops
 
     def _on_raw_arrival(self, dirn: _RawDir, body: bytes, epoch: int) -> None:
         if epoch != dirn.epoch:

@@ -72,7 +72,7 @@ from __future__ import annotations
 import struct
 import weakref
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from .frames import (
@@ -192,16 +192,35 @@ def _new_deliver(payload: bytes, wire_bytes: int) -> Deliver:
     return eff
 
 
+class TimerRecord:
+    """The engine's record of one timer: its last arming (`owner`, `due`,
+    `seq`, `data`) and its one heap entry (`entry_due`, `entry_seq`, 0 while
+    not armed).  A hop keeps one per hop timer; the engine makes one per
+    timer named by `key`.  A record without a key is its own key."""
+
+    __slots__ = ("timer_id", "key", "owner", "due", "seq", "data",
+                 "entry_due", "entry_seq")
+
+    def __init__(self, timer_id: tuple, key: Optional[tuple] = None):
+        self.timer_id = timer_id
+        self.key = key
+        self.entry_seq = 0       # the rest is set when it is armed
+
+
+# `timer` is the record a hop keeps for the timer, shared by all of that
+# timer's effects; None names the timer by its id alone
 @dataclass(slots=True)
 class SetTimer:
     timer_id: tuple
     delay_ms: float
     data: object = None
+    timer: Optional[TimerRecord] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(slots=True)
 class CancelTimer:
     timer_id: tuple
+    timer: Optional[TimerRecord] = field(default=None, compare=False, repr=False)
 
 
 Effects = List[object]
@@ -358,7 +377,9 @@ class _Hop:
     down in the node's view, so the two directions reset together.  The
     port, the re-nack interval, the header size and the timer effects are
     built once per record and survive a reset; every hop-layer frame the
-    record sends is sized from that header.
+    record sends is sized from that header.  The effects of each hop timer
+    share its engine `TimerRecord`, through which the engine arms, cancels
+    and fires it; a pop of its heap entry reads that record's fields.
     """
 
     def __init__(self, node: "NodeState", nbr: NodeId):
@@ -375,21 +396,25 @@ class _Hop:
         self.renack_ms = renack_ms = max(RENACK_MIN_MS, 2.5 * link_lat)
         self.header_size = Frame(kind=KIND_HOP_DATA, src=node.id,
                                  dst=nbr).wire_size()
-        self.probe = SetTimer(("ann", nbr), ACK_DELAY_MS + renack_ms)
+        probe, ack, nack = (TimerRecord((kind, nbr))
+                            for kind in ("ann", "ack", "nack"))
+        self.probe = SetTimer(probe.timer_id, ACK_DELAY_MS + renack_ms, None,
+                              probe)
         # the unanswered announces re-arm the probe, doubling from renack_ms
-        self.backoff = tuple(SetTimer(("ann", nbr), renack_ms * 2 ** i)
+        self.backoff = tuple(SetTimer(probe.timer_id, renack_ms * 2 ** i, None,
+                                      probe)
                              for i in range(ANNOUNCE_RETRIES - 1))
-        self.unprobe = CancelTimer(("ann", nbr))
-        self.ack = SetTimer(("ack", nbr), ACK_DELAY_MS)
-        self.unack = CancelTimer(("ack", nbr))
-        self.nack = SetTimer(("nack", nbr), NACK_DELAY_MS)
+        self.unprobe = CancelTimer(probe.timer_id, probe)
+        self.ack = SetTimer(ack.timer_id, ACK_DELAY_MS, None, ack)
+        self.unack = CancelTimer(ack.timer_id, ack)
+        self.nack = SetTimer(nack.timer_id, NACK_DELAY_MS, None, nack)
         # unanswered nacks re-arm at renack_ms for RENACK_ROUNDS rounds, then
         # double up to the announces' longest wait; nack_round indexes this
         self.renacks = tuple(
-            SetTimer(("nack", nbr),
-                     renack_ms * 2 ** max(0, i - RENACK_ROUNDS + 1))
+            SetTimer(nack.timer_id,
+                     renack_ms * 2 ** max(0, i - RENACK_ROUNDS + 1), None, nack)
             for i in range(RENACK_ROUNDS + ANNOUNCE_RETRIES - 1))
-        self.unnack = CancelTimer(("nack", nbr))
+        self.unnack = CancelTimer(nack.timer_id, nack)
 
     def reset(self) -> None:
         """Start both directions of the link afresh, from seq 0; a reset

@@ -1,7 +1,9 @@
 """The engine's bookkeeping matches its heap wherever a run stops.
 
-A timer keeps one heap entry, recorded in `Engine._timer_gen`, and a link
-direction's TX_DONE is on the heap only while `done_live` says so.  The
+A timer keeps one heap entry, recorded in its `TimerRecord`: a hop holds
+the record of each of its timers, and the engine files every armed record in
+`Engine._timer_gen`.  A link direction's TX_DONE is on the heap only while
+`done_live` says so.  The
 engine serves ports from the heap alone, so a record that drifts from it
 either fires a timer twice, loses one, or strands frames in a port.  Each run
 here stops at many horizons, through lossy links, relay restarts and relay
@@ -21,16 +23,47 @@ from spon.overlay import PRI, REL, ServiceClass
 from spon.topology import Change
 
 
+def hop_timers(state):
+    """The records of a node's hop timers: each hop's probe, ack and nack."""
+    return [eff.timer for hop in state.hops.values()
+            for eff in (hop.probe, hop.ack, hop.nack)]
+
+
 def check_bookkeeping(eng):
     timer_entries, tx_done = {}, {}
     for time_ms, seq, kind, data in eng._heap:
         if kind == _EV_TIMER:
             timer_entries.setdefault((data, seq), []).append(time_ms)
+            # an entry that would fire or move belongs to an armed timer
+            if data.entry_seq == seq:
+                assert eng._timer_gen.get(data.key or data) is data, \
+                    (data.owner, data.timer_id)
         elif kind == _EV_TX_DONE:
             tx_done.setdefault(data[:2], []).append((time_ms, seq))
-    # each armed timer has exactly one live entry, at its recorded (due, seq)
-    for key, armed in eng._timer_gen.items():
-        assert timer_entries.get((key, armed[4])) == [armed[3]], key
+    # each armed timer is filed under its key, or itself if it has none, and
+    # has exactly one live entry, at its recorded (due, seq), no later than
+    # its last arming
+    for key, timer in eng._timer_gen.items():
+        where = (timer.owner, timer.timer_id)
+        assert key == (timer.key or timer), where
+        assert timer_entries.get((timer, timer.entry_seq)) \
+            == [timer.entry_due], where
+        assert (timer.entry_due, timer.entry_seq) <= (timer.due, timer.seq)
+    # every armed hop record is filed, and a node's armed timers without a
+    # key are its own hops' records: a retired relay's were disarmed
+    for node_id, state in eng.nodes.items():
+        for timer in hop_timers(state):
+            if timer.entry_seq:
+                assert eng._timer_gen.get(timer) is timer, timer.timer_id
+                assert timer.owner == ("n", node_id), timer.timer_id
+    for timer in eng._timer_gen.values():
+        scope, name = timer.owner
+        if scope == "n":
+            assert name in eng.nodes, (name, timer.timer_id)
+            if timer.key is None:
+                assert any(timer is mine
+                           for mine in hop_timers(eng.nodes[name])), \
+                    (name, timer.timer_id)
     # a TX_DONE is on the heap exactly when its direction says it is live,
     # at the key where the frame on the wire finishes
     for pair, dirn in eng.link_dirs.items():
@@ -58,7 +91,7 @@ def run_checked(eng, horizon_ms, step_ms):
         check_bookkeeping(eng)
 
 
-def lossy_worlds(restart_ms, services):
+def lossy_worlds(restart_ms, services, trace=False):
     """Four random lossy worlds with an engine per service in each: 150
     messages 2 ms apart, and the victim relay down from 150 ms for
     `restart_ms`.  Yields each engine with its victim, pump and sink."""
@@ -72,7 +105,8 @@ def lossy_worlds(restart_ms, services):
             faults = [FaultEvent(150.0, change=Change.node_down(victim)),
                       FaultEvent(150.0 + restart_ms,
                                  change=Change.node_up(victim))]
-            eng = Engine(topo, [pump, sink], seed=trial + 1, faults=faults)
+            eng = Engine(topo, [pump, sink], seed=trial + 1, faults=faults,
+                         trace=trace)
             yield eng, victim, pump, sink
 
 
@@ -131,3 +165,22 @@ def test_bookkeeping_holds_through_relay_waves(monkeypatch):
     reports = run_scenario(replace(sc, horizon_ms=90_000.0))
     assert len(engines) == 2
     assert all(report.completed for report in reports)
+
+
+def test_a_run_repeats_exactly_in_one_process():
+    # a timer record filed by identity must order nothing: each lossy world
+    # with a relay restart, run twice in this process, delivers, counts,
+    # pops and traces the same
+    def runs():
+        out = []
+        for eng, victim, _pump, sink in lossy_worlds(
+                250.0, (ServiceClass(PRI, 0), ServiceClass(REL, 1)),
+                trace=True):
+            eng.run(900.0)
+            assert eng.spawns[victim] == 2
+            out.append((sink.got, eng.counters, eng.pops, eng.trace_rows))
+        return out
+
+    first = runs()
+    assert all(got and rows for got, _counters, _pops, rows in first)
+    assert runs() == first

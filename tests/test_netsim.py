@@ -1,3 +1,4 @@
+import heapq
 import os
 import random
 import subprocess
@@ -364,9 +365,11 @@ def test_horizon_stops_periodic_timers():
 
 
 def armed_entries_are_live(eng):
-    """Every armed timer names a heap entry that is still to fire."""
-    live = {(seq, key) for _t, seq, kind, key in eng._heap if kind == _EV_TIMER}
-    return all((armed[4], key) in live for key, armed in eng._timer_gen.items())
+    """Every armed timer's record names a heap entry that is still to fire."""
+    live = {(seq, timer) for _t, seq, kind, timer in eng._heap
+            if kind == _EV_TIMER}
+    return all((timer.entry_seq, timer) in live
+               for timer in eng._timer_gen.values())
 
 
 def test_timer_table_holds_only_armed_timers():
@@ -388,10 +391,19 @@ def test_timer_table_matches_heap_when_the_horizon_cuts_the_run():
     sender = Burst("c1", "c5", 50, ServiceClass(REL, 1))
     eng = Engine(topo, [sender, Collector("c5")], seed=5,
                  faults=[FaultEvent(5.0, change=Change.node_down("12"))])
+
+    def relay_12_timers():
+        return [timer for timer in eng._timer_gen.values()
+                if timer.owner == ("n", "12")]
+
+    eng.run(horizon_ms=4.9)
+    # the relay has hop timers armed before it goes down
+    assert relay_12_timers()
+    assert all(timer.key is None for timer in relay_12_timers())
     eng.run(horizon_ms=120.0)
     assert eng._timer_gen and armed_entries_are_live(eng)
     # the dead relay's timers were dropped with it
-    assert not [key for key in eng._timer_gen if key[0] == ("n", "12")]
+    assert not relay_12_timers()
 
 
 def test_rearmed_or_cancelled_timer_fires_only_its_last_arming():
@@ -515,11 +527,156 @@ def test_timer_of_a_retired_relay_never_fires(monkeypatch, faults):
     eng.run(horizon_ms=12.0)
     # the entry due at 10 was moved to the last arming's reserved key
     armed = eng._timer_gen[(owner, ("probe",))]
-    assert (armed[0], armed[4]) == (20.0, armed[1])
-    assert (20.0, armed[1], _EV_TIMER, (owner, ("probe",))) in eng._heap
+    assert (armed.due, armed.entry_seq) == (20.0, armed.seq)
+    assert (20.0, armed.seq, _EV_TIMER, armed) in eng._heap
     eng.run(horizon_ms=100.0)
     assert fired == ([] if faults else [("B", ("probe",), 20.0)])
     assert not eng._timer_gen
+
+
+# each hop-timer effect a script may take from a hop record: the record's
+# own prebuilt arming or cancel
+HOP_EFFECTS = (
+    lambda hop: hop.probe, lambda hop: hop.backoff[0],
+    lambda hop: hop.backoff[2], lambda hop: hop.unprobe,
+    lambda hop: hop.ack, lambda hop: hop.unack,
+    lambda hop: hop.nack, lambda hop: hop.renacks[0],
+    lambda hop: hop.renacks[4], lambda hop: hop.unnack,
+)
+PEER = {"A": "B", "B": "A"}
+
+
+def timer_script(rng):
+    """Steps of (time, ops) at whole milliseconds, some at the same instant.
+    An op arms or cancels a client timer ("t", i) at a delay that can tie
+    with a hop timer's, or takes a hop-timer effect of A's or B's record;
+    one step retires relay B and a later one respawns it."""
+    steps = rng.randint(10, 20)
+    retire, respawn = sorted(rng.sample(range(1, steps), 2))
+    script, at = [], 0
+    for i in range(steps):
+        at += rng.choice((0, 1, 1, 2, 3))
+        ops = [("retire",)] if i == retire else []
+        if i == respawn:
+            ops.append(("respawn",))
+        for _ in range(rng.randint(1, 6)):
+            name = ("t", rng.randrange(3))
+            roll = rng.random()
+            if roll < 0.4:
+                ops.append(("hop", rng.choice("AB"),
+                            rng.randrange(len(HOP_EFFECTS))))
+            elif roll < 0.55:
+                ops.append(("cancel", name))
+            else:
+                ops.append(("arm", name,
+                            rng.choice((0.0, 1.0, 2.0, 3.0, 12.5, 14.5)),
+                            rng.randrange(100)))
+        script.append((float(at), ops))
+    return script
+
+
+class TimerScript(Client):
+    """Runs a timer script: each step is a client timer ("act", i), armed at
+    start.  Records each firing, its own and the relays', as (time, owner,
+    timer id, data)."""
+
+    def __init__(self, script):
+        super().__init__("ca")
+        self.script = script
+        self.fired = []
+        self.engine = None
+
+    def on_start(self, api):
+        for i, (at_ms, _ops) in enumerate(self.script):
+            api.set_timer("ca", ("act", i), at_ms)
+
+    def on_timer(self, timer_id, data, api):
+        self.fired.append((api.now, "ca", timer_id, data))
+        if timer_id[0] != "act":
+            return
+        eng = self.engine
+        for op in self.script[timer_id[1]][1]:
+            if op[0] == "arm":
+                api.set_timer("ca", op[1], op[2], data=op[3])
+            elif op[0] == "cancel":
+                api.cancel_timer("ca", op[1])
+            elif op[0] == "retire":
+                eng._retire_node("B")
+            elif op[0] == "respawn":
+                eng._spawn_node("B")
+            elif op[1] in eng.nodes:
+                hop = eng.nodes[op[1]].hops[PEER[op[1]]]
+                eng._process_effects(op[1], [HOP_EFFECTS[op[2]](hop)])
+
+
+def reference_timers(script, hop):
+    """The script on a plain heap: one entry per arming, an entry skipped
+    unless it is its timer's last arming, and relay B's timers dropped when
+    it retires.  `hop(node)` is a hop record of that node, which the
+    effects' ids and delays are read from.  Returns the firings and the
+    time of the last."""
+    heap, last, fired = [], {}, []
+    seq = 0
+    now = 0.0
+
+    def arm(name, due, data=None):
+        nonlocal seq
+        seq += 1
+        last[name] = seq
+        heapq.heappush(heap, (due, seq, name, data))
+
+    for i, (at_ms, _ops) in enumerate(script):
+        arm(("ca", ("act", i)), at_ms)
+    alive = True
+    while heap:
+        due, entry_seq, name, data = heapq.heappop(heap)
+        if last.get(name) != entry_seq:
+            continue
+        del last[name]
+        now = due
+        fired.append((now,) + name + (data,))
+        owner, timer_id = name
+        if owner != "ca" or timer_id[0] != "act":
+            continue
+        for op in script[timer_id[1]][1]:
+            if op[0] == "arm":
+                arm(("ca", op[1]), now + op[2], op[3])
+            elif op[0] == "cancel":
+                last.pop(("ca", op[1]), None)
+            elif op[0] == "retire":
+                alive = False
+                for key in [key for key in last if key[0] == "B"]:
+                    del last[key]
+            elif op[0] == "respawn":
+                alive = True
+            elif op[1] == "A" or alive:
+                eff = HOP_EFFECTS[op[2]](hop(op[1]))
+                if isinstance(eff, SetTimer):
+                    arm((op[1], eff.timer_id), now + eff.delay_ms)
+                else:
+                    last.pop((op[1], eff.timer_id), None)
+    return fired, now
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_timer_discipline_matches_a_plain_reference_heap(monkeypatch, seed):
+    script = timer_script(random.Random(seed))
+    client = TimerScript(script)
+    monkeypatch.setattr(NodeState, "handle_timer",
+                        lambda self, timer_id, data, now:
+                        client.fired.append((now, self.id, timer_id, data))
+                        or [])
+    eng = Engine(two_node(), [client], seed=1)
+    client.engine = eng
+    eng.run(horizon_ms=1000.0)
+    records = Engine(two_node(), [], seed=1).nodes
+    fired, now = reference_timers(
+        script, lambda node: records[node].hops[PEER[node]])
+    assert [entry for entry in fired if entry[2][0] != "act"], \
+        "the script fires no timer"
+    assert client.fired == fired
+    assert eng.now == now
+    assert not eng._timer_gen and not eng._heap
 
 
 # --- link service: TX_DONE only while a frame waits ---------------------------------
@@ -1067,10 +1224,10 @@ def announce_armings(monkeypatch):
     log = []
     set_timer = Engine.set_timer
 
-    def spy(self, owner, timer_id, delay_ms, data=None):
+    def spy(self, owner, timer_id, delay_ms, data=None, timer=None):
         if timer_id[0] == "ann":
             log.append((self.now, owner, delay_ms))
-        set_timer(self, owner, timer_id, delay_ms, data)
+        set_timer(self, owner, timer_id, delay_ms, data, timer)
 
     monkeypatch.setattr(Engine, "set_timer", spy)
     return log
