@@ -130,7 +130,7 @@ def _topo_path(name: str) -> str:
 
 
 def chain_ping_loss(loss: float = 0.0, seed: int = 1, reps: int = 5,
-                    pings: int = 100, interval_ms: float = 1000.0,
+                    pings: int = 100,
                     variants: Optional[Sequence[str]] = None) -> Scenario:
     """100 probes at 1/s between the chain edge nodes; loss on the 12-13 hop."""
     return Scenario(
@@ -139,10 +139,10 @@ def chain_ping_loss(loss: float = 0.0, seed: int = 1, reps: int = 5,
         sender="c1", receiver="c5",
         variants=tuple(variants or LOSS_VARIANTS),
         seed=seed, reps=reps,
-        horizon_ms=pings * interval_ms + 10_000.0,
+        horizon_ms=pings * Scenario.ping_interval_ms + 10_000.0,
         baseline_path=("1", "12", "13", "14", "5"),
         loss_link=("12", "13"), loss_pct=loss,
-        ping_count=pings, ping_interval_ms=interval_ms)
+        ping_count=pings)
 
 
 def chain_stream_loss(loss: float = 0.0, seed: int = 1, reps: int = 5,

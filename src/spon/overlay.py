@@ -50,12 +50,13 @@ re-nack interval, then at doubling waits capped at the announces' longest,
 until a gap fill answers one or the gap outlives the sender's cache and is
 given up.  A later arming of either timer supersedes an earlier one, a
 back-off wait included; a probe that fires while data frames wait does
-nothing, and waiting control frames never hold it back.  A node keeps one
-hop record (`_Hop`) per neighbour: the output port toward it, and this
-protocol for both directions of the link.  The record resets its protocol
-state when the node's view says the link went down, so a neighbour that
-restarts with fresh link seqs is heard from seq 0.  The node owns the entry
-points, which hand port and hop work to the record.
+nothing, and waiting control frames never hold it back.  A node is made
+with one hop record (`_Hop`) per link of the topology: the output port
+toward the neighbour, and this protocol for both directions of the link.
+The record resets its protocol state when the node's view says the link
+went down, so a neighbour that restarts with fresh link seqs is heard from
+seq 0.  The node owns the entry points, which hand port and hop work to the
+record.
 
 End-to-end seqs are numbered per (destination, service) from the node's
 incarnation: the engine counts each spawn of a node (0, 1, ...), and the
@@ -93,7 +94,6 @@ from .topology import (
     NoPath,
     NodeId,
     Path,
-    TopologyError,
     TopologyView,
     k_disjoint_paths,
     shortest_path,
@@ -339,7 +339,7 @@ class OutPort:
         return None, expired
 
     def drain(self) -> List[Frame]:
-        """Remove and return every queued data frame (control included)."""
+        """Remove and return every queued frame, control first."""
         out: List[Frame] = list(self.control)
         self.control.clear()
         for part in self.ring:
@@ -372,14 +372,15 @@ class _Hop:
     it holds.  Receiving: `expected` is the next seq due, `missing` maps
     each seq of an open gap to when the gap was found, and `acked` is the
     highest seq this node has told the neighbour it holds, by a confirm or
-    by the ack on a wrapper of reverse data; it never decreases.  The record
-    is made on first use, and `reset` clears this state when the link goes
-    down in the node's view, so the two directions reset together.  The
-    port, the re-nack interval, the header size and the timer effects are
-    built once per record and survive a reset; every hop-layer frame the
-    record sends is sized from that header.  The effects of each hop timer
-    share its engine `TimerRecord`, through which the engine arms, cancels
-    and fires it; a pop of its heap entry reads that record's fields.
+    by the ack on a wrapper of reverse data; it never decreases.  The node
+    makes the record with itself, one per link of the topology, and `reset`
+    clears this state when the link goes down in the node's view, so the
+    two directions reset together.  The port, the re-nack interval, the
+    header size and the timer effects are built once per record and
+    survive a reset; every hop-layer frame the record sends is sized from
+    that header.  The effects of each hop timer share its engine
+    `TimerRecord`, through which the engine arms, cancels and fires it; a
+    pop of its heap entry reads that record's fields.
     """
 
     def __init__(self, node: "NodeState", nbr: NodeId):
@@ -389,11 +390,8 @@ class _Hop:
         self.port = OutPort(node.config.buffer_capacity)
         self.reset()
         # how long a request on the link waits for its answer
-        try:
-            link_lat = node.view.base.link(node.id, nbr).latency_ms
-        except TopologyError:
-            link_lat = 1.0
-        self.renack_ms = renack_ms = max(RENACK_MIN_MS, 2.5 * link_lat)
+        self.renack_ms = renack_ms = max(
+            RENACK_MIN_MS, 2.5 * node.view.base.link(node.id, nbr).latency_ms)
         self.header_size = Frame(kind=KIND_HOP_DATA, src=node.id,
                                  dst=nbr).wire_size()
         probe, ack, nack = (TimerRecord((kind, nbr))
@@ -598,18 +596,6 @@ class _Hop:
             self._confirm(self.expected - 1, out)
 
 
-class _Hops(dict):
-    """A node's records by neighbour, each made on first use."""
-
-    def __init__(self, node: "NodeState"):
-        super().__init__()
-        self.node = node
-
-    def __missing__(self, nbr: NodeId) -> _Hop:
-        hop = self[nbr] = _Hop(self.node, nbr)
-        return hop
-
-
 class _Window(dict):
     """A dict of at most DEDUP_WINDOW keys; `order` lists its keys oldest
     first, so the oldest is forgotten without a scan of the dict."""
@@ -661,7 +647,9 @@ class NodeState:
         self._adopt(view)
         self.config = config
         self.behavior = HONEST
-        self.hops: Dict[NodeId, _Hop] = _Hops(weakref.proxy(self))
+        me = weakref.proxy(self)
+        self.hops: Dict[NodeId, _Hop] = {
+            nbr: _Hop(me, nbr) for nbr in view.base.neighbors(node_id)}
         self.seq_counters: Dict[Tuple[NodeId, int], int] = {}
         # (src, service) -> the (dst, seq, kind) of frames already seen; the
         # entry of a REL data frame for this node counts the acks sent for it
@@ -817,9 +805,7 @@ class NodeState:
         elif wire.payload:
             self.hops[from_nbr].resend(wire.payload, now, out)
         elif wire.k == HOP_CONFIRM:
-            hop = self.hops.get(from_nbr)
-            if hop is not None:
-                hop.on_confirm(wire.seq, out)
+            self.hops[from_nbr].on_confirm(wire.seq, out)
         else:
             self.hops[from_nbr].on_announce(wire.seq, now, out)
         return out
@@ -972,9 +958,7 @@ class NodeState:
         hop timers only, as are wrap_for_link's: the engine applies them
         without an effect pass."""
         out: Effects = []
-        hop = self.hops.get(neighbor)
-        if hop is None:
-            return None, out
+        hop = self.hops[neighbor]
         frame, expired = hop.port.dequeue(now)
         if expired:
             for _ in range(expired):
@@ -1005,14 +989,13 @@ class NodeState:
             self._process(from_nbr, frame, out, delayed=True)
         else:
             # a hop timer of the link to timer_id[1]
-            hop = self.hops.get(timer_id[1])
-            if hop is not None:
-                if kind == "ack":     # nearly all of a relay's timer fires
-                    hop.on_ack_timer(out)
-                elif kind == "nack":
-                    hop.on_nack_timer(now, out)
-                else:
-                    hop.on_probe_timer(out)
+            hop = self.hops[timer_id[1]]
+            if kind == "ack":     # nearly all of a relay's timer fires
+                hop.on_ack_timer(out)
+            elif kind == "nack":
+                hop.on_nack_timer(now, out)
+            else:
+                hop.on_probe_timer(out)
         return out
 
     def _rel_timeout(self, timer_id: tuple, out: Effects) -> None:
@@ -1052,27 +1035,22 @@ class NodeState:
     def recompute_routes(self, new_view: TopologyView, now: float) -> Effects:
         """Adopt a new view; purge or restamp traffic aimed at dead elements.
 
-        A link that goes down resets its hop record, and the cancels of its
-        announce, nack and ack timers lead the effects.  A restarted neighbour
-        starts its link seqs at 0 as soon as it is up, before this node
-        adopts the view that says so; resetting the record here, not when
-        the link comes back, lets those first frames through.  The port of
-        every link down in the new view is drained."""
+        The port of every link down in the new view is drained.  A link that
+        has just gone down first resets its hop record, and the cancels of
+        its announce, nack and ack timers come right before the reroutes of
+        its own port.  A restarted neighbour starts its link seqs at 0 as
+        soon as it is up, before this node adopts the view that says so;
+        resetting the record here, not when the link comes back, lets those
+        first frames through."""
         out: Effects = []
-        hops = self.hops
-        for nbr in new_view.base.neighbors(self.id):
-            if self.view.link_is_up(self.id, nbr) \
-                    and not new_view.link_is_up(self.id, nbr):
-                hop = hops.get(nbr)
-                if hop is not None:
-                    # no hop timer is armed without a record
-                    out += (hop.unprobe, hop.unnack, hop.unack)
-                    hop.reset()
+        old_view = self.view
         self._adopt(new_view)
-        # rerouting may open records toward new neighbours; iterate a snapshot
-        for nbr, hop in list(hops.items()):
+        for nbr, hop in self.hops.items():
             if new_view.link_is_up(self.id, nbr):
                 continue
+            if old_view.link_is_up(self.id, nbr):
+                out += (hop.unprobe, hop.unnack, hop.unack)
+                hop.reset()
             for frame in hop.port.drain():
                 if frame.kind in (KIND_HOP_DATA, KIND_HOP_NACK):
                     continue   # link-layer traffic dies with the link

@@ -19,7 +19,8 @@ from helpers import _Pump, _Sink, _random_lossy_world
 from spon import experiments
 from spon.experiments import make_scenario, run_scenario
 from spon.netsim import Engine, FaultEvent, _EV_TIMER, _EV_TX_DONE
-from spon.overlay import PRI, REL, ServiceClass
+from spon.overlay import (CONTROL_CAPACITY, DEDUP_WINDOW, HOP_CACHE_FRAMES,
+                          PRI, REL, ServiceClass)
 from spon.topology import Change
 
 
@@ -80,6 +81,27 @@ def check_bookkeeping(eng):
                 eng.now == dirn.busy_until and eng.now_seq >= dirn.done_seq)
             assert not (dirn.up and idle and not dirn.done_live), \
                 (node_id, nbr, eng.now)
+    # a live node has one hop record per link, in topology-neighbour order,
+    # and its caches, ports, windows and parked frames stay under their
+    # constants
+    for node_id, state in eng.nodes.items():
+        assert list(state.hops) == list(eng.topology.neighbors(node_id)), \
+            node_id
+        for nbr, hop in state.hops.items():
+            where = (node_id, nbr)
+            assert len(hop.cache) == hop.next_seq - hop.first_seq \
+                <= HOP_CACHE_FRAMES, where
+            assert len(hop.missing) <= HOP_CACHE_FRAMES, where
+            port = hop.port
+            assert len(port.control) <= CONTROL_CAPACITY, where
+            for part in port.ring:
+                assert part.size == sum(map(len, part.levels.values())) \
+                    <= port.capacity, where
+            assert port.queued == len(port.control) \
+                + sum(part.size for part in port.ring), where
+        for window in state.dedup_window.values():
+            assert len(window) == len(window.order) <= DEDUP_WINDOW, node_id
+        assert len(state.parked) <= CONTROL_CAPACITY, node_id
 
 
 def run_checked(eng, horizon_ms, step_ms):

@@ -127,7 +127,9 @@ def test_an_over_long_client_id_is_refused_on_every_send():
         with pytest.raises(ValueError, match="client id too long"):
             eng.client_send(src, dst, b"x", ServiceClass(PRI, 1))
     # refused before the relay numbered or queued anything
-    assert not eng.nodes["A"].seq_counters and not eng.nodes["A"].hops
+    assert not eng.nodes["A"].seq_counters
+    assert all(hop.next_seq == 0 and not hop.port
+               for hop in eng.nodes["A"].hops.values())
     assert not eng.nodes["B"].seq_counters
 
 
