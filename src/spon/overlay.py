@@ -19,13 +19,22 @@ works out the best-path latency, the routes or why there are none, and the
 frame's size besides its payload; every send builds one frame from its plan.
 
 A node drops a copy it has seen before: one window per (source, service)
-remembers the last DEDUP_WINDOW frames.  A REL destination acks the first copy
-back the way it came: a flooded message's ack floods, a routed one's takes the
-arrival route, or a pool route if that is down.  It acks a repeated routed
-copy, such as a retransmit, over the next route of the pool; a repeated flood
-copy gets no ack, since the first ack already flooded back.  The message's
-entry in the window counts its acks, so one window holds both the duplicates
-and the ack counts.
+remembers the last DEDUP_WINDOW frames.
+
+REL resends follow one rule: counting the first copy of a message or of an ack
+as copy 0, each later copy n takes route n of the pool, the REL_ROUTE_POOL
+disjoint routes toward its destination, counted round the pool.  A message's
+first copy takes its own routes, and its n-th retransmit is copy n, so a
+compromised relay on one route costs a message one timeout.  A routed message
+floods instead on every third retransmit and whenever there is no pool; a
+flooded message with no pool waits, since each of the source's neighbours
+drops a second flood as a duplicate.  After REL_MAX_RETRIES retransmits the
+message is given up.  A destination acks a message's first copy back the way
+it came: a flooded one's ack floods, and a routed one's takes the reversed
+arrival route, else pool route 0.  It acks each repeated routed copy again,
+the ack after n earlier ones as copy n; the message's window entry counts
+those acks.  A repeated flood copy gets no ack, since the first ack flooded
+back, and an ack with no pool floods.
 
 Each link direction additionally runs a small negative-ack recovery protocol:
 frames carry per-link sequence numbers, receivers nack gaps, and senders keep
@@ -46,7 +55,7 @@ the ack timer fires.  A probe that fires unanswered sends an announce of the
 high-water seq, which the receiver confirms or answers with a nack; unanswered
 announces repeat, spaced by the re-nack interval and doubling,
 ANNOUNCE_RETRIES at most.  Unanswered nacks repeat RENACK_ROUNDS times at the
-re-nack interval, then at doubling waits capped at the announces' longest,
+re-nack interval, then at doubling waits up to twice the announces' longest,
 until a gap fill answers one or the gap outlives the sender's cache and is
 given up.  A later arming of either timer supersedes an earlier one, a
 back-off wait included; a probe that fires while data frames wait does
@@ -126,7 +135,7 @@ NACK_BATCH = 512             # seqs per nack frame
 MAX_PAYLOAD_BYTES = 65536
 # reliable service
 REL_MAX_RETRIES = 8
-REL_ROUTE_POOL = 4           # disjoint paths cycled on retransmit
+REL_ROUTE_POOL = 4           # disjoint paths cycled by REL resends
 DEFAULT_RTT_MS = 1000.0      # RTO seed when no path is known
 
 
@@ -407,7 +416,8 @@ class _Hop:
         self.unack = CancelTimer(ack.timer_id, ack)
         self.nack = SetTimer(nack.timer_id, NACK_DELAY_MS, None, nack)
         # unanswered nacks re-arm at renack_ms for RENACK_ROUNDS rounds, then
-        # double up to the announces' longest wait; nack_round indexes this
+        # double up to renack_ms * 2 ** (ANNOUNCE_RETRIES - 1), twice the
+        # announces' longest wait; nack_round indexes this
         self.renacks = tuple(
             SetTimer(nack.timer_id,
                      renack_ms * 2 ** max(0, i - RENACK_ROUNDS + 1), None, nack)
@@ -720,11 +730,17 @@ class NodeState:
                                        shell._size)
         return plan
 
-    def _route_pool(self, dst: NodeId) -> List[Path]:
+    def _resend(self, frame: Frame, n: int, out: Effects) -> bool:
+        """Send copy n of a REL message or ack over route n of the pool;
+        False, sending nothing, if there is no path to its destination."""
         try:
-            return k_disjoint_paths(self.view, self.id, dst, REL_ROUTE_POOL)
+            pool = k_disjoint_paths(self.view, self.id, frame.dst,
+                                    REL_ROUTE_POOL)
         except NoPath:
-            return []
+            return False
+        path = pool[n % len(pool)]
+        self._enqueue_data(path.hops[1], frame.restamp(1, (path,)), out)
+        return True
 
     # -- client entry point --
 
@@ -934,10 +950,7 @@ class NodeState:
                 if self.view.usable(back):
                     self._enqueue_data(back.hops[1], ack.restamp(1, (back,)), out)
                     return
-            pool = self._route_pool(data.src)
-            if pool:
-                path = pool[acks % len(pool)]
-                self._enqueue_data(path.hops[1], ack.restamp(1, (path,)), out)
+            if self._resend(ack, acks, out):
                 return
         try:
             self._launch(ack, out)
@@ -1010,25 +1023,18 @@ class NodeState:
             return
         pending.rto_ms *= 2.0
         out.append(SetTimer(timer_id, pending.rto_ms))
-        pool = self._route_pool(dst)
-        originally_flooded = pending.frame.k == FLOODING
-        flood_turn = (not originally_flooded) and pending.attempts % 3 == 0
-        if pool and not flood_turn:
-            path = pool[(pending.attempts - 1) % len(pool)]
-            frame = pending.frame.restamp(1, (path,))
-            self._enqueue_data(path.hops[1], frame, out)
+        # retransmit n takes pool route n, but a routed message floods on
+        # every third and with no pool; a flooded one with no pool waits
+        frame = pending.frame
+        if (frame.k == FLOODING or pending.attempts % 3) \
+                and self._resend(frame, pending.attempts, out):
             self._count("rel_retransmit")
-            return
-        if originally_flooded:
-            # the first flood marked the window of each of the source's
-            # neighbours, which drop a second flood as a duplicate, and with
-            # no route pool nothing else can help
-            return
-        try:
-            self._launch(pending.frame.restamp(FLOODING), out)
-            self._count("rel_reflood")
-        except NoPath:
-            self._count("rel_stranded")
+        elif frame.k != FLOODING:
+            try:
+                self._launch(frame.restamp(FLOODING), out)
+                self._count("rel_reflood")
+            except NoPath:
+                self._count("rel_stranded")
 
     # -- topology updates --
 

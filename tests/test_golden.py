@@ -23,7 +23,7 @@ GOLDEN = {
     "chain-ping-loss": (
         dict(loss=5.0, pings=30, reps=1,
              variants=("baseline", "pri-fld", "rel-1p")),
-        "dbc0ce021ff758e203947622da485b2e32e142fbe9b4477452481307afd4b5b5"),
+        "af741fd0a4b2b7249b304366de2b5e28786280a1d9c7f6cd2a6ad2513911df33"),
     "chain-stream-loss": (
         dict(loss=5.0, payments=2, total=2_000, packet=100, reps=1,
              variants=("baseline", "pri-2p", "rel-2p")),

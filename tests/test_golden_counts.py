@@ -44,8 +44,8 @@ PINNED = {
             "a7b7b69fa46393704f5803bc4ce6cddff1f68db4ac7e17518fc4d44b64d13bab"),
         "pri-fld": (3414, 1666,
             "10533bfba63b323462dcce8cceccd77a6454773a0a807af46cb7051d08c39ab5"),
-        "rel-1p": (1983, 876,
-            "26198e097bbf270e44b2143149c8c3d8dd975b90986dd166fe7e4cf3a0606383"),
+        "rel-1p": (1971, 870,
+            "9410bdf2be5c50b7d31ff5f5a1e5b970183df20bce934256da223c8d1baf37c0"),
     },
     "chain-ping-loss-rel-fld": {
         "rel-fld": (6333, 2951,
@@ -76,8 +76,8 @@ PINNED = {
             "15f49f4cd396627cd8f82d6f9b63c69865221f30916d2fa73652670ae654b162"),
         "pri-fld": (2695, 1323,
             "6669b441bdef1d641caf7f6a419d42d73a73d478c2d7963e3af050095fa035ba"),
-        "rel-1p": (1161, 486,
-            "92c77176760edda7661661d8e1f062598e727e08f1a2de972b11d5b7feb989cc"),
+        "rel-1p": (1202, 500,
+            "834861f88b025bd98100fdf44f4f30c6904c6eb116085bb901f06474323c3bca"),
     },
 }
 

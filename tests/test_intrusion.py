@@ -5,9 +5,10 @@ Relay 12 sits on the 16 ms route from node 1 to node 5, the route PRI k = 1
 takes.  The single-route PRI case is the negative control: it must lose
 every message, so an engine or relay that ignored `behaviors` fails here.
 Two disjoint routes, flooding, and REL's retransmit route pool each get
-every message through exactly once.  A compromised relay that restarts comes
-back compromised.  In random lossy worlds, flooding, REL's route pool and two
-disjoint routes each deliver every message once around a compromised relay.
+every message through exactly once, REL's at one retransmit a message.  A
+compromised relay that restarts comes back compromised.  In random lossy
+worlds, flooding, REL's route pool and two disjoint routes each deliver
+every message once around a compromised relay.
 """
 
 import random
@@ -56,6 +57,19 @@ def test_a_compromised_relay_stops_only_the_route_through_it(behavior,
     counts = Counter(sink.got)
     assert len(counts) == MESSAGES
     assert set(counts.values()) == {1}
+
+
+def test_a_black_hole_costs_a_rel_message_one_retransmit():
+    # each message's original send takes relay 12's route, and its first
+    # retransmit the pool's next route, which avoids it
+    eng, sink = run_with_compromised_relay(Behavior.drop_all(),
+                                           SERVICES["rel-1p"])
+    assert Counter(sink.got) == Counter(f"m{i}".encode()
+                                        for i in range(MESSAGES))
+    assert eng.counters["rel_retransmit"] == eng.counters["adversarial"] \
+        == MESSAGES
+    # a second timeout a message would end the run at 1,240 ms
+    assert eng.now < 1150
 
 
 @pytest.mark.parametrize("variant", ["pri-1p", "pri-2p"])

@@ -43,7 +43,8 @@ from spon.overlay import (
     ServiceClass,
     SetTimer,
 )
-from spon.topology import Change, Topology, parse_topology, load_topology
+from spon.topology import (Change, Topology, TopologyView, k_disjoint_paths,
+                           load_topology, parse_topology)
 
 CHAIN = data_file("chain.topo")
 BGP = data_file("bgp.topo")
@@ -402,7 +403,8 @@ def test_timer_table_matches_heap_when_the_horizon_cuts_the_run():
     # the relay has hop timers armed before it goes down
     assert relay_12_timers()
     assert all(timer.key is None for timer in relay_12_timers())
-    eng.run(horizon_ms=120.0)
+    # some of the 50 messages are still unacked at 100 ms
+    eng.run(horizon_ms=100.0)
     assert eng._timer_gen and armed_entries_are_live(eng)
     # the dead relay's timers were dropped with it
     assert not relay_12_timers()
@@ -854,6 +856,35 @@ def test_relay_restarts_on_lossless_links_cost_no_hop_recovery():
             assert "hop_unrecoverable" not in counters, where
             if kind == REL:
                 assert Counter(sink.got) == Counter(pump.sent), where
+
+
+def test_rel_delivers_exactly_once_through_a_relay_restart():
+    # the victim is down long enough for every node to adopt the down view
+    # and then the up view; two disjoint routes are tried only where the
+    # world has them
+    rng = random.Random(2024)
+    runs = 0
+    for world in range(8):
+        topo, victim = _random_lossy_world(rng)
+        ks = [0, 1]
+        if len(k_disjoint_paths(TopologyView.all_up(topo), "n0", "n1", 2)) == 2:
+            ks.append(2)
+        for k in ks:
+            bodies = [f"{world}:{k}:{i}".encode() for i in range(100)]
+            pump = _Pump("cs", "cr", bodies, ServiceClass(REL, k))
+            sink = _Sink("cr")
+            faults = [FaultEvent(150.0, change=Change.node_down(victim)),
+                      FaultEvent(400.0, change=Change.node_up(victim))]
+            eng = Engine(topo, [pump, sink], seed=world + 1, faults=faults)
+            eng.run(10_000.0)
+            where = f"world {world} k {k}"
+            assert len(pump.sent) == 100, where
+            assert Counter(sink.got) == Counter(bodies), where
+            assert "rel_failed" not in eng.counters, where
+            assert not [node_id for node_id, state in eng.nodes.items()
+                        if state.rel_pending], where
+            runs += 1
+    assert runs == 23
 
 
 def test_a_flooded_rel_message_whose_ack_is_cut_is_acked_by_its_retransmit():

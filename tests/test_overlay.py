@@ -27,6 +27,7 @@ from spon.overlay import (
     PRI,
     REL,
     REL_MAX_RETRIES,
+    REL_ROUTE_POOL,
     Behavior,
     CancelTimer,
     Config,
@@ -953,10 +954,10 @@ def test_rel_retransmit_rotates_routes_then_floods():
     n1.client_send("5", b"m", ServiceClass(REL, 1), now=0.0)
     fx = n1.handle_timer(("rel", "5", 1), None, 100.0)
     tx1 = transmits(fx)
-    assert len(tx1) == 1 and tx1[0].neighbor == "12"
+    assert len(tx1) == 1 and tx1[0].neighbor == "9"   # the pool's 2nd path
     fx = n1.handle_timer(("rel", "5", 1), None, 200.0)
     tx2 = transmits(fx)
-    assert len(tx2) == 1 and tx2[0].neighbor == "9"   # rotated to 2nd path
+    assert len(tx2) == 1 and tx2[0].neighbor == "6"   # rotated to 3rd path
     fx = n1.handle_timer(("rel", "5", 1), None, 400.0)
     tx3 = transmits(fx)
     assert sorted(t.neighbor for t in tx3) == ["12", "2", "6", "9"]   # flood turn
@@ -972,7 +973,7 @@ def test_rel_timeout_of_a_flooded_message_only_sends_routed_copies():
     n1.client_send("5", b"m", ServiceClass(REL, FLOODING), now=0.0)
     fx = n1.handle_timer(("rel", "5", 1), None, 100.0)
     tx = transmits(fx)
-    assert len(tx) == 1 and tx[0].neighbor == "12"
+    assert len(tx) == 1 and tx[0].neighbor == "9"
     assert tx[0].frame.k == 1
     assert n1.counters.get("rel_retransmit") == 1
     # with no route to the destination there is nothing left to try
@@ -987,6 +988,42 @@ def test_rel_timeout_of_a_flooded_message_only_sends_routed_copies():
     assert n1.counters.get("rel_retransmit") == 1
     assert "rel_reflood" not in n1.counters
     assert "rel_stranded" not in n1.counters
+
+
+def test_rel_resend_n_of_a_message_or_ack_takes_pool_route_n():
+    def pool_first_hops(src, dst):
+        return [path.hops[1] for path in
+                k_disjoint_paths(chain_view(), src, dst, REL_ROUTE_POOL)]
+
+    def sent(effects):
+        return sorted(t.neighbor for t in transmits(effects))
+
+    assert pool_first_hops("1", "5") == ["12", "9", "6", "2"]
+    assert pool_first_hops("5", "1") == ["14", "11", "7", "3"]
+    flood = ["12", "2", "6", "9"]
+    # retransmit n takes pool route n, so the first one leaves the original
+    # send's route; every third one of a routed message floods
+    for k in (1, 2):
+        n1 = node("1")
+        n1.client_send("5", b"m", ServiceClass(REL, k), now=0.0)
+        assert [sent(n1.handle_timer(("rel", "5", 1), None, 100.0 * attempt))
+                for attempt in range(1, 7)] == [
+            ["9"], ["6"], flood, ["12"], ["9"], flood]
+        assert n1.counters == {"rel_retransmit": 4, "rel_reflood": 2}
+    # a flooded message never floods again
+    n1 = node("1")
+    n1.client_send("5", b"m", ServiceClass(REL, FLOODING), now=0.0)
+    assert [sent(n1.handle_timer(("rel", "5", 1), None, 100.0 * attempt))
+            for attempt in range(1, 5)] == [["9"], ["6"], ["2"], ["12"]]
+    # the first ack takes the reversed arrival route, and the ack after n
+    # earlier ones pool route n
+    n5 = node("5")
+    data = routed_frame("1", "5", ("1", "12", "13", "14", "5"),
+                        service=SERVICE_REL)
+    acks = [transmits(n5.handle_frame("14", data, 10.0 * i)) for i in range(5)]
+    assert [[t.neighbor for t in tx] for tx in acks] == [
+        ["14"], ["11"], ["7"], ["3"], ["14"]]
+    assert acks[0][0].frame.routes == (("5", "14", "13", "12", "1"),)
 
 
 def test_rel_gives_up_after_max_retries():
