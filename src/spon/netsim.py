@@ -18,21 +18,16 @@ direction is up, and dies in flight unless it arrives in the epoch it left
 in; a direction's epoch counts the times it went down.  A raw pipe's
 directions cache their path's facts and follow the epoch rule the same way.
 
-A timer keeps at most one entry on the heap, as a timing wheel restarts a
-timer without a queue insertion.  Every arming takes an insertion seq and is
-written, with its due time and data, to the timer's `TimerRecord`: a hop
+Every arming of a timer pushes its own heap entry under a new insertion seq
+and writes that seq, with its data, to the timer's `TimerRecord`: a hop
 holds the record of each of its timers and hands it over in their effects,
-and any other timer's is found by its (owner, timer id) key.  A heap entry
-carries the record, and is pushed only when the timer has none, or has one
-due later than the new arming.  When an entry pops and its timer was re-armed
-later, it is pushed again under that arming's reserved (due, seq) and takes
-no new seq, so a timer fires exactly where an entry pushed at its last arming
-would have.  An entry that no longer matches its record (the timer fired, was
-cancelled, or was re-armed earlier) is dead; a pop of any kind reads the
-record and looks nothing up.  Neither a dead entry nor a moved one sets the
-clock: when `run` returns, `Engine.now` is the time of the last event that
-acted, and a stream row still running at the end, and the settle sweep, read
-that time whatever the heap held past it.
+and any other timer's is found by its (owner, timer id) key.  An entry fires
+only while its seq is its record's; one superseded by a later arming, or
+whose timer fired or was cancelled, is dead, and a pop reads the record and
+looks nothing up.  A dead entry does not set the clock: when `run` returns,
+`Engine.now` is the time of the last event that acted, and a stream row
+still running at the end, and the settle sweep, read that time whatever the
+heap held past it.
 
 A run keeps one counter table, `Engine.counters`.  Every relay the engine
 spawns counts its drops and recoveries straight into it, so a relay that goes
@@ -350,6 +345,8 @@ class Engine:
         self.now_seq = 0          # insertion seq of the event being handled
 
         self.ground = TopologyView.all_up(topology)
+        # the links that link faults cut, whatever the underlay says
+        self._cut: set = set()
         if underlay is not None:
             for change in self._underlay_changes():
                 self.ground = apply_fault(self.ground, change)
@@ -431,13 +428,15 @@ class Engine:
         self.nodes[node_id] = state
 
     def _underlay_changes(self) -> List[Change]:
-        """Diff overlay link usability against the current ground view."""
+        """The link changes that leave each link up exactly when no link
+        fault cut it and the underlay finds it usable."""
         out: List[Change] = []
         homing = self.topology.as_homing
+        link_up = self.ground.link_up
         for spec in self.topology.links:
-            usable = self.underlay.link_usable(
+            usable = spec.key not in self._cut and self.underlay.link_usable(
                 homing.get(spec.a, ()), homing.get(spec.b, ()), self.bans)
-            if usable != self.ground.link_is_up(spec.a, spec.b):
+            if usable != link_up[spec.key]:
                 if usable:
                     out.append(Change.link_up(spec.a, spec.b))
                 else:
@@ -487,32 +486,26 @@ class Engine:
     def set_timer(self, owner: tuple, timer_id: tuple, delay_ms: float,
                   data: object = None,
                   timer: Optional[TimerRecord] = None) -> None:
-        # re-arming supersedes the earlier arming; a live entry due no later
-        # than this arming is kept and moved to it when it pops.  A timer
-        # given without its record is found by its key, or given one
-        due = self.now + delay_ms
+        # each arming pushes its own entry and leaves the earlier ones dead.
+        # A timer given without its record is found by its key, or given one
         self._seq = seq = self._seq + 1
         if timer is None:
             key = (owner, timer_id)
             timer = self._timer_gen.get(key) or TimerRecord(timer_id, key)
-        if not timer.entry_seq or timer.entry_due > due:
-            if not timer.entry_seq:
-                self._timer_gen[timer.key or timer] = timer
-                timer.owner = owner
-            heapq.heappush(self._heap, (due, seq, _EV_TIMER, timer))
-            timer.entry_due = due
-            timer.entry_seq = seq
-        timer.due = due
+        if not timer.seq:
+            self._timer_gen[timer.key or timer] = timer
+            timer.owner = owner
         timer.seq = seq
         timer.data = data
+        heapq.heappush(self._heap, (self.now + delay_ms, seq, _EV_TIMER, timer))
 
     def cancel_timer(self, owner: tuple, timer_id: tuple,
                      timer: Optional[TimerRecord] = None) -> None:
-        # its heap entry, if any, pops dead
+        # its heap entries pop dead
         if timer is None:
             timer = self._timer_gen.get((owner, timer_id))
-        if timer is not None and timer.entry_seq:
-            timer.entry_seq = 0
+        if timer is not None and timer.seq:
+            timer.seq = 0
             del self._timer_gen[timer.key or timer]
 
     def _retire_node(self, node_id: NodeId) -> None:
@@ -670,9 +663,13 @@ class Engine:
     # -- faults --
 
     def _apply_fault(self, fe: FaultEvent) -> None:
-        changes: List[Change] = []
-        if fe.change is not None:
-            changes.append(fe.change)
+        change = fe.change
+        if change is not None:
+            if change.kind == "link_down":
+                self._cut.add(change.link)
+            elif change.kind == "link_up":
+                self._cut.discard(change.link)
+            self._apply_change(change)
         if fe.hijack is not None or fe.restore is not None:
             bans = set(self.bans)
             if fe.hijack is not None:
@@ -682,10 +679,9 @@ class Engine:
                 bans.discard(tuple(fe.restore))
                 self.trace("hijack_lifted", "-", f"{fe.restore[0]}>{fe.restore[1]}")
             self.bans = frozenset(bans)
-            if self.underlay is not None:
-                changes.extend(self._underlay_changes())
-        for change in changes:
-            self._apply_change(change)
+        if self.underlay is not None:
+            for change in self._underlay_changes():
+                self._apply_change(change)
         self._refresh_links()
         self._view_serial += 1
         self._push(self.now + VIEW_PROPAGATION_MS, _EV_VIEW,
@@ -730,21 +726,13 @@ class Engine:
                 if pops > cap:
                     raise EngineOverrun(f"exceeded {cap} events")
                 if kind == _EV_TIMER:
-                    # an entry its record no longer names is dead; neither
-                    # it nor an entry moved to a later arming sets the clock
-                    if data.entry_seq != seq:
-                        continue
-                    due, armed_seq = data.due, data.seq
-                    if armed_seq != seq:
-                        # re-armed later: move to that arming's reserved key
-                        data.entry_due = due
-                        data.entry_seq = armed_seq
-                        heapq.heappush(heap, (due, armed_seq, _EV_TIMER, data))
+                    # an entry its record no longer names is dead, and does
+                    # not set the clock
+                    if data.seq != seq:
                         continue
                     self.now = time_ms
                     self.now_seq = seq
-                    # fire the timer at its last arming, with that arming's data
-                    data.entry_seq = 0
+                    data.seq = 0
                     del timers[data.key or data]
                     scope, name = data.owner
                     if scope == "n":

@@ -202,18 +202,18 @@ def _new_deliver(payload: bytes, wire_bytes: int) -> Deliver:
 
 
 class TimerRecord:
-    """The engine's record of one timer: its last arming (`owner`, `due`,
-    `seq`, `data`) and its one heap entry (`entry_due`, `entry_seq`, 0 while
-    not armed).  A hop keeps one per hop timer; the engine makes one per
-    timer named by `key`.  A record without a key is its own key."""
+    """The engine's record of one timer: its `owner`, and the insertion
+    `seq` and `data` of its last arming, 0 while not armed.  Of the timer's
+    heap entries only the one pushed under `seq` fires.  A hop keeps one
+    record per hop timer; the engine makes one per timer named by `key`.  A
+    record without a key is its own key."""
 
-    __slots__ = ("timer_id", "key", "owner", "due", "seq", "data",
-                 "entry_due", "entry_seq")
+    __slots__ = ("timer_id", "key", "owner", "seq", "data")
 
     def __init__(self, timer_id: tuple, key: Optional[tuple] = None):
         self.timer_id = timer_id
         self.key = key
-        self.entry_seq = 0       # the rest is set when it is armed
+        self.seq = 0             # the rest is set when it is armed
 
 
 # `timer` is the record a hop keeps for the timer, shared by all of that
@@ -376,9 +376,9 @@ class _Hop:
     `src` is the node's id, read without the proxy.
 
     Sending: the replay cache holds (wire frame, time stored) for the
-    contiguous seqs first_seq .. next_seq - 1, oldest on the left, so a seq
-    indexes it directly; `confirmed` is the highest seq the neighbour said
-    it holds.  Receiving: `expected` is the next seq due, `missing` maps
+    contiguous seqs next_seq - len(cache) .. next_seq - 1, oldest on the
+    left, so a seq indexes it directly; `confirmed` is the highest seq the
+    neighbour said it holds.  Receiving: `expected` is the next seq due, `missing` maps
     each seq of an open gap to when the gap was found, and `acked` is the
     highest seq this node has told the neighbour it holds, by a confirm or
     by the ack on a wrapper of reverse data; it never decreases.  The node
@@ -389,7 +389,7 @@ class _Hop:
     survive a reset; every hop-layer frame the record sends is sized from
     that header.  The effects of each hop timer share its engine
     `TimerRecord`, through which the engine arms, cancels and fires it; a
-    pop of its heap entry reads that record's fields.
+    pop of any of its heap entries reads that record's fields.
     """
 
     def __init__(self, node: "NodeState", nbr: NodeId):
@@ -429,7 +429,6 @@ class _Hop:
         record answers as one never used does."""
         self.next_seq = 0
         self.cache: Deque[Tuple[Frame, float]] = deque()
-        self.first_seq = 0
         self.announce_round = 0
         self.confirmed = -1
         self.expected = 0
@@ -480,11 +479,9 @@ class _Hop:
         cache.append((wire, now))
         if len(cache) > HOP_CACHE_FRAMES:
             cache.popleft()
-            self.first_seq += 1
         horizon = now - HOP_CACHE_EXPIRY_MS
         while cache[0][1] < horizon:
             cache.popleft()
-            self.first_seq += 1
         return wire
 
     def lookup(self, seq: int, now: float) -> Optional[Frame]:
@@ -492,9 +489,9 @@ class _Hop:
         cache = self.cache
         while cache and cache[0][1] < horizon:
             cache.popleft()
-            self.first_seq += 1
-        if self.first_seq <= seq < self.next_seq:
-            return cache[seq - self.first_seq][0]
+        first = self.next_seq - len(cache)
+        if first <= seq < self.next_seq:
+            return cache[seq - first][0]
         return None
 
     def resend(self, payload: bytes, now: float, out: Effects) -> None:

@@ -1,9 +1,10 @@
 """The engine's bookkeeping matches its heap wherever a run stops.
 
-A timer keeps one heap entry, recorded in its `TimerRecord`: a hop holds
-the record of each of its timers, and the engine files every armed record in
-`Engine._timer_gen`.  A link direction's TX_DONE is on the heap only while
-`done_live` says so.  The
+Each arming of a timer pushes one heap entry, and its `TimerRecord` holds
+the arming's seq: a hop holds the record of each of its timers, and the
+engine files every armed record in `Engine._timer_gen`.  Each armed record's
+`seq` names exactly one heap entry, and every other timer entry is dead.  A
+link direction's TX_DONE is on the heap only while `done_live` says so.  The
 engine serves ports from the heap alone, so a record that drifts from it
 either fires a timer twice, loses one, or strands frames in a port.  Each run
 here stops at many horizons, through lossy links, relay restarts and relay
@@ -31,30 +32,28 @@ def hop_timers(state):
 
 
 def check_bookkeeping(eng):
-    timer_entries, tx_done = {}, {}
+    timer_entries, tx_done = set(), {}
     for time_ms, seq, kind, data in eng._heap:
         if kind == _EV_TIMER:
-            timer_entries.setdefault((data, seq), []).append(time_ms)
-            # an entry that would fire or move belongs to an armed timer
-            if data.entry_seq == seq:
+            timer_entries.add((data, seq))
+            # an entry that would fire belongs to an armed timer
+            if data.seq == seq:
                 assert eng._timer_gen.get(data.key or data) is data, \
                     (data.owner, data.timer_id)
         elif kind == _EV_TX_DONE:
             tx_done.setdefault(data[:2], []).append((time_ms, seq))
     # each armed timer is filed under its key, or itself if it has none, and
-    # has exactly one live entry, at its recorded (due, seq), no later than
-    # its last arming
+    # its seq names a heap entry, the only one, since no two pushes share
+    # a seq
     for key, timer in eng._timer_gen.items():
         where = (timer.owner, timer.timer_id)
         assert key == (timer.key or timer), where
-        assert timer_entries.get((timer, timer.entry_seq)) \
-            == [timer.entry_due], where
-        assert (timer.entry_due, timer.entry_seq) <= (timer.due, timer.seq)
+        assert (timer, timer.seq) in timer_entries, where
     # every armed hop record is filed, and a node's armed timers without a
     # key are its own hops' records: a retired relay's were disarmed
     for node_id, state in eng.nodes.items():
         for timer in hop_timers(state):
-            if timer.entry_seq:
+            if timer.seq:
                 assert eng._timer_gen.get(timer) is timer, timer.timer_id
                 assert timer.owner == ("n", node_id), timer.timer_id
     for timer in eng._timer_gen.values():
@@ -89,8 +88,8 @@ def check_bookkeeping(eng):
             node_id
         for nbr, hop in state.hops.items():
             where = (node_id, nbr)
-            assert len(hop.cache) == hop.next_seq - hop.first_seq \
-                <= HOP_CACHE_FRAMES, where
+            assert len(hop.cache) <= min(hop.next_seq, HOP_CACHE_FRAMES), \
+                where
             assert len(hop.missing) <= HOP_CACHE_FRAMES, where
             port = hop.port
             assert len(port.control) <= CONTROL_CAPACITY, where

@@ -28,56 +28,56 @@ PINNED = {
     "bgp": {
         "baseline": (146, 0,
             "5297247a2dfd9cff409d74f20240817b58b386774715ecbbb4cc24a6e248959d"),
-        "pri-1p": (69, 21,
-            "409c7d17d29ff5441cbf4033f6715eabc91a6a23a369fb4c65100c320eb2f575"),
+        "pri-1p": (75, 21,
+            "6b266fec97b1abb81dca21007fec9884336f3210fc50df9022179c4e07dceccc"),
     },
     "chain-meltdown": {
-        "baseline-cut": (9998, 0,
-            "8e369d851cfe856ce13e448b94a2811e1584eec486f2a21a3536cc7dcb44427f"),
-        "pri-1p": (45611, 21024,
-            "121caa267dbaee2da301b03eb1608538158ded53ee0964024f9ee281d167b166"),
-        "pri-2p": (84087, 40264,
-            "7876f2ddded588b8f613ca7aa5a4f2000b7108dbe3c967c369313095f68e50c1"),
+        "baseline-cut": (11000, 0,
+            "10a19b758f547b234526017a53c6ff2bbe9bfb211d91620d6206232a00ddf276"),
+        "pri-1p": (46611, 21024,
+            "fab0c3277277864ac60bcbce3bf95db85ee47d0673849e8fc0aeb0a7730b467e"),
+        "pri-2p": (85106, 40264,
+            "0bdfc30cb9316b56379b63bae433ec282e4e067228d12ab638fd493f5abe8373"),
     },
     "chain-ping-loss": {
         "baseline": (252, 0,
             "a7b7b69fa46393704f5803bc4ce6cddff1f68db4ac7e17518fc4d44b64d13bab"),
         "pri-fld": (3414, 1666,
             "10533bfba63b323462dcce8cceccd77a6454773a0a807af46cb7051d08c39ab5"),
-        "rel-1p": (1971, 870,
-            "9410bdf2be5c50b7d31ff5f5a1e5b970183df20bce934256da223c8d1baf37c0"),
+        "rel-1p": (2057, 870,
+            "2fb7ed0506689c4bb37f0e6927a0e26ffd8f03679c1697a05e0937c78da889d9"),
     },
     "chain-ping-loss-rel-fld": {
-        "rel-fld": (6333, 2951,
-            "867e89e0f7a8fc51740ee36307f900df4301c9136318c70eef85004226d2a6d3"),
+        "rel-fld": (6626, 2951,
+            "0a09b328ef078489fbd85ffd6e5fae9d96fc08149c9738ad7ef9cf7cc9c0539c"),
     },
     "chain-stream-loss": {
-        "baseline": (282, 0,
-            "ade52bf513402890a960fec5dc0292274c0475326872f9ab29319bf5bedb3471"),
-        "pri-2p": (2533, 1223,
-            "e377653462ae4f3100acae3d1146b0a4f9ac7cb313f2acaa20860d0be9b7c543"),
-        "rel-2p": (4702, 2115,
-            "a1eb9adb34a5e4db66df603ef30de96c8c8010e427a78f0ce0aa972cab2a0e9e"),
+        "baseline": (307, 0,
+            "07b0296f46ce24b057ec6f6db703b934a4a9936fa982ec63091442d0912059d1"),
+        "pri-2p": (2559, 1223,
+            "87d276aeb0eae3b9f0e24a1489820a1e5217678010b07660f62b4608f9184f8a"),
+        "rel-2p": (4969, 2115,
+            "5946ba86e2afd2a118d1a57a5dd38c939d6064c27a96d439b9d2eda11a40f629"),
     },
     "fairness": {
-        "solo": (31735, 13191,
-            "565fbaa1b643a428f4166e5765908818dc222261c3ddf6d2fc9eead0d139ac9e"),
-        "ramp": (38145, 17291,
-            "ec1fa5ec6aca0394a8632c43e4672fe72e1951ddac883323a846b49ac0360b65"),
+        "solo": (44441, 13191,
+            "5f112150f282cc0b0e336a84e1a178eb646e45c9088717db07e8125e0a9dffca"),
+        "ramp": (44729, 17291,
+            "c079e661f4c2a62a4cb2e1482403ecbc4e39381a78ed1bac763788b35811004b"),
     },
     "global-meltdown": {
-        "baseline": (2675, 0,
-            "595b6e0db8916e17056bd5df7e82675efd511977e99f119601b5207dc9c3f38e"),
-        "pri-2p": (20827, 9882,
-            "007b59237a92368a9f21106997017bc7386d9d7e33acecbaa2641a9ee289559b"),
+        "baseline": (2942, 0,
+            "210647fe676aafde0c163fd0a8ce44fdae1026c93b79e6464f6bc3141201ff88"),
+        "pri-2p": (21105, 9882,
+            "c3426fc092dfe1d4ec2a140c9c9e6c8dc0a809cd3aa4ad4a6e1558fb15258a9c"),
     },
     "global-stream-loss": {
-        "baseline": (135, 0,
-            "15f49f4cd396627cd8f82d6f9b63c69865221f30916d2fa73652670ae654b162"),
-        "pri-fld": (2695, 1323,
-            "6669b441bdef1d641caf7f6a419d42d73a73d478c2d7963e3af050095fa035ba"),
-        "rel-1p": (1202, 500,
-            "834861f88b025bd98100fdf44f4f30c6904c6eb116085bb901f06474323c3bca"),
+        "baseline": (147, 0,
+            "0b96e9a0236fd56bac4a1d7e641bb052a50294e327ea5b1f7fcb67df5684695b"),
+        "pri-fld": (2707, 1323,
+            "7e62cbc7211d9fc83f435e24fb408bb10411658118846f45ff3eca614e5130c9"),
+        "rel-1p": (1334, 500,
+            "ab6672143c2efbf99d3592d510bd1d8e99bb7b0c0ccd4f9e4fcced0a70eeb8c7"),
     },
 }
 

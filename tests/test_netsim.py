@@ -371,7 +371,7 @@ def armed_entries_are_live(eng):
     """Every armed timer's record names a heap entry that is still to fire."""
     live = {(seq, timer) for _t, seq, kind, timer in eng._heap
             if kind == _EV_TIMER}
-    return all((timer.entry_seq, timer) in live
+    return all((timer.seq, timer) in live
                for timer in eng._timer_gen.values())
 
 
@@ -462,9 +462,9 @@ def test_timer_rearmed_later_fires_once_at_its_last_arming():
                     + [(30.0, ("t",), "last")])
     eng = Engine(two_node(), [client, Collector("cb")], seed=1)
     eng.run(horizon_ms=5.0)
-    # one heap entry per armed timer, however often it was re-armed
-    assert len(timer_entries(eng)) == 2
-    # armed after the last arming of "t", before its entry moves there at 10
+    # one heap entry per arming: "u" and the 19 armings of "t"
+    assert len(timer_entries(eng)) == 20
+    # armed after the last arming of "t", before its first entry pops at 10
     eng.set_timer(("c", "ca"), ("w",), 30.0 - eng.now, "after")
     eng.run(horizon_ms=100.0)
     # same instant: each fires in the order it was last armed
@@ -497,7 +497,7 @@ def test_timer_cancelled_then_rearmed_fires_only_the_new_arming(delay):
 @pytest.mark.parametrize("rearm_ms", [None, 200.0])
 def test_clock_ends_at_the_last_event_that_acted(rearm_ms):
     # ("t",) is armed for 50 ms; at 10 ms it is cancelled, or re-armed past
-    # the horizon, so its entry pops at 50 ms dead or moves on
+    # the horizon, so its entry pops at 50 ms dead
     class Stopper(Client):
         def on_start(self, api):
             api.set_timer("ca", ("t",), 50.0)
@@ -529,10 +529,10 @@ def test_timer_of_a_retired_relay_never_fires(monkeypatch, faults):
     eng.set_timer(owner, ("probe",), 10.0)
     eng.set_timer(owner, ("probe",), 20.0)
     eng.run(horizon_ms=12.0)
-    # the entry due at 10 was moved to the last arming's reserved key
+    # the entry due at 10 popped dead; the last arming's entry is due at 20
     armed = eng._timer_gen[(owner, ("probe",))]
-    assert (armed.due, armed.entry_seq) == (20.0, armed.seq)
-    assert (20.0, armed.seq, _EV_TIMER, armed) in eng._heap
+    assert [entry for entry in eng._heap if entry[3] is armed] \
+        == [(20.0, armed.seq, _EV_TIMER, armed)]
     eng.run(horizon_ms=100.0)
     assert fired == ([] if faults else [("B", ("probe",), 20.0)])
     assert not eng._timer_gen
@@ -1222,6 +1222,38 @@ def test_restore_lifts_ban():
                  raw_links=[raw], underlay=underlay)
     eng.run(horizon_ms=2000.0)
     assert sink.raw_bodies == [b"try2"]
+
+
+def test_an_underlay_event_keeps_a_link_fault():
+    # a hijack that leaves RA-RB usable does not bring back the cut link;
+    # lifting the cut does
+    underlay = AsUnderlay(as_edges=((2, 5), (4, 5), (2, 4)))
+    faults = [FaultEvent(10.0, change=Change.link_down("RA", "RB")),
+              FaultEvent(20.0, hijack=(2, 4)),
+              FaultEvent(30.0, change=Change.link_up("RA", "RB"))]
+    eng = Engine(load_topology(BGP), [], seed=4, faults=faults,
+                 underlay=underlay)
+    for horizon, up in [(5.0, True), (15.0, False), (25.0, False),
+                        (35.0, True)]:
+        eng.run(horizon_ms=horizon)
+        assert eng.ground.link_is_up("RA", "RB") == up, horizon
+        assert eng.link_dirs[("RA", "RB")].up == up, horizon
+
+
+def test_a_link_fault_keeps_an_underlay_cut():
+    # an explicit link_up does not bring back a link the hijack cut; lifting
+    # the ban does
+    topo = parse_topology("node A as=2\nnode B as=4\n"
+                          "link A B latency_ms=5 loss=0 bw_mbps=100\n")
+    faults = [FaultEvent(0.0, hijack=(2, 4)),
+              FaultEvent(10.0, change=Change.link_up("A", "B")),
+              FaultEvent(20.0, restore=(2, 4))]
+    eng = Engine(topo, [], seed=4, faults=faults,
+                 underlay=AsUnderlay(as_edges=((2, 4),)))
+    for horizon, up in [(5.0, False), (15.0, False), (25.0, True)]:
+        eng.run(horizon_ms=horizon)
+        assert eng.ground.link_is_up("A", "B") == up, horizon
+        assert eng.link_dirs[("A", "B")].up == up, horizon
 
 
 # --- tail probe: armed once per idle period -------------------------------------------

@@ -1114,9 +1114,9 @@ def test_a_link_back_up_starts_with_fresh_hop_state():
     assert not [e for e in fx[6:] if isinstance(e, CancelTimer)]
     for nbr in ("1", "13"):
         hop = n12.hops[nbr]
-        assert (hop.next_seq, hop.first_seq, hop.announce_round,
-                hop.confirmed, hop.expected, hop.acked, hop.nack_armed,
-                hop.nack_round) == (0, 0, 0, -1, 0, -1, False, 0)
+        assert (hop.next_seq, hop.announce_round, hop.confirmed,
+                hop.expected, hop.acked, hop.nack_armed,
+                hop.nack_round) == (0, 0, -1, 0, -1, False, 0)
         assert not hop.cache and not hop.missing and not hop.port
     # a restarted neighbour's first frame, seq 0, arrives before the view
     # that brings its link back, and is no duplicate
@@ -1142,16 +1142,16 @@ def test_replay_cache_lookup_by_seq(monkeypatch):
     a = NodeState("A", view)
     wires = wire_frames(a, "B", 5)      # stored at 0..4 ms; 0 and 1 evicted
     tx = a.hops["B"]
-    assert (tx.first_seq, tx.next_seq) == (2, 5)
+    assert (len(tx.cache), tx.next_seq) == (3, 5)
     assert [tx.lookup(s, 5.0) for s in range(7)] == [
         None, None, wires[2], wires[3], wires[4], None, None]
     # past the expiry horizon of the frames stored at 2 and 3 ms
     now = 3.5 + HOP_CACHE_EXPIRY_MS
     assert tx.lookup(3, now) is None
-    assert tx.first_seq == 4
+    assert len(tx.cache) == 1
     assert tx.lookup(4, now) is wires[4]
     assert tx.lookup(4, now + 1.0) is None
-    assert not tx.cache and tx.first_seq == tx.next_seq
+    assert not tx.cache and tx.next_seq == 5
     # a frame wrapped after the cache emptied is found under its own seq
     fx = []
     late = a.wrap_for_link(wires[0].inner, "B", now + 2.0, fx)

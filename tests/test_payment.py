@@ -720,6 +720,41 @@ def test_connector_stream_survives_relay_restarts(service):
     assert "late_fulfill_loss" not in c.counters
 
 
+def relay_restarts():
+    """The schedule of `test_connector_stream_survives_relay_restarts`: each
+    relay on the connector's path restarts in turn, 13 among them."""
+    faults = []
+    for i, relay in enumerate(("12", "13", "14")):
+        start = 2000.0 + 1500.0 * i
+        faults += [FaultEvent(start, change=Change.node_down(relay)),
+                   FaultEvent(start + 400.0, change=Change.node_up(relay))]
+    return faults
+
+
+@pytest.mark.parametrize("world", [
+    dict(service=ServiceClass(REL, 1), loss=0.25, total=1000, packet=100,
+         seed=21),
+    dict(service=ServiceClass(REL, 1), loss=0.25, total=1000, packet=100,
+         seed=2),
+    dict(service=ServiceClass(PRI, 2), loss=0.05, total=200 * 200,
+         packet=200, faults=relay_restarts()),
+    dict(service=ServiceClass(REL, 1), loss=0.05, total=200 * 200,
+         packet=200, faults=relay_restarts()),
+], ids=["rel1-loss-seed21", "rel1-loss-seed2", "pri2-restarts",
+        "rel1-restarts"])
+def test_connector_keeps_at_most_one_relay_record(world):
+    # the sender has one packet in flight at a time, so the connector relays
+    # at most one, and keeps no record once the stream is done
+    s, c, r, l1, l2, txlog, eng = overlay_world(**world, horizon=0.0)
+    t = 0.0
+    while t < 120_000.0:
+        t += 50.0
+        eng.run(t)
+        assert len(c.relays) <= 1, t
+    assert s.sessions[s.sid].state == STREAM_COMPLETE
+    assert not c.relays
+
+
 def test_connector_stream_survives_a_compromised_relay():
     # relay 12 drops everything; it lies on the 1-12-13 route of the leg
     # from the sender to the connector, and on the 13-12-1-9-10-11-5 route
